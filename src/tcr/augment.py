@@ -21,10 +21,11 @@ from typing import Optional
 from .blueprint import (Blueprint, build_blueprint, compute_B_W, is_good,
                         is_suitable_pair, local_pivot, make_blueprint,
                         sample_suitable_pairs, trim_spanning_component)
-from .errors import HypothesisViolated, InconsistentWitness, TcrError
+from .errors import (HypothesisViolated, InconsistentWitness,
+                     NonEmptyIntersection, TcrError)
 from .hypergraph import Colour, ColouredKGraph, density_check, edges_within
-from .matchings import (FractionalMatching, from_matching, greedy_matching,
-                        validate_fractional)
+from .matchings import (FractionalMatching, empty_intersection_matching,
+                        from_matching, greedy_matching, validate_fractional)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -119,24 +120,32 @@ def _greedy_good(CH, bp, edges, forbidden=frozenset()):
     return out
 
 
+def _covered(edges) -> set:
+    out = set()
+    for e in edges:
+        out.update(e)
+    return out
+
+
+def _largest_red(CH, bp, vertices):
+    """The good edges of H inside `vertices`, the red component holding most
+    of them (ties to the smaller id, None when no good edge is red), and
+    that component's share."""
+    good = [e for e in edges_within(CH.graph.edges, vertices) if is_good(CH, bp, e)]
+    by_comp = {}
+    for e in good:
+        if CH.colour[e] is Colour.RED:
+            by_comp.setdefault(bp.decomposition.component_of[e], []).append(e)
+    if not by_comp:
+        return good, None, []
+    r_star = max(by_comp, key=lambda cid: (len(by_comp[cid]), -cid))
+    return good, r_star, by_comp[r_star]
+
+
 def _five_set_edges(CH, f, u):
     """The edges of H restricted to f + {u}, canonical order."""
     verts = tuple(sorted(f + (u,)))
     return [q for q in itertools.combinations(verts, 4) if q in CH.graph.edges]
-
-
-def _empty_common(family) -> bool:
-    common = set(family[0])
-    for e in family[1:]:
-        common.intersection_update(e)
-        if not common:
-            return True
-    return not common
-
-
-def _fact_weights(family) -> dict:
-    w = Fraction(1, len(family) - 1)
-    return {e: w for e in family}
 
 
 def verify_case_hypotheses(CH, bp, R_id, state: AugmentationState):
@@ -178,8 +187,7 @@ def initial_matching(CH: ColouredKGraph, bp: Blueprint, R_id: int,
     trace = []
     if R_id >= len(decomp.components):
         return InitialOutcome("stuck", (), None, None, "none", ())
-    r_edges = decomp.edges_of(R_id)
-    M = tuple(_greedy_good(CH, bp, r_edges))
+    M = tuple(_greedy_good(CH, bp, decomp.edges_of(R_id)))
     trace.append({"claim": "greedy_red", "size": len(M)})
     if len(M) >= target:
         return InitialOutcome("target_reached", M, Colour.RED, R_id,
@@ -187,9 +195,7 @@ def initial_matching(CH: ColouredKGraph, bp: Blueprint, R_id: int,
     if len(M) >= small:
         return InitialOutcome("ok", M, Colour.RED, R_id, "red_greedy", tuple(trace))
 
-    covered = set()
-    for e in M:
-        covered.update(e)
+    covered = _covered(M)
     W = tuple(v for v in sorted(bp.vertex_set) if v not in covered)
     try:
         bw = compute_B_W(CH, bp, R_id, W)
@@ -243,14 +249,9 @@ def initial_matching(CH: ColouredKGraph, bp: Blueprint, R_id: int,
                            Colour.BLUE, B, "blue_in_W_prime"))
 
     wpp = [v for v in w_prime if all(v not in e for e in blue_good_wp)]
-    good_wpp = [e for e in edges_within(CH.graph.edges, wpp) if is_good(CH, bp, e)]
-    by_comp = {}
-    for e in good_wpp:
-        if CH.colour[e] is Colour.RED:
-            by_comp.setdefault(decomp.component_of[e], []).append(e)
-    if by_comp:
-        r_star = max(by_comp, key=lambda cid: (len(by_comp[cid]), -cid))
-        fallback = greedy_matching(by_comp[r_star])
+    _, r_star, red_good = _largest_red(CH, bp, wpp)
+    if r_star is not None:
+        fallback = greedy_matching(red_good)
         trace.append({"claim": "red_fallback", "component": r_star,
                       "size": len(fallback)})
         candidates.append((len(fallback), tuple(sorted(fallback)),
@@ -272,19 +273,23 @@ def _mono_k5(CH, f, u, colour) -> bool:
     return len(edges) == 5 and all(CH.colour[e] is colour for e in edges)
 
 
-def _blue_partner(CH, decomp, B, f, u):
-    """Smallest edge of blue component B inside f + {u} (it must contain u)."""
-    for q in _five_set_edges(CH, f, u):
-        if u in q and CH.colour[q] is Colour.BLUE and decomp.component_of.get(q) == B:
-            return q
-    return None
-
-
 def _comp_partner(CH, decomp, cid, f, u):
+    """Smallest edge of component cid inside f + {u}; it must contain u."""
     for q in _five_set_edges(CH, f, u):
         if u in q and decomp.component_of.get(q) == cid:
             return q
     return None
+
+
+def _partners(CH, bp, W, M, fits) -> dict:
+    """A maximum assignment u -> f of distinct edges f in M to vertices u in
+    W, over the pairs with (f, {u}) suitable and fits(f, u)."""
+    admissible = {}
+    for u in W:
+        opts = [f for f in M if _suitable_single(CH, bp, f, u) and fits(f, u)]
+        if opts:
+            admissible[u] = opts
+    return _max_bipartite(admissible)
 
 
 def _assemble(host, parts, colour, component) -> FractionalMatching:
@@ -296,354 +301,181 @@ def _assemble(host, parts, colour, component) -> FractionalMatching:
     return FractionalMatching(frozenset(host), weights, colour, component)
 
 
+def _replace(CH, bp, cid, M, W, s, rng, params, trace, name,
+             partners=None, pivot_R=None):
+    """Empty-intersection replacements on sampled suitable pairs (f, W_f),
+    f in M and W_f an s-subset of W.
+
+    The component-cid edges inside f + W_f, plus the partner edge of f when
+    `partners` maps f to (u, partner edge), get weight 1/(t-1) each when
+    their t edges share no vertex; they replace f, or its partner.  A family
+    with a common vertex is traced as `<name>_core_nonempty`, with its local
+    pivot when pivot_R names the red component.  Returns (weights, replaced).
+    """
+    weights, replaced = {}, set()
+    if not M or len(W) < s:
+        return weights, replaced
+    component_of = bp.decomposition.component_of
+    sample = sample_suitable_pairs(CH, bp, M, W, s, len(M), rng,
+                                   params.sample_attempts)
+    for f, wf in sample.pairs:
+        family = {q for q in itertools.combinations(sorted(f + wf), 4)
+                  if component_of.get(q) == cid}
+        out = f
+        if partners is not None:
+            u, out = partners[f]
+            family.add(out)
+        try:
+            phi = empty_intersection_matching(CH, family)
+        except NonEmptyIntersection:
+            entry = {"claim": f"{name}_core_nonempty", "f": f}
+            entry.update({"W_f": wf} if partners is None else {"W_u": wf, "u": u})
+            if pivot_R is not None:
+                red_pairs = [p for p in itertools.combinations(wf, 2)
+                             if bp.assign.get(p) == pivot_R]
+                if red_pairs:
+                    try:
+                        entry["pivot"] = local_pivot(CH, bp, pivot_R, f, wf, red_pairs[0])
+                    except TcrError as exc:
+                        entry["pivot_failed"] = str(exc)
+            trace.append(entry)
+            continue
+        weights.update(phi.weights)
+        replaced.add(out)
+    return weights, replaced
+
+
+def _partner_route(CH, bp, cid, u2, W2, rng, params, trace, name, inside):
+    """The integral matching of component cid made of the partner edges of
+    u2's (u, f) pairs and a first-fit good matching disjoint from them.
+
+    With `inside` the second part stays inside W2 and the route ends there;
+    otherwise it may use any vertex and empty-intersection replacements
+    around the surviving partners follow.  Returns the route's weighting and
+    its integral matching."""
+    decomp = bp.decomposition
+    c_edges = decomp.edges_of(cid)
+    partner = {u: _comp_partner(CH, decomp, cid, f, u) for u, f in sorted(u2.items())}
+    m1 = sorted(partner.values())
+    forbidden = _covered(m1)
+    if inside:
+        forbidden |= set(range(1, CH.n + 1)).difference(W2)
+    m2 = _greedy_good(CH, bp, c_edges, forbidden=forbidden)
+    entry = {"claim": f"{name}_route", "partners": len(m1)}
+    entry.update({"component": cid, "inside": len(m2)} if inside else {"disjoint": len(m2)})
+    trace.append(entry)
+    fact, replaced = {}, set()
+    if not inside:
+        used2 = _covered(m2)
+        u_pp = [u for u in sorted(u2) if not used2.intersection(u2[u] + (u,))]
+        fact, replaced = _replace(
+            CH, bp, cid, sorted(u2[u] for u in u_pp), [v for v in W2 if v not in used2],
+            4, rng, params, trace, name, partners={u2[u]: (u, partner[u]) for u in u_pp})
+    kept = {e: ONE for e in m1 + m2 if e not in replaced}
+    return (_assemble(c_edges, [kept, fact], decomp.colour(cid), cid),
+            tuple(sorted(m1 + m2)))
+
+
 def augment_once(CH: ColouredKGraph, bp: Blueprint, R_id: int,
                  state: AugmentationState, params: DriverParams,
                  rng) -> AugmentOutcome:
-    """One growth step.
+    """One growth step for a good matching of either colour.
 
     Searches, in the proof order: integral extension into the uncovered
     set; single-vertex monochromatic K5 extensions spread at weight 1/4;
-    opposite-colour partner edges; and empty-intersection replacements on
-    sampled suitable pairs.  Every candidate output is revalidated; success
-    means a gain of at least gamma * n over the incoming matching."""
+    opposite-colour partner edges (of the blue component attached to the
+    uncovered set for a red matching; of a red component for a blue one);
+    and empty-intersection replacements on sampled suitable pairs.  Every
+    candidate output is revalidated; success means a gain of at least
+    gamma * n over the incoming matching."""
     verify_case_hypotheses(CH, bp, R_id, state)
+    decomp = bp.decomposition
     n_scale = params.scale_n(CH.n)
     target = n_scale / 4
-    if Fraction(len(state.matching)) >= target:
+    colour, cid = state.colour, state.component
+    c_edges = decomp.edges_of(cid)
+    if len(state.matching) >= target:
         return AugmentOutcome("terminal", from_matching(
-            state.matching, bp.decomposition.edges_of(state.component),
-            state.colour, state.component), (), ({"claim": "already_at_target"},))
-    if state.colour is Colour.RED:
-        return _augment_primary(CH, bp, R_id, state, params, rng)
-    return _augment_opposite(CH, bp, R_id, state, params, rng)
-
-
-def _repair(CH, bp, comp_edges, M):
-    """Extend M to a maximal good matching of its component (greedy)."""
-    covered = set()
-    for e in M:
-        covered.update(e)
-    M = list(M)
-    for e in sorted(comp_edges):
-        if covered.intersection(e):
-            continue
-        if is_good(CH, bp, e):
-            M.append(e)
-            covered.update(e)
-    return tuple(sorted(M)), covered
-
-
-def _augment_primary(CH, bp, R_id, state, params, rng) -> AugmentOutcome:
-    """Growth step for a matching inside the spanning red component."""
-    decomp = bp.decomposition
-    n_scale = params.scale_n(CH.n)
-    target = n_scale / 4
+            state.matching, c_edges, colour, cid), (), ({"claim": "already_at_target"},))
+    primary = colour is Colour.RED
+    name = colour.name.lower()
     base = len(state.matching)
     need = base + params.gamma * n_scale
     trace = list(state.trace)
-    r_edges = decomp.edges_of(R_id)
 
-    M, covered = _repair(CH, bp, r_edges, state.matching)
-    if len(M) > base:
-        trace.append({"claim": "maximality_repair", "added": len(M) - base})
+    # maximality repair: extend M greedily inside its component
+    added = _greedy_good(CH, bp, c_edges, forbidden=_covered(state.matching))
+    M = tuple(sorted([*state.matching, *added]))
     next_matchings = []
-    if len(M) > base:
-        next_matchings.append((M, Colour.RED, R_id))
-    if Fraction(len(M)) >= target:
-        phi = from_matching(M, r_edges, Colour.RED, R_id)
-        return AugmentOutcome("terminal", phi, tuple(next_matchings),
+    if added:
+        trace.append({"claim": "maximality_repair", "added": len(added)})
+        next_matchings.append((M, colour, cid))
+    if len(M) >= target:
+        return AugmentOutcome("terminal", from_matching(M, c_edges, colour, cid),
+                              tuple(next_matchings),
                               tuple(trace) + ({"claim": "target_reached_integrally"},))
-
-    W = tuple(v for v in sorted(bp.vertex_set) if v not in covered)
-    B = None
-    bw = None
-    try:
-        bw = compute_B_W(CH, bp, R_id, W)
-        B = bw.component
-    except (HypothesisViolated, InconsistentWitness) as exc:
-        trace.append({"claim": "B_W", "failed": str(exc)})
-
-    # single-vertex red K5 extensions (weight-1/4 spreading)
-    admissible = {}
-    for u in W:
-        opts = [f for f in M
-                if _suitable_single(CH, bp, f, u) and _mono_k5(CH, f, u, Colour.RED)]
-        if opts:
-            admissible[u] = opts
-    u_match = _max_bipartite(admissible)
-    trace.append({"claim": "red_k5_extensions", "count": len(u_match)})
-
-    spread_part = {}
-    for u, f in sorted(u_match.items()):
-        for q in _five_set_edges(CH, f, u):
-            spread_part[q] = QUARTER
-    replaced_by_spread = set(u_match.values())
-
-    W1 = [u for u in W if u not in u_match]
-    M1 = [f for f in M if f not in replaced_by_spread]
-
-    # opposite-colour partners: distinct f per u with a blue B-edge in f + u
-    u2_match = {}
-    if B is not None:
-        admissible2 = {}
-        for u in W1:
-            opts = [f for f in M1
-                    if _suitable_single(CH, bp, f, u)
-                    and _blue_partner(CH, decomp, B, f, u) is not None]
-            if opts:
-                admissible2[u] = opts
-        u2_match = _max_bipartite(admissible2)
-    trace.append({"claim": "blue_partners", "count": len(u2_match)})
-
-    W2 = [u for u in W1 if u not in u2_match]
-    M2 = [f for f in M1 if f not in set(u2_match.values())]
-
-    # empty-intersection replacements inside the red component
-    fact_part = {}
-    fact_removed = set()
-    fact_gain = ZERO
-    if M2 and len(W2) >= 3:
-        sample = sample_suitable_pairs(CH, bp, M2, W2, 3, len(M2), rng,
-                                       params.sample_attempts)
-        for f, wf in sample.pairs:
-            family = edges_within(r_edges, set(f) | set(wf))
-            if len(family) >= 2 and _empty_common(family):
-                fact_part.update(_fact_weights(family))
-                fact_removed.add(f)
-                fact_gain += Fraction(len(family), len(family) - 1) - 1
-            else:
-                entry = {"claim": "red_core_nonempty", "f": f, "W_f": wf}
-                red_pairs_wf = [p for p in itertools.combinations(wf, 2)
-                                if bp.assign.get(p) == R_id]
-                if red_pairs_wf:
-                    try:
-                        entry["pivot"] = local_pivot(CH, bp, R_id, f, wf,
-                                                     red_pairs_wf[0])
-                    except TcrError as exc:
-                        entry["pivot_failed"] = str(exc)
-                trace.append(entry)
-    trace.append({"claim": "red_replacements", "gain": str(fact_gain)})
-
-    kept = {e: ONE for e in M if e not in replaced_by_spread and e not in fact_removed}
-    phi_red = _assemble(r_edges, [kept, spread_part, fact_part], Colour.RED, R_id)
-
-    candidates = [("red", phi_red)]
-
-    # blue route: partner matching, then a disjoint good blue matching,
-    # then empty-intersection replacements around the partners
-    if B is not None and u2_match:
-        b_edges = decomp.edges_of(B)
-        m1_star = {}
-        for u, f in sorted(u2_match.items()):
-            m1_star[u] = _blue_partner(CH, decomp, B, f, u)
-        m1_edges = sorted(m1_star.values())
-        used1 = set()
-        for e in m1_edges:
-            used1.update(e)
-        m2_star = _greedy_good(CH, bp, b_edges, forbidden=used1)
-        trace.append({"claim": "blue_route", "partners": len(m1_edges),
-                      "disjoint": len(m2_star)})
-        used2 = set()
-        for e in m2_star:
-            used2.update(e)
-        u_pp = [u for u in sorted(u2_match)
-                if not used2.intersection(set(u2_match[u]) | {u})]
-        w0 = [v for v in W2 if v not in used2]
-        blue_fact_part = {}
-        blue_fact_removed = set()
-        if u_pp and len(w0) >= 4:
-            edge_to_u = {u2_match[u]: u for u in u_pp}
-            sample = sample_suitable_pairs(CH, bp, sorted(edge_to_u), w0, 4,
-                                           len(u_pp), rng, params.sample_attempts)
-            for f, wu in sample.pairs:
-                u = edge_to_u[f]
-                family = edges_within(b_edges, set(f) | set(wu))
-                family = sorted(set(family) | {m1_star[u]})
-                if len(family) >= 2 and _empty_common(family):
-                    blue_fact_part.update(_fact_weights(family))
-                    blue_fact_removed.add(m1_star[u])
-                else:
-                    trace.append({"claim": "blue_core_nonempty", "f": f,
-                                  "W_u": wu, "u": u})
-        kept_blue = {e: ONE for e in m1_edges if e not in blue_fact_removed}
-        for e in m2_star:
-            kept_blue[e] = ONE
-        phi_blue = _assemble(b_edges, [kept_blue, blue_fact_part], Colour.BLUE, B)
-        candidates.append(("blue", phi_blue))
-        integral_blue = tuple(sorted(m1_edges + m2_star))
-        next_matchings.append((integral_blue, Colour.BLUE, B))
-
-    return _pick_outcome(CH, candidates, need, next_matchings, trace, state)
-
-
-def _augment_opposite(CH, bp, R_id, state, params, rng) -> AugmentOutcome:
-    """Growth step for a matching inside a blue component B."""
-    decomp = bp.decomposition
-    n_scale = params.scale_n(CH.n)
-    target = n_scale / 4
-    base = len(state.matching)
-    need = base + params.gamma * n_scale
-    trace = list(state.trace)
-    B_id = state.component
-    b_edges = decomp.edges_of(B_id)
-    r_edges = decomp.edges_of(R_id)
-
-    M, covered = _repair(CH, bp, b_edges, state.matching)
-    if len(M) > base:
-        trace.append({"claim": "maximality_repair", "added": len(M) - base})
-    next_matchings = []
-    if len(M) > base:
-        next_matchings.append((M, Colour.BLUE, B_id))
-    if Fraction(len(M)) >= target:
-        phi = from_matching(M, b_edges, Colour.BLUE, B_id)
-        return AugmentOutcome("terminal", phi, tuple(next_matchings),
-                              tuple(trace) + ({"claim": "target_reached_integrally"},))
-
+    covered = _covered(M)
     W = tuple(v for v in sorted(bp.vertex_set) if v not in covered)
 
-    # single-vertex blue K5 extensions
-    admissible = {}
-    for u in W:
-        opts = [f for f in M
-                if _suitable_single(CH, bp, f, u) and _mono_k5(CH, f, u, Colour.BLUE)]
-        if opts:
-            admissible[u] = opts
-    u_match = _max_bipartite(admissible)
-    trace.append({"claim": "blue_k5_extensions", "count": len(u_match)})
-    spread_part = {}
-    for u, f in sorted(u_match.items()):
-        for q in _five_set_edges(CH, f, u):
-            spread_part[q] = QUARTER
-    replaced_by_spread = set(u_match.values())
+    partner_cid = None
+    if primary:
+        try:
+            partner_cid = compute_B_W(CH, bp, R_id, W).component
+        except (HypothesisViolated, InconsistentWitness) as exc:
+            trace.append({"claim": "B_W", "failed": str(exc)})
 
+    # single-vertex monochromatic K5 extensions (weight-1/4 spreading)
+    u_match = _partners(CH, bp, W, M, lambda f, u: _mono_k5(CH, f, u, colour))
+    trace.append({"claim": f"{name}_k5_extensions", "count": len(u_match)})
+    spread = {q: QUARTER for u, f in sorted(u_match.items())
+              for q in _five_set_edges(CH, f, u)}
+    spread_f = set(u_match.values())
     W1 = [u for u in W if u not in u_match]
-    M1 = [f for f in M if f not in replaced_by_spread]
+    M1 = [f for f in M if f not in spread_f]
 
-    red_pairs_w1 = [p for p in bp.pairs_of_colour(Colour.RED) if set(p) <= set(W1)]
-    b2_pairs_w1 = [p for p in bp.pairs_of_colour(Colour.BLUE)
-                   if set(p) <= set(W1) and bp.assign[p] == B_id]
-    case1 = not red_pairs_w1 and bool(b2_pairs_w1)
-    trace.append({"claim": "case_split", "red_pairs": len(red_pairs_w1),
-                  "b2_pairs": len(b2_pairs_w1), "case": 1 if case1 else 2})
+    # opposite-colour partners: a distinct f per u with an edge of the
+    # partner component inside f + u
+    route, inside = colour.opposite.name.lower(), False
+    if not primary:
+        red_pairs = [p for p in bp.pairs_of_colour(Colour.RED) if set(p) <= set(W1)]
+        own_pairs = [p for p in bp.pairs_of_colour(Colour.BLUE)
+                     if set(p) <= set(W1) and bp.assign[p] == cid]
+        inside = not red_pairs and bool(own_pairs)
+        trace.append({"claim": "case_split", "red_pairs": len(red_pairs),
+                      "b2_pairs": len(own_pairs), "case": 1 if inside else 2})
+        partner_cid = R_id
+        if inside:
+            route = "red_star"
+            good_w1, partner_cid, _ = _largest_red(CH, bp, W1)
+            stray_blue = [e for e in good_w1 if CH.colour[e] is Colour.BLUE]
+            if stray_blue:
+                trace.append({"claim": "good_in_W1_all_red", "failed": stray_blue[:3]})
+            if partner_cid is None:
+                trace.append({"claim": "red_star_route", "failed": "no good red edges"})
+    u2 = {}
+    if partner_cid is not None:
+        u2 = _partners(CH, bp, W1, M1, lambda f, u: _comp_partner(
+            CH, decomp, partner_cid, f, u) is not None)
+    if not inside:
+        trace.append({"claim": f"{route}_partners", "count": len(u2)})
+    W2 = [u for u in W1 if u not in u2]
+    M2 = [f for f in M1 if f not in set(u2.values())]
 
-    candidates = []
-    u2_for_fact = {}
-    if case1:
-        good_w1 = [e for e in edges_within(CH.graph.edges, W1) if is_good(CH, bp, e)]
-        stray_blue = [e for e in good_w1 if CH.colour[e] is Colour.BLUE]
-        if stray_blue:
-            trace.append({"claim": "good_in_W1_all_red", "failed": stray_blue[:3]})
-        by_comp = {}
-        for e in good_w1:
-            if CH.colour[e] is Colour.RED:
-                by_comp.setdefault(decomp.component_of[e], []).append(e)
-        if by_comp:
-            r_star = max(by_comp, key=lambda cid: (len(by_comp[cid]), -cid))
-            rs_edges = decomp.edges_of(r_star)
-            admissible2 = {}
-            for u in W1:
-                opts = [f for f in M1
-                        if _suitable_single(CH, bp, f, u)
-                        and _comp_partner(CH, decomp, r_star, f, u) is not None]
-                if opts:
-                    admissible2[u] = opts
-            u2_match = _max_bipartite(admissible2)
-            u2_for_fact = u2_match
-            m1_star = sorted(_comp_partner(CH, decomp, r_star, u2_match[u], u)
-                             for u in u2_match)
-            used1 = set()
-            for e in m1_star:
-                used1.update(e)
-            w2 = [v for v in W1 if v not in used1 and v not in u2_match]
-            m2_star = _greedy_good(CH, bp, edges_within(rs_edges, w2))
-            trace.append({"claim": "red_star_route", "component": r_star,
-                          "partners": len(m1_star), "inside": len(m2_star)})
-            kept = {e: ONE for e in m1_star + m2_star}
-            candidates.append(("red_star", _assemble(rs_edges, [kept],
-                                                     Colour.RED, r_star)))
-            next_matchings.append((tuple(sorted(m1_star + m2_star)),
-                                   Colour.RED, r_star))
-        else:
-            trace.append({"claim": "red_star_route", "failed": "no good red edges"})
-    else:
-        # case 2: partners in the spanning red component
-        admissible2 = {}
-        for u in W1:
-            opts = [f for f in M1
-                    if _suitable_single(CH, bp, f, u)
-                    and _comp_partner(CH, decomp, R_id, f, u) is not None]
-            if opts:
-                admissible2[u] = opts
-        u2_match = _max_bipartite(admissible2)
-        trace.append({"claim": "red_partners", "count": len(u2_match)})
-        u2_for_fact = u2_match
-        if u2_match:
-            m1_map = {u: _comp_partner(CH, decomp, R_id, f, u)
-                      for u, f in sorted(u2_match.items())}
-            m1_star = sorted(m1_map.values())
-            used1 = set()
-            for e in m1_star:
-                used1.update(e)
-            m2_star = _greedy_good(CH, bp, r_edges, forbidden=used1)
-            used2 = set()
-            for e in m2_star:
-                used2.update(e)
-            w2 = [u for u in W1 if u not in u2_match]
-            u_pp = [u for u in sorted(u2_match)
-                    if not used2.intersection(set(u2_match[u]) | {u})]
-            w0 = [v for v in w2 if v not in used2]
-            red_fact_part = {}
-            red_fact_removed = set()
-            if u_pp and len(w0) >= 4:
-                edge_to_u = {u2_match[u]: u for u in u_pp}
-                sample = sample_suitable_pairs(CH, bp, sorted(edge_to_u), w0, 4,
-                                               len(u_pp), rng,
-                                               params.sample_attempts)
-                for f, wu in sample.pairs:
-                    u = edge_to_u[f]
-                    family = edges_within(r_edges, set(f) | set(wu))
-                    family = sorted(set(family) | {m1_map[u]})
-                    if len(family) >= 2 and _empty_common(family):
-                        red_fact_part.update(_fact_weights(family))
-                        red_fact_removed.add(m1_map[u])
-                    else:
-                        trace.append({"claim": "red_core_nonempty", "f": f,
-                                      "W_u": wu, "u": u})
-            kept = {e: ONE for e in m1_star if e not in red_fact_removed}
-            for e in m2_star:
-                kept[e] = ONE
-            trace.append({"claim": "red_route", "partners": len(m1_star),
-                          "disjoint": len(m2_star)})
-            candidates.append(("red", _assemble(r_edges, [kept, red_fact_part],
-                                                Colour.RED, R_id)))
-            next_matchings.append((tuple(sorted(m1_star + m2_star)),
-                                   Colour.RED, R_id))
+    # empty-intersection replacements inside the matching's own component
+    fact, replaced = _replace(CH, bp, cid, M2, W2, 3 if primary else 4, rng,
+                              params, trace, name, pivot_R=R_id if primary else None)
+    if primary:
+        gain = sum(fact.values(), ZERO) - len(replaced)
+        trace.append({"claim": "red_replacements", "gain": str(gain)})
+    kept = {e: ONE for e in M if e not in spread_f and e not in replaced}
+    candidates = [(name, _assemble(c_edges, [kept, spread, fact], colour, cid))]
 
-    # blue-side empty-intersection replacements on the remaining matching
-    W2 = [u for u in W1 if u not in u2_for_fact]
-    M2 = [f for f in M1 if f not in set(u2_for_fact.values())]
-    fact_part = {}
-    fact_removed = set()
-    if M2 and len(W2) >= 4:
-        sample = sample_suitable_pairs(CH, bp, M2, W2, 4, len(M2), rng,
-                                       params.sample_attempts)
-        for f, wf in sample.pairs:
-            family = edges_within(b_edges, set(f) | set(wf))
-            if len(family) >= 2 and _empty_common(family):
-                fact_part.update(_fact_weights(family))
-                fact_removed.add(f)
-            else:
-                trace.append({"claim": "blue_core_nonempty", "f": f, "W_f": wf})
-    kept_blue = {e: ONE for e in M
-                 if e not in replaced_by_spread and e not in fact_removed}
-    phi_blue = _assemble(b_edges, [kept_blue, spread_part, fact_part],
-                         Colour.BLUE, B_id)
-    candidates.append(("blue", phi_blue))
+    if partner_cid is not None and (u2 or inside):
+        phi, matching = _partner_route(CH, bp, partner_cid, u2, W2, rng, params,
+                                       trace, route, inside)
+        candidates.append((route, phi))
+        next_matchings.append((matching, decomp.colour(partner_cid), partner_cid))
 
-    return _pick_outcome(CH, candidates, need, next_matchings, trace, state)
-
-
-def _pick_outcome(CH, candidates, need, next_matchings, trace, state):
     best_name, best = max(candidates, key=lambda t: (t[1].weight(), t[0]))
     ok, violation = validate_fractional(CH, best)
     if not ok:
@@ -675,6 +507,22 @@ class DriverReport:
     best: Optional[FractionalMatching]
 
 
+def _stuck(CH, params, swapped, build_res, kind, trace) -> DriverReport:
+    n_scale = params.scale_n(CH.n)
+    return DriverReport("stuck", CH.n, n_scale, n_scale / 4, swapped,
+                        build_res.coverage, len(build_res.omitted), kind, 0,
+                        ZERO, None, None, False, False, False, tuple(trace), None)
+
+
+def _trimmed_blueprint(CH, params):
+    """Build the blueprint and trim its graph to a spanning monochromatic
+    component, at the blueprint's own missing-pair density if worse."""
+    build_res = build_blueprint(CH, params.eps)
+    miss = 1 - Fraction(build_res.blueprint.graph.graph.m, comb(CH.n, 2))
+    trim = trim_spanning_component(build_res.blueprint.graph, max(params.eps, miss))
+    return build_res, trim
+
+
 def run_driver(CH: ColouredKGraph, params: DriverParams, seed: int) -> DriverReport:
     """Build a blueprint, trim to a spanning monochromatic component
     (canonicalized red), seed a good matching, and grow it until the n/4
@@ -687,26 +535,14 @@ def run_driver(CH: ColouredKGraph, params: DriverParams, seed: int) -> DriverRep
         raise HypothesisViolated(
             f"input is not (1-eps, eps)-dense at eps = {params.eps}")
 
-    work = CH
-    swapped = False
-    build_res = build_blueprint(work, params.eps)
-    miss = 1 - Fraction(build_res.blueprint.graph.graph.m, comb(CH.n, 2))
-    trim_eps = max(params.eps, miss)
-    trim = trim_spanning_component(build_res.blueprint.graph, trim_eps)
+    work, swapped = CH, False
+    build_res, trim = _trimmed_blueprint(work, params)
     if trim.colour is Colour.BLUE:
-        swapped = True
-        work = CH.swapped()
-        build_res = build_blueprint(work, params.eps)
-        miss = 1 - Fraction(build_res.blueprint.graph.graph.m, comb(CH.n, 2))
-        trim_eps = max(params.eps, miss)
-        trim = trim_spanning_component(build_res.blueprint.graph, trim_eps)
+        work, swapped = CH.swapped(), True
+        build_res, trim = _trimmed_blueprint(work, params)
         if trim.colour is Colour.BLUE:
             trace.append({"claim": "canonical_red_spanning", "failed": True})
-            return DriverReport("stuck", CH.n, params.scale_n(CH.n),
-                                params.scale_n(CH.n) / 4, swapped,
-                                build_res.coverage, len(build_res.omitted),
-                                "none", 0, ZERO, None, None, False, False,
-                                False, tuple(trace), None)
+            return _stuck(CH, params, swapped, build_res, "none", trace)
     bp0 = build_res.blueprint
     trace.append({"claim": "trim", "kept": len(trim.vertices),
                   "min_degree": trim.min_degree})
@@ -726,11 +562,7 @@ def run_driver(CH: ColouredKGraph, params: DriverParams, seed: int) -> DriverRep
     red_ids = {bp.assign[e] for e in bp.pairs_of_colour(Colour.RED)}
     if len(red_ids) != 1:
         trace.append({"claim": "unique_spanning_component", "ids": sorted(red_ids)})
-        return DriverReport("stuck", CH.n, params.scale_n(CH.n),
-                            params.scale_n(CH.n) / 4, swapped,
-                            build_res.coverage, len(build_res.omitted), "none",
-                            0, ZERO, None, None, False, False, False,
-                            tuple(trace), None)
+        return _stuck(CH, params, swapped, build_res, "none", trace)
     (R_id,) = red_ids
 
     n_scale = params.scale_n(CH.n)
@@ -738,10 +570,7 @@ def run_driver(CH: ColouredKGraph, params: DriverParams, seed: int) -> DriverRep
     init = initial_matching(work, bp, R_id, params, rng)
     trace.extend(init.trace)
     if init.status == "stuck":
-        return DriverReport("stuck", CH.n, n_scale, target, swapped,
-                            build_res.coverage, len(build_res.omitted),
-                            init.kind, 0, ZERO, None, None, False, False,
-                            False, tuple(trace), None)
+        return _stuck(CH, params, swapped, build_res, init.kind, trace)
 
     decomp = bp.decomposition
     best = from_matching(init.matching, decomp.edges_of(init.component),
@@ -761,27 +590,23 @@ def run_driver(CH: ColouredKGraph, params: DriverParams, seed: int) -> DriverRep
                 break
             outcome = augment_once(work, bp, R_id, state, params, rng)
             trace.append({"claim": f"step_{iterations}", "status": outcome.status,
-                          "weight": str(outcome.fractional.weight()
-                                        if outcome.fractional else ZERO)})
-            if outcome.fractional and outcome.fractional.weight() > best.weight():
+                          "weight": str(outcome.fractional.weight())})
+            if outcome.fractional.weight() > best.weight():
                 best = outcome.fractional
             if outcome.status == "terminal" or best.weight() >= target:
                 status = "reached"
                 break
             grown = [m for m in outcome.next_matchings
                      if len(m[0]) > len(state.matching)]
-            if outcome.status == "step_failed" and not grown:
-                status = "step_failed"
+            if not grown:
+                if outcome.status == "step_failed":
+                    status = "step_failed"
+                else:
+                    trace.append({"claim": "iterate",
+                                  "stopped": "no integral continuation"})
                 break
-            if grown:
-                edges, colour, comp = max(grown, key=lambda m: (len(m[0]), m[1].value))
-                state = AugmentationState(edges, colour, comp)
-            elif outcome.status == "improved":
-                trace.append({"claim": "iterate",
-                              "stopped": "no integral continuation"})
-                break
-            else:
-                break
+            edges, colour, comp = max(grown, key=lambda m: (len(m[0]), m[1].value))
+            state = AugmentationState(edges, colour, comp)
         if best.weight() >= target:
             status = "reached"
 

@@ -31,10 +31,6 @@ class BlowUpMap:
     classes: dict        # base vertex -> tuple of blown vertices
     vertex_class: dict   # blown vertex -> base vertex
 
-    def clone_index(self, blown_vertex: int) -> int:
-        base = self.vertex_class[blown_vertex]
-        return self.classes[base].index(blown_vertex)
-
 
 def blow_up(CH: ColouredKGraph, r: int, edge_cap: int = DEFAULT_EDGE_CAP):
     """The r-blow-up of a coloured graph; colours are inherited from bases."""

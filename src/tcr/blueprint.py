@@ -75,22 +75,11 @@ class Blueprint:
     vertex_set: frozenset
     masks: dict                    # blueprint edge -> shadow bitmask of its component
 
-    @property
-    def k_maps(self) -> dict:
-        """component id -> frozenset of blueprint edges assigned to it."""
-        out = {}
-        for e, cid in self.assign.items():
-            out.setdefault(cid, set()).add(e)
-        return {cid: frozenset(s) for cid, s in out.items()}
-
     def pairs_of_colour(self, colour: Colour) -> list:
         return [e for e in self.graph.graph.sorted_edges if self.graph.colour[e] is colour]
 
     def pair(self, a: int, b: int):
         return (a, b) if a < b else (b, a)
-
-    def has_pair(self, a: int, b: int) -> bool:
-        return self.pair(a, b) in self.assign
 
     def in_shadow(self, pair, z: int) -> bool:
         """z completes the blueprint edge into the shadow of its component."""
@@ -185,7 +174,10 @@ def build_blueprint(CH: ColouredKGraph, eps, bp_eps=None) -> BlueprintBuild:
     shadow degree per colour, keep the better colour (ties red) when it
     meets the degree threshold, then enforce consistency within each
     same-colour connected group by keeping the majority assignment.
+    Blueprints are defined for 4-graphs only.
     """
+    if CH.k != 4:
+        raise HypothesisViolated(f"blueprints need a 4-graph, got k = {CH.k}")
     bp_eps = Fraction(bp_eps) if bp_eps is not None else blueprint_eps_for_density(eps)
     decomp = monochromatic_components(CH)
     comp_masks = pair_shadow_masks(decomp, CH.k)

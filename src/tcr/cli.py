@@ -27,7 +27,7 @@ from . import matchings as matchings_mod
 from .augment import AugmentationState, DriverParams, augment_once, initial_matching, run_driver
 from .errors import (ContractUnmet, HypothesisViolated, InconsistentWitness,
                      ParseError, SearchCapExceeded, SizeCapExceeded, TcrError,
-                     Unsupported)
+                     Unsupported, UsageError)
 from .extremal import ProfileNotConstant, TargetSpec
 from .hypergraph import Colour, ColouredKGraph, build
 from .tight import monochromatic_components, tight_components
@@ -36,6 +36,8 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_CONTRACT = 2
 EXIT_CAP = 3
+
+PARAM_NAMES = ("eps", "gamma", "delta", "eta", "c")   # DriverParams, in order
 
 
 def parse_coloured_hypergraph(text: str) -> ColouredKGraph:
@@ -150,14 +152,19 @@ def _host_edges(CH: ColouredKGraph, host: str, component):
     return list(CH.edges_of(colour))
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises UsageError, so that a usage error still gets a JSON report."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="tcr", description=__doc__,
-                                formatter_class=argparse.RawDescriptionHelpFormatter)
+    p = _Parser(prog="tcr", description=__doc__,
+                formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("--timing", action="store_true",
                    help="include wall-clock milliseconds in the report "
                         "(breaks byte-for-byte reproducibility)")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker budget for internal parallelism (currently 1)")
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("components", help="tight / monochromatic components")
@@ -182,19 +189,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--in", dest="infile", required=True)
     sp.add_argument("--r", type=int, required=True)
 
-    sp = sub.add_parser("augment", help="initial matching plus one growth step")
-    sp.add_argument("--in", dest="infile", required=True)
-    sp.add_argument("--seed", type=int, required=True)
-    for name, default in (("eps", "1/50"), ("gamma", "1/20"), ("delta", "1/10"),
-                          ("eta", "3/20"), ("c", "1/100")):
-        sp.add_argument(f"--{name}", type=_fraction_arg, default=Fraction(default))
-
-    sp = sub.add_parser("driver", help="full matching-growth driver")
-    sp.add_argument("--in", dest="infile", required=True)
-    sp.add_argument("--seed", type=int, required=True)
-    for name, default in (("eps", "1/50"), ("gamma", "1/20"), ("delta", "1/10"),
-                          ("eta", "3/20"), ("c", "1/100")):
-        sp.add_argument(f"--{name}", type=_fraction_arg, default=Fraction(default))
+    for command, text in (("augment", "initial matching plus one growth step"),
+                          ("driver", "full matching-growth driver")):
+        sp = sub.add_parser(command, help=text)
+        sp.add_argument("--in", dest="infile", required=True)
+        sp.add_argument("--seed", type=int, required=True)
+        for name in PARAM_NAMES:
+            sp.add_argument(f"--{name}", type=_fraction_arg,
+                            default=getattr(DriverParams, name))
 
     sp = sub.add_parser("extremal", help="extremal colourings and verification")
     sp.add_argument("mode", choices=["split", "parity"])
@@ -273,7 +275,7 @@ def _cmd_blowup(args) -> dict:
 
 
 def _params(args) -> DriverParams:
-    return DriverParams(args.eps, args.gamma, args.delta, args.eta, args.c)
+    return DriverParams(*(getattr(args, name) for name in PARAM_NAMES))
 
 
 def _cmd_augment(args) -> dict:
@@ -370,11 +372,16 @@ HANDLERS = {
 
 
 def run(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+        args = build_parser().parse_args(argv)
+    except UsageError as exc:
+        command = next((a for a in argv if a in HANDLERS), None)
+        emit({"command": command,
+              "error": {"kind": type(exc).__name__, "message": str(exc)}})
+        sys.stderr.write(f"usage error: {exc}\n")
+        return EXIT_USAGE
+    except SystemExit:   # --help
+        return EXIT_OK
     started = time.monotonic()
     inputs = {k: v for k, v in sorted(vars(args).items())
               if k not in ("timing",) and v is not None}

@@ -73,6 +73,10 @@ class InconsistentWitness(TcrError):
     """Structure that should determine a unique component does not; names the conflict."""
 
 
+class UsageError(TcrError):
+    """The command line does not match the tcr interface."""
+
+
 class ParseError(TcrError):
     """Input text does not conform to the tcg format."""
 

@@ -14,12 +14,11 @@ from dataclasses import dataclass
 from math import comb, gcd
 from typing import Optional
 
+from .blowup import DEFAULT_EDGE_CAP
 from .errors import SearchCapExceeded, SizeCapExceeded, TcrError
 from .hypergraph import Colour, ColouredKGraph, build, support_of
 from .tight import (Absent, cycle_windows, find_tight_cycle,
                     find_tight_path, monochromatic_components, path_windows)
-
-DEFAULT_EDGE_CAP = 250_000
 
 
 class ProfileNotConstant(TcrError):

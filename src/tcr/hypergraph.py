@@ -69,20 +69,8 @@ class KGraph:
     def m(self) -> int:
         return len(self.edges)
 
-    def is_edge(self, e) -> bool:
-        return tuple(sorted(e)) in self.edges
-
     def support(self) -> tuple:
         return support_of(self.edges)
-
-
-def kgraph(k: int, n: int, edges) -> KGraph:
-    """Validated KGraph constructor."""
-    if k < 1:
-        raise MalformedEdge(f"uniformity {k} < 1")
-    if n < 0:
-        raise MalformedEdge(f"vertex count {n} < 0")
-    return KGraph(k, n, frozenset(canon_edge(e, k, n) for e in edges))
 
 
 def complete_kgraph(k: int, n: int) -> KGraph:

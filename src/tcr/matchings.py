@@ -327,6 +327,8 @@ def mu_estimate(CH: ColouredKGraph, s: int, beta, exact_cap: int = 20) -> MuEsti
     if s < 1:
         raise Unsupported(f"s = {s} < 1")
     beta = Fraction(beta)
+    if beta <= 0:
+        raise Unsupported(f"beta = {beta} <= 0")
     decomp = monochromatic_components(CH)
     ncomp = len(decomp.components)
     if s > ncomp:

@@ -117,18 +117,9 @@ def monochromatic_components(CH: ColouredKGraph) -> TightDecomposition:
 
 
 @dataclass(frozen=True)
-class TightCycleWitness:
-    ordering: tuple  # cyclic vertex sequence
+class TightWitness:
+    ordering: tuple  # vertex sequence: cyclic for a cycle, linear for a path
     length: int
-    colour: Optional[Colour] = None
-    explored: int = 0
-
-
-@dataclass(frozen=True)
-class TightPathWitness:
-    ordering: tuple
-    length: int
-    colour: Optional[Colour] = None
     explored: int = 0
 
 
@@ -170,16 +161,13 @@ def _completion_map(k: int, edges) -> dict:
     return out
 
 
-def find_tight_cycle(H: KGraph, length: int, within=None, decomposition=None,
-                     support_cap: int = 14):
-    """Exhaustive search for a tight cycle on `length` vertices.
-
-    Rotations are cut by starting at the minimum vertex of the candidate
-    support and reflections by requiring ordering[1] < ordering[-1].
-    Returns a verified TightCycleWitness or Absent with the explored count.
-    """
-    if length < H.k + 1:
-        raise ValueError(f"cycle length {length} < k+1 = {H.k + 1}")
+def _search(H: KGraph, length: int, within, decomposition, support_cap: int,
+            cyclic: bool):
+    """The DFS behind both searches: vertex orderings whose k-windows
+    (cyclic or linear) are all host edges.  A path cuts reflections by
+    ordering[0] < ordering[-1]; a cycle by ordering[1] < ordering[-1], and
+    cuts rotations by starting at its minimum vertex, so every later vertex
+    exceeds the start and a start needs length - 1 larger support vertices."""
     edges = _host_edges(H, within, decomposition)
     support = support_of(edges)
     if len(support) > support_cap:
@@ -190,8 +178,8 @@ def find_tight_cycle(H: KGraph, length: int, within=None, decomposition=None,
         return Absent(length, len(support), explored)
     k = H.k
     completions = _completion_map(k, edges)
-    edge_set = edges
-
+    windows = cycle_windows if cyclic else path_windows
+    mirror = 1 if cyclic else 0
     ordering = []
     used = set()
 
@@ -199,19 +187,19 @@ def find_tight_cycle(H: KGraph, length: int, within=None, decomposition=None,
         nonlocal explored
         depth = len(ordering)
         if depth == length:
-            if ordering[1] > ordering[-1]:
+            if ordering[mirror] > ordering[-1]:
                 return None
-            for w in cycle_windows(ordering, k):
-                if w not in edge_set:
-                    return None
-            return tuple(ordering)
+            if all(w in edges for w in windows(ordering, k)):
+                return tuple(ordering)
+            return None
         if depth >= k - 1:
             window = tuple(sorted(ordering[depth - k + 1:]))
             candidates = sorted(completions.get(window, ()))
         else:
             candidates = support
+        floor = ordering[0] if cyclic else 0
         for v in candidates:
-            if v in used or v <= ordering[0]:
+            if v in used or v <= floor:
                 continue
             ordering.append(v)
             used.add(v)
@@ -223,16 +211,29 @@ def find_tight_cycle(H: KGraph, length: int, within=None, decomposition=None,
                 return res
         return None
 
-    for start in support:
-        if len([v for v in support if v > start]) < length - 1:
+    for i, start in enumerate(support):
+        if cyclic and len(support) - 1 - i < length - 1:
             break
         ordering = [start]
         used = {start}
         explored += 1
         res = extend()
         if res is not None:
-            return TightCycleWitness(res, length, explored=explored)
+            return TightWitness(res, length, explored=explored)
     return Absent(length, len(support), explored)
+
+
+def find_tight_cycle(H: KGraph, length: int, within=None, decomposition=None,
+                     support_cap: int = 14):
+    """Exhaustive search for a tight cycle on `length` vertices.
+
+    Rotations are cut by starting at the minimum vertex of the candidate
+    support and reflections by requiring ordering[1] < ordering[-1].
+    Returns a verified TightWitness or Absent with the explored count.
+    """
+    if length < H.k + 1:
+        raise ValueError(f"cycle length {length} < k+1 = {H.k + 1}")
+    return _search(H, length, within, decomposition, support_cap, cyclic=True)
 
 
 def find_tight_path(H: KGraph, length: int, within=None, decomposition=None,
@@ -240,54 +241,4 @@ def find_tight_path(H: KGraph, length: int, within=None, decomposition=None,
     """Exhaustive search for a tight path on `length` vertices (length >= k)."""
     if length < H.k:
         raise ValueError(f"path length {length} < k = {H.k}")
-    edges = _host_edges(H, within, decomposition)
-    support = support_of(edges)
-    if len(support) > support_cap:
-        raise SearchCapExceeded(
-            f"support {len(support)} exceeds exhaustive-search cap {support_cap}")
-    explored = 0
-    if length > len(support):
-        return Absent(length, len(support), explored)
-    k = H.k
-    completions = _completion_map(k, edges)
-    edge_set = edges
-
-    ordering = []
-    used = set()
-
-    def extend():
-        nonlocal explored
-        depth = len(ordering)
-        if depth == length:
-            if ordering[0] > ordering[-1]:
-                return None
-            for w in path_windows(ordering, k):
-                if w not in edge_set:
-                    return None
-            return tuple(ordering)
-        if depth >= k - 1:
-            window = tuple(sorted(ordering[depth - k + 1:]))
-            candidates = sorted(completions.get(window, ()))
-        else:
-            candidates = support
-        for v in candidates:
-            if v in used:
-                continue
-            ordering.append(v)
-            used.add(v)
-            explored += 1
-            res = extend()
-            ordering.pop()
-            used.remove(v)
-            if res is not None:
-                return res
-        return None
-
-    for start in support:
-        ordering = [start]
-        used = {start}
-        explored += 1
-        res = extend()
-        if res is not None:
-            return TightPathWitness(res, length, explored=explored)
-    return Absent(length, len(support), explored)
+    return _search(H, length, within, decomposition, support_cap, cyclic=False)

@@ -304,3 +304,100 @@ def test_fractional_step_converts_to_blown_matching():
     assert len(m) == 5 == phi.weight() * 4
     blown_decomp = monochromatic_components(blown)
     assert len({blown_decomp.component_of[e] for e in m}) == 1
+
+
+def star_fixture(N):
+    """Complete K_N^(4), red iff the edge contains vertex 1, every pair
+    assigned to the red component: each (f, W) with f an edge is suitable."""
+    from tcr.blueprint import make_blueprint
+    from tcr.hypergraph import build
+    ch = build(4, N, [("R" if e[0] == 1 else "B", e)
+                      for e in itertools.combinations(range(1, N + 1), 4)])
+    decomp = monochromatic_components(ch)
+    red_id = decomp.component_of[(1, 2, 3, 4)]
+    blue_id = decomp.component_of[(2, 3, 4, 5)]
+    assign = {p: red_id for p in itertools.combinations(range(1, N + 1), 2)}
+    return ch, make_blueprint(ch, Fraction(1, 2), assign, decomp), red_id, blue_id
+
+
+def test_replace_empty_intersection_family():
+    """The blue edges inside f + W_f share no vertex: each gets 1/(s-1) for
+    the s = 35 edges of K_7^(4), and f is replaced."""
+    from tcr.augment import _replace
+    ch, bp, red_id, blue_id = star_fixture(8)
+    f = (2, 3, 4, 5)
+    trace = []
+    weights, replaced = _replace(ch, bp, blue_id, [f], (6, 7, 8), 3, random.Random(0),
+                                 DriverParams(), trace, "blue")
+    family = list(itertools.combinations(range(2, 9), 4))
+    assert weights == {e: Fraction(1, 34) for e in family}
+    assert replaced == {f}
+    assert trace == []
+
+
+def test_replace_nonempty_core_is_traced_with_pivot():
+    """Every red edge contains vertex 1, so the red family has a common
+    vertex: nothing is replaced and the trace names the pair and its pivot."""
+    from tcr.augment import _replace
+    ch, bp, red_id, blue_id = star_fixture(8)
+    f = (1, 2, 3, 4)
+    trace = []
+    weights, replaced = _replace(ch, bp, red_id, [f], (5, 6, 7), 3, random.Random(0),
+                                 DriverParams(), trace, "red", pivot_R=red_id)
+    assert weights == {} and replaced == set()
+    assert trace == [{"claim": "red_core_nonempty", "f": f, "W_f": (5, 6, 7), "pivot": 1}]
+
+
+def test_replace_around_a_partner_edge():
+    """With a partner map the partner edge joins the family and is the edge
+    replaced; a family with a common vertex is traced with W_u and u."""
+    from tcr.augment import _replace
+    ch, bp, red_id, blue_id = star_fixture(9)
+    f = (1, 2, 3, 4)
+    trace = []
+    weights, replaced = _replace(ch, bp, blue_id, [f], (6, 7, 8, 9), 4, random.Random(0),
+                                 DriverParams(), trace, "blue",
+                                 partners={f: (5, (2, 3, 4, 5))})
+    family = list(itertools.combinations((2, 3, 4, 6, 7, 8, 9), 4)) + [(2, 3, 4, 5)]
+    assert weights == {e: Fraction(1, 35) for e in family}
+    assert replaced == {(2, 3, 4, 5)}
+    assert trace == []
+    f = (2, 3, 4, 5)
+    weights, replaced = _replace(ch, bp, red_id, [f], (6, 7, 8, 9), 4, random.Random(0),
+                                 DriverParams(), trace, "red",
+                                 partners={f: (1, (1, 2, 3, 4))})
+    assert weights == {} and replaced == set()
+    assert trace == [{"claim": "red_core_nonempty", "f": f, "W_u": (6, 7, 8, 9), "u": 1}]
+
+
+@pytest.mark.parametrize("with_partner", [True, False])
+def test_red_star_route_on_hand_built_blueprint(with_partner):
+    """Case 1 of the blue step: W1 carries only blue blueprint pairs, so the
+    red partners come from the red component holding the good red edge
+    1234.  With 4568 and 4578 present, (5678, {4}) is suitable and 4678 is
+    the partner of 4; without them the route takes 1234 inside W1."""
+    from tcr.blueprint import make_blueprint
+    from tcr.hypergraph import build
+    blue = [(1, 2, 3, 5), (1, 2, 4, 5), (1, 3, 4, 5), (2, 3, 4, 5), (3, 4, 5, 6),
+            (4, 5, 6, 7), (5, 6, 7, 8)]
+    if with_partner:
+        blue += [(4, 5, 6, 8), (4, 5, 7, 8)]
+    red = [(1, 2, 3, 4), (2, 3, 4, 6), (3, 4, 6, 7), (4, 6, 7, 8)]
+    ch = build(4, 8, [("B", e) for e in blue] + [("R", e) for e in red])
+    decomp = monochromatic_components(ch)
+    blue_id, red_id = decomp.component_of[(5, 6, 7, 8)], decomp.component_of[(1, 2, 3, 4)]
+    assign = {p: blue_id for p in itertools.combinations(range(1, 9), 2)}
+    bp = make_blueprint(ch, Fraction(1, 2), assign, decomp)
+    state = AugmentationState(((5, 6, 7, 8),), Colour.BLUE, blue_id)
+    out = augment_once(ch, bp, red_id, state, DriverParams(), random.Random(0))
+    route = (4, 6, 7, 8) if with_partner else (1, 2, 3, 4)
+    assert out.status == "step_failed"
+    assert out.fractional.colour is Colour.RED and out.fractional.component == red_id
+    assert out.fractional.weights == {route: 1}
+    assert out.next_matchings == (((route,), Colour.RED, red_id),)
+    assert out.trace == (
+        {"claim": "blue_k5_extensions", "count": 0},
+        {"claim": "case_split", "red_pairs": 0, "b2_pairs": 6, "case": 1},
+        {"claim": "red_star_route", "component": red_id, "partners": int(with_partner),
+         "inside": int(not with_partner)},
+        {"claim": "best_route", "route": "red_star", "weight": "1", "needed": "21/17"})

@@ -113,6 +113,46 @@ def test_cli_seed_required_for_driver(tmp_path, capsys):
     path.write_text(serialize_coloured_hypergraph(ch), encoding="utf-8")
     code, out, err = run_captured(capsys, ["driver", "--in", str(path)])
     assert code == EXIT_USAGE
+    report = json.loads(out)
+    assert report["command"] == "driver"
+    assert report["error"]["kind"] == "UsageError"
+    assert "--seed" in report["error"]["message"]
+
+
+def test_cli_usage_error_without_command(capsys):
+    code, out, _ = run_captured(capsys, [])
+    assert code == EXIT_USAGE
+    report = json.loads(out)
+    assert report["command"] is None
+    assert report["error"]["kind"] == "UsageError"
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("argv", [["driver", "--seed", "1"], ["augment", "--seed", "1"],
+                                  ["blueprint", "build", "--eps", "1/20"]])
+def test_cli_blueprint_layers_need_k4(tmp_path, capsys, k, argv):
+    import itertools
+    from tcr.hypergraph import build
+    ch = build(k, 8, [("R" if e[0] <= 2 else "B", e)
+                      for e in itertools.combinations(range(1, 9), k)])
+    path = tmp_path / f"k{k}.tcg"
+    path.write_text(serialize_coloured_hypergraph(ch), encoding="utf-8")
+    code, out, _ = run_captured(capsys, argv + ["--in", str(path)])
+    assert code == EXIT_CONTRACT
+    error = json.loads(out)["error"]
+    assert error["kind"] == "HypothesisViolated"
+    assert f"k = {k}" in error["message"]
+
+
+@pytest.mark.parametrize("beta", ["-1", "0"])
+def test_cli_mu_rejects_nonpositive_beta(tmp_path, capsys, beta):
+    ch, _ = split_coloring(4, 2)
+    path = tmp_path / "split.tcg"
+    path.write_text(serialize_coloured_hypergraph(ch), encoding="utf-8")
+    code, out, _ = run_captured(capsys, ["match", "mu", "--in", str(path),
+                                         "--s", "1", "--beta", beta])
+    assert code == EXIT_CONTRACT
+    assert json.loads(out)["error"]["kind"] == "Unsupported"
 
 
 def test_cli_parse_failure_exit_code(tmp_path, capsys):
