@@ -11,7 +11,6 @@ failing claim instead of forcing an answer.
 """
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -131,7 +130,7 @@ def _largest_red(CH, bp, vertices):
     """The good edges of H inside `vertices`, the red component holding most
     of them (ties to the smaller id, None when no good edge is red), and
     that component's share."""
-    good = [e for e in edges_within(CH.graph.edges, vertices) if is_good(CH, bp, e)]
+    good = [e for e in edges_within(CH.graph.edges, vertices, 4) if is_good(CH, bp, e)]
     by_comp = {}
     for e in good:
         if CH.colour[e] is Colour.RED:
@@ -140,12 +139,6 @@ def _largest_red(CH, bp, vertices):
         return good, None, []
     r_star = max(by_comp, key=lambda cid: (len(by_comp[cid]), -cid))
     return good, r_star, by_comp[r_star]
-
-
-def _five_set_edges(CH, f, u):
-    """The edges of H restricted to f + {u}, canonical order."""
-    verts = tuple(sorted(f + (u,)))
-    return [q for q in itertools.combinations(verts, 4) if q in CH.graph.edges]
 
 
 def verify_case_hypotheses(CH, bp, R_id, state: AugmentationState):
@@ -187,7 +180,7 @@ def initial_matching(CH: ColouredKGraph, bp: Blueprint, R_id: int,
     trace = []
     if R_id >= len(decomp.components):
         return InitialOutcome("stuck", (), None, None, "none", ())
-    M = tuple(_greedy_good(CH, bp, decomp.edges_of(R_id)))
+    M = tuple(_greedy_good(CH, bp, decomp._sorted[R_id]))
     trace.append({"claim": "greedy_red", "size": len(M)})
     if len(M) >= target:
         return InitialOutcome("target_reached", M, Colour.RED, R_id,
@@ -208,7 +201,7 @@ def initial_matching(CH: ColouredKGraph, bp: Blueprint, R_id: int,
     b_edges = decomp.edges_of(B)
     triple_set = set(bw.triples)
 
-    red_pairs_W = [p for p in bp.pairs_of_colour(Colour.RED) if set(p) <= set(W)]
+    red_pairs_W = [p for p in edges_within(bp.assign, W, 2) if bp.graph.colour[p] is Colour.RED]
     pair_matching = greedy_matching(red_pairs_W)
     trace.append({"claim": "red_pairs_in_W", "matching": len(pair_matching)})
 
@@ -242,7 +235,7 @@ def initial_matching(CH: ColouredKGraph, bp: Blueprint, R_id: int,
                                Colour.BLUE, B, "blue_triples"))
 
     w_prime = [v for v in W if all(v not in p for p in pair_matching)]
-    blue_good_wp = _greedy_good(CH, bp, edges_within(b_edges, w_prime))
+    blue_good_wp = _greedy_good(CH, bp, edges_within(b_edges, w_prime, 4))
     trace.append({"claim": "blue_in_W_prime", "size": len(blue_good_wp)})
     if blue_good_wp:
         candidates.append((len(blue_good_wp), tuple(sorted(blue_good_wp)),
@@ -269,14 +262,14 @@ def _suitable_single(CH, bp, f, u) -> bool:
 
 
 def _mono_k5(CH, f, u, colour) -> bool:
-    edges = _five_set_edges(CH, f, u)
+    edges = edges_within(CH.graph.edges, f + (u,), 4)
     return len(edges) == 5 and all(CH.colour[e] is colour for e in edges)
 
 
-def _comp_partner(CH, decomp, cid, f, u):
+def _comp_partner(decomp, cid, f, u):
     """Smallest edge of component cid inside f + {u}; it must contain u."""
-    for q in _five_set_edges(CH, f, u):
-        if u in q and decomp.component_of.get(q) == cid:
+    for q in edges_within(decomp.edges_of(cid), f + (u,), 4):
+        if u in q:
             return q
     return None
 
@@ -315,12 +308,11 @@ def _replace(CH, bp, cid, M, W, s, rng, params, trace, name,
     weights, replaced = {}, set()
     if not M or len(W) < s:
         return weights, replaced
-    component_of = bp.decomposition.component_of
+    comp = bp.decomposition.edges_of(cid)
     sample = sample_suitable_pairs(CH, bp, M, W, s, len(M), rng,
                                    params.sample_attempts)
     for f, wf in sample.pairs:
-        family = {q for q in itertools.combinations(sorted(f + wf), 4)
-                  if component_of.get(q) == cid}
+        family = set(edges_within(comp, f + wf, 4))
         out = f
         if partners is not None:
             u, out = partners[f]
@@ -331,8 +323,8 @@ def _replace(CH, bp, cid, M, W, s, rng, params, trace, name,
             entry = {"claim": f"{name}_core_nonempty", "f": f}
             entry.update({"W_f": wf} if partners is None else {"W_u": wf, "u": u})
             if pivot_R is not None:
-                red_pairs = [p for p in itertools.combinations(wf, 2)
-                             if bp.assign.get(p) == pivot_R]
+                red_pairs = [p for p in edges_within(bp.assign, wf, 2)
+                             if bp.assign[p] == pivot_R]
                 if red_pairs:
                     try:
                         entry["pivot"] = local_pivot(CH, bp, pivot_R, f, wf, red_pairs[0])
@@ -355,12 +347,12 @@ def _partner_route(CH, bp, cid, u2, W2, rng, params, trace, name, inside):
     its integral matching."""
     decomp = bp.decomposition
     c_edges = decomp.edges_of(cid)
-    partner = {u: _comp_partner(CH, decomp, cid, f, u) for u, f in sorted(u2.items())}
+    partner = {u: _comp_partner(decomp, cid, f, u) for u, f in sorted(u2.items())}
     m1 = sorted(partner.values())
     forbidden = _covered(m1)
     if inside:
         forbidden |= set(range(1, CH.n + 1)).difference(W2)
-    m2 = _greedy_good(CH, bp, c_edges, forbidden=forbidden)
+    m2 = _greedy_good(CH, bp, decomp._sorted[cid], forbidden=forbidden)
     entry = {"claim": f"{name}_route", "partners": len(m1)}
     entry.update({"component": cid, "inside": len(m2)} if inside else {"disjoint": len(m2)})
     trace.append(entry)
@@ -404,7 +396,7 @@ def augment_once(CH: ColouredKGraph, bp: Blueprint, R_id: int,
     trace = list(state.trace)
 
     # maximality repair: extend M greedily inside its component
-    added = _greedy_good(CH, bp, c_edges, forbidden=_covered(state.matching))
+    added = _greedy_good(CH, bp, decomp._sorted[cid], forbidden=_covered(state.matching))
     M = tuple(sorted([*state.matching, *added]))
     next_matchings = []
     if added:
@@ -428,7 +420,7 @@ def augment_once(CH: ColouredKGraph, bp: Blueprint, R_id: int,
     u_match = _partners(CH, bp, W, M, lambda f, u: _mono_k5(CH, f, u, colour))
     trace.append({"claim": f"{name}_k5_extensions", "count": len(u_match)})
     spread = {q: QUARTER for u, f in sorted(u_match.items())
-              for q in _five_set_edges(CH, f, u)}
+              for q in edges_within(CH.graph.edges, f + (u,), 4)}
     spread_f = set(u_match.values())
     W1 = [u for u in W if u not in u_match]
     M1 = [f for f in M if f not in spread_f]
@@ -437,9 +429,9 @@ def augment_once(CH: ColouredKGraph, bp: Blueprint, R_id: int,
     # partner component inside f + u
     route, inside = colour.opposite.name.lower(), False
     if not primary:
-        red_pairs = [p for p in bp.pairs_of_colour(Colour.RED) if set(p) <= set(W1)]
-        own_pairs = [p for p in bp.pairs_of_colour(Colour.BLUE)
-                     if set(p) <= set(W1) and bp.assign[p] == cid]
+        pairs_w1 = edges_within(bp.assign, W1, 2)
+        red_pairs = [p for p in pairs_w1 if bp.graph.colour[p] is Colour.RED]
+        own_pairs = [p for p in pairs_w1 if bp.assign[p] == cid]
         inside = not red_pairs and bool(own_pairs)
         trace.append({"claim": "case_split", "red_pairs": len(red_pairs),
                       "b2_pairs": len(own_pairs), "case": 1 if inside else 2})
@@ -455,7 +447,7 @@ def augment_once(CH: ColouredKGraph, bp: Blueprint, R_id: int,
     u2 = {}
     if partner_cid is not None:
         u2 = _partners(CH, bp, W1, M1, lambda f, u: _comp_partner(
-            CH, decomp, partner_cid, f, u) is not None)
+            decomp, partner_cid, f, u) is not None)
     if not inside:
         trace.append({"claim": f"{route}_partners", "count": len(u2)})
     W2 = [u for u in W1 if u not in u2]
@@ -547,18 +539,10 @@ def run_driver(CH: ColouredKGraph, params: DriverParams, seed: int) -> DriverRep
     trace.append({"claim": "trim", "kept": len(trim.vertices),
                   "min_degree": trim.min_degree})
 
-    kept_vertices = set(trim.vertices)
     spanning = set(trim.spanning_edges)
-    kept_assign = {}
-    mask_view: dict = {}
-    for e, cid in bp0.assign.items():
-        if not kept_vertices.issuperset(e):
-            continue
-        if bp0.graph.colour[e] is Colour.RED and e not in spanning:
-            continue
-        kept_assign[e] = cid
-        mask_view.setdefault(cid, {})[e] = bp0.masks[e]
-    bp = make_blueprint(work, bp0.eps, kept_assign, bp0.decomposition, mask_view)
+    kept_assign = {e: bp0.assign[e] for e in edges_within(bp0.assign, trim.vertices, 2)
+                   if bp0.graph.colour[e] is Colour.BLUE or e in spanning}
+    bp = make_blueprint(work, bp0.eps, kept_assign)
     red_ids = {bp.assign[e] for e in bp.pairs_of_colour(Colour.RED)}
     if len(red_ids) != 1:
         trace.append({"claim": "unique_spanning_component", "ids": sorted(red_ids)})

@@ -21,7 +21,7 @@ from typing import Optional
 
 from .errors import ContractUnmet, HypothesisViolated, InconsistentWitness
 from .hypergraph import Colour, ColouredKGraph, KGraph, edges_within, support_of
-from .tight import TightDecomposition, UnionFind, monochromatic_components
+from .tight import TightDecomposition, _component_sets, monochromatic_components
 
 
 def rational_sqrt_upper(x, denominator: int = 1000) -> Fraction:
@@ -48,21 +48,24 @@ def pair_shadow_masks(decomp: TightDecomposition, k: int) -> dict:
 
     z completes a (k-2)-set into the shadow through an edge exactly when
     both lie in that edge, so each edge contributes its complement bits to
-    every (k-2)-subset."""
-    out = {}
-    for cid, comp in enumerate(decomp.components):
-        masks = {}
-        get = masks.get
-        for e in comp:
-            full = 0
-            for v in e:
-                full |= 1 << v
-            for pair in itertools.combinations(e, k - 2):
-                pbits = 0
-                for v in pair:
-                    pbits |= 1 << v
-                masks[pair] = get(pair, 0) | (full ^ pbits)
-        out[cid] = masks
+    every (k-2)-subset.  Computed once per decomposition and cached on it."""
+    out = getattr(decomp, "_masks", None)
+    if out is None:
+        out = {}
+        for cid, comp in enumerate(decomp.components):
+            masks = {}
+            get = masks.get
+            for e in comp:
+                full = 0
+                for v in e:
+                    full |= 1 << v
+                for pair in itertools.combinations(e, k - 2):
+                    pbits = 0
+                    for v in pair:
+                        pbits |= 1 << v
+                    masks[pair] = get(pair, 0) | (full ^ pbits)
+            out[cid] = masks
+        object.__setattr__(decomp, "_masks", out)
     return out
 
 
@@ -94,17 +97,15 @@ class Blueprint:
         return min(deg.values()) if deg else 0
 
 
-def make_blueprint(CH: ColouredKGraph, eps, assign,
-                   decomposition: Optional[TightDecomposition] = None,
-                   comp_masks: Optional[dict] = None) -> Blueprint:
-    """Assemble a Blueprint from an edge->component assignment.
+def make_blueprint(CH: ColouredKGraph, eps, assign) -> Blueprint:
+    """Assemble a Blueprint from an assignment of edges to the ids of
+    monochromatic_components(CH).
 
-    Edge colours are inherited from the assigned components; shadow masks
-    are computed once (or taken from comp_masks) and cached on the object.
+    Edge colours are inherited from the assigned components, and each
+    edge's shadow mask is read from CH's shared pair_shadow_masks.
     """
-    decomp = decomposition or monochromatic_components(CH)
-    if comp_masks is None:
-        comp_masks = pair_shadow_masks(decomp, CH.k)
+    decomp = monochromatic_components(CH)
+    comp_masks = pair_shadow_masks(decomp, CH.k)
     colour = {}
     masks = {}
     for e, cid in assign.items():
@@ -127,7 +128,12 @@ class BlueprintCheck:
 
 def check_blueprint(CH: ColouredKGraph, bp: Blueprint) -> BlueprintCheck:
     """Verify colour agreement, the shadow-degree condition at bp.eps, and
-    pairwise component consistency.  Everything is recomputed from CH."""
+    pairwise component consistency.
+
+    Components and shadow degrees come from CH's own analysis
+    (monochromatic_components and pair_shadow_masks), never from
+    bp.decomposition or bp.masks, so a blueprint carrying a forged
+    analysis is still judged against the graph."""
     decomp = monochromatic_components(CH)
     comp_masks = pair_shadow_masks(decomp, CH.k)
     violations = []
@@ -210,17 +216,8 @@ def build_blueprint(CH: ColouredKGraph, eps, bp_eps=None) -> BlueprintBuild:
     discarded = []
     keep = {}
     for colour in (Colour.RED, Colour.BLUE):
-        pairs = sorted(p for p, cid in chosen.items() if decomp.colour(cid) is colour)
-        verts = sorted({v for p in pairs for v in p})
-        vindex = {v: i for i, v in enumerate(verts)}
-        uf = UnionFind(len(verts))
-        for p in pairs:
-            for a, b in zip(p, p[1:]):
-                uf.union(vindex[a], vindex[b])
-        groups = {}
-        for p in pairs:
-            groups.setdefault(uf.find(vindex[p[0]]), []).append(p)
-        for members in groups.values():
+        pairs = [p for p, cid in chosen.items() if decomp.colour(cid) is colour]
+        for members in _component_sets(2, pairs):
             counts = {}
             for p in members:
                 counts[chosen[p]] = counts.get(chosen[p], 0) + 1
@@ -232,7 +229,7 @@ def build_blueprint(CH: ColouredKGraph, eps, bp_eps=None) -> BlueprintBuild:
                 else:
                     discarded.append(p)
 
-    bp = make_blueprint(CH, bp_eps, keep, decomp, comp_masks)
+    bp = make_blueprint(CH, bp_eps, keep)
     return BlueprintBuild(bp, tuple(sorted(omitted)), tuple(sorted(discarded)), len(keep))
 
 
@@ -241,25 +238,7 @@ class TrimResult:
     vertices: tuple
     colour: Colour
     spanning_edges: tuple   # the spanning monochromatic component's edges
-    induced_edges: tuple    # all edges of F inside the kept vertices
     min_degree: int
-
-
-def _mono_2graph_components(edges, vertices) -> list:
-    """Connected components (as vertex frozensets with their edges) of a 2-graph."""
-    verts = sorted(vertices)
-    vindex = {v: i for i, v in enumerate(verts)}
-    uf = UnionFind(len(verts))
-    for a, b in edges:
-        uf.union(vindex[a], vindex[b])
-    groups = {}
-    for a, b in edges:
-        root = uf.find(vindex[a])
-        groups.setdefault(root, [set(), []])
-        groups[root][0].update((a, b))
-        groups[root][1].append((a, b))
-    return [(frozenset(vs), tuple(sorted(es))) for vs, es in
-            sorted(groups.values(), key=lambda g: min(g[0]))]
 
 
 def trim_spanning_component(F: ColouredKGraph, eps) -> TrimResult:
@@ -290,7 +269,7 @@ def trim_spanning_component(F: ColouredKGraph, eps) -> TrimResult:
 
     kept = set(support_of(F.graph.edges))
     while True:
-        edges = [e for e in F.graph.sorted_edges if kept.issuperset(e)]
+        edges = edges_within(F.graph.edges, kept, 2)
         deg = {v: 0 for v in kept}
         for a, b in edges:
             deg[a] += 1
@@ -301,18 +280,19 @@ def trim_spanning_component(F: ColouredKGraph, eps) -> TrimResult:
                 raise ContractUnmet("degree target unreachable above the order floor")
             kept.remove(victim)
             continue
-        best_comp = None
+        best = set()
         for colour in (Colour.RED, Colour.BLUE):
-            mono = [e for e in edges if F.colour[tuple(e)] is colour]
-            for comp_vs, comp_es in _mono_2graph_components(mono, kept):
-                if best_comp is None or len(comp_vs) > len(best_comp[0]):
-                    best_comp = (comp_vs, comp_es, colour)
-                if comp_vs == frozenset(kept):
-                    return TrimResult(tuple(sorted(kept)), colour, comp_es,
-                                      tuple(edges), min(deg.values()))
-        if best_comp is None:
+            mono = [e for e in edges if F.colour[e] is colour]
+            for comp in _component_sets(2, mono):
+                comp_vs = set(support_of(comp))
+                if comp_vs == kept:
+                    return TrimResult(tuple(sorted(kept)), colour, tuple(comp),
+                                      min(deg.values()))
+                if len(comp_vs) > len(best):
+                    best = comp_vs
+        if not best:
             raise ContractUnmet("no monochromatic component at all")
-        uncovered = sorted(kept - best_comp[0])
+        uncovered = sorted(kept - best)
         if not order_ok(len(kept) - 1):
             raise ContractUnmet("spanning component unreachable above the order floor")
         kept.remove(uncovered[0])
@@ -339,7 +319,7 @@ def blueprint_blowup(bp: Blueprint, bmap, blown_ch: Optional[ColouredKGraph] = N
         blown_cid = cid_map[cid]
         for combo in itertools.product(*(bmap.classes[x] for x in e)):
             assign[tuple(sorted(combo))] = blown_cid
-    blown_bp = make_blueprint(blown_ch, bp.eps, assign, blown_decomp)
+    blown_bp = make_blueprint(blown_ch, bp.eps, assign)
     return blown_ch, blown_bp
 
 
@@ -392,8 +372,7 @@ def is_suitable_pair(CH: ColouredKGraph, bp: Blueprint, f, W) -> SuitablePairRep
     if not bp.vertex_set.issuperset(W):
         raise ValueError("W must lie inside V(G)")
     union = tuple(sorted(f + W))
-    edges = CH.graph.edges
-    sp1 = all(tuple(sub) in edges for sub in itertools.combinations(union, 4))
+    sp1 = len(edges_within(CH.graph.edges, union, 4)) == comb(len(union), 4)
     sp2 = all(p in bp.assign for p in itertools.combinations(union, 2))
     sp3 = all(bp.in_shadow(p, z)
               for p in itertools.combinations(f, 2) for z in W
@@ -513,15 +492,14 @@ def compute_B_W(CH: ColouredKGraph, bp: Blueprint, R_id: int, W) -> BWResult:
     blueprint edge inside W.  Hypotheses are checked, not assumed.
     """
     W = tuple(sorted(set(W)))
-    wset = set(W)
-    if not bp.vertex_set.issuperset(wset):
+    if not bp.vertex_set.issuperset(W):
         raise HypothesisViolated("W must lie inside V(G)")
     for e in bp.pairs_of_colour(Colour.RED):
         if bp.assign[e] != R_id:
             raise HypothesisViolated(
                 f"red blueprint edge {e} induces component {bp.assign[e]}, not {R_id}")
     decomp = bp.decomposition
-    red_good_inside = [e for e in edges_within(decomp.edges_of(R_id), wset)
+    red_good_inside = [e for e in edges_within(decomp.edges_of(R_id), W, 4)
                        if is_good(CH, bp, e)]
     if red_good_inside:
         raise HypothesisViolated(
@@ -569,7 +547,7 @@ def compute_B_W(CH: ColouredKGraph, bp: Blueprint, R_id: int, W) -> BWResult:
                     f"attachment edge {edge} is red (good red edge inside W)")
             note(decomp.component_of[edge], ("triple", T, w))
 
-    for p in edges_within(bp.assign, wset):
+    for p in edges_within(bp.assign, W, 2):
         if bp.graph.colour[p] is Colour.BLUE:
             note(bp.assign[p], ("blue_pair", p))
 
@@ -611,21 +589,14 @@ def local_pivot(CH: ColouredKGraph, bp: Blueprint, R_id: int, f, W, e) -> int:
         raise HypothesisViolated(f"f = {f} is not a good edge of component {R_id}")
     if not set(e).issubset(W) or bp.assign.get(e) != R_id:
         raise HypothesisViolated(f"e = {e} is not a component-{R_id} blueprint edge in W")
-    union = set(f) | set(W)
-    comp_edges = edges_within(decomp.edges_of(R_id), union)
-    common = set(f) | set(W)
-    for edge in comp_edges:
-        common.intersection_update(edge)
-    if comp_edges and not common:
+    comp_edges = edges_within(decomp.edges_of(R_id), f + W, 4)
+    if comp_edges and not set(f + W).intersection(*comp_edges):
         raise HypothesisViolated("component edges inside f + W have empty intersection")
-    red_with_e = [edge for edge in edges_within(CH.graph.edges, union)
-                  if set(e).issubset(edge) and CH.colour[edge] is Colour.RED]
-    pivot_pool = set(f)
-    for edge in red_with_e:
-        pivot_pool.intersection_update(edge)
+    with_e = [edge for edge in edges_within(CH.graph.edges, f + W, 4)
+              if set(e).issubset(edge)]
+    pivot_pool = set(f).intersection(*(edge for edge in with_e
+                                       if CH.colour[edge] is Colour.RED))
     for x in sorted(pivot_pool):
-        if all(CH.colour[edge] is Colour.BLUE
-               for edge in edges_within(CH.graph.edges, union)
-               if set(e).issubset(edge) and x not in edge):
+        if all(CH.colour[edge] is Colour.BLUE for edge in with_e if x not in edge):
             return x
     raise InconsistentWitness("no pivot vertex satisfies the conclusion")

@@ -139,6 +139,12 @@ def _fraction_arg(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from None
 
 
+def _require(ok: bool, message: str) -> None:
+    """A parameter value the command cannot take is a usage error."""
+    if not ok:
+        raise UsageError(message)
+
+
 def _host_edges(CH: ColouredKGraph, host: str, component):
     if component is not None:
         decomp = monochromatic_components(CH)
@@ -248,6 +254,7 @@ def _cmd_match(args) -> dict:
 
 
 def _cmd_blueprint(args) -> dict:
+    _require(args.eps >= 0, f"--eps must be >= 0, got {args.eps}")
     CH = _load(args.infile)
     res = blueprint_mod.build_blueprint(CH, args.eps)
     check = blueprint_mod.check_blueprint(CH, res.blueprint)
@@ -263,6 +270,7 @@ def _cmd_blueprint(args) -> dict:
 
 
 def _cmd_blowup(args) -> dict:
+    _require(args.r >= 1, f"--r must be >= 1, got {args.r}")
     CH = _load(args.infile)
     blown, bmap = blowup_mod.blow_up(CH, args.r)
     base_comps = monochromatic_components(CH)
@@ -275,13 +283,17 @@ def _cmd_blowup(args) -> dict:
 
 
 def _params(args) -> DriverParams:
+    chain = [("0", 0), *((f"--{name}", getattr(args, name)) for name in PARAM_NAMES[:4]),
+             ("1", 1)]
+    for (low, x), (high, y) in zip(chain, chain[1:]):
+        _require(x < y, f"need {low} < {high}, got {x} >= {y}")
     return DriverParams(*(getattr(args, name) for name in PARAM_NAMES))
 
 
 def _cmd_augment(args) -> dict:
     import random
-    CH = _load(args.infile)
     params = _params(args)
+    CH = _load(args.infile)
     rng = random.Random(args.seed)
     res = blueprint_mod.build_blueprint(CH, params.eps)
     bp = res.blueprint
@@ -304,8 +316,8 @@ def _cmd_augment(args) -> dict:
 
 
 def _cmd_driver(args) -> dict:
-    CH = _load(args.infile)
-    rep = run_driver(CH, _params(args), args.seed)
+    params = _params(args)
+    rep = run_driver(_load(args.infile), params, args.seed)
     return {"result": {
         "status": rep.status, "n_vertices": rep.n_vertices,
         "n_scale": rep.n_scale, "target": rep.target,
@@ -323,6 +335,7 @@ def _cmd_extremal(args) -> dict:
     if args.mode == "split":
         CH, spec = extremal_mod.split_coloring(args.k, args.n)
     else:
+        _require(0 <= args.i < args.k, f"--i must be in 0..{args.k - 1}, got {args.i}")
         CH, spec = extremal_mod.parity_coloring(args.k, args.n, args.i)
     red = len(CH.edges_of(Colour.RED))
     out = {"kind": spec.kind, "k": spec.k, "n": spec.n, "i": spec.i, "d": spec.d,
@@ -333,8 +346,9 @@ def _cmd_extremal(args) -> dict:
             fh.write(serialize_coloured_hypergraph(CH))
         out["written"] = args.out
     if args.verify:
-        length = args.length if args.length is not None else spec.length
-        cert = extremal_mod.verify_no_mono_cycle(CH, spec, length)
+        _require(args.length in (None, spec.length),
+                 f"--len must be k*n + i = {spec.length}, got {args.length}")
+        cert = extremal_mod.verify_no_mono_cycle(CH, spec, spec.length)
         out["certificate"] = {"ok": cert.ok, "method": cert.method,
                               "length": cert.length,
                               "details": list(cert.details),
@@ -388,7 +402,7 @@ def run(argv) -> int:
     report = {"command": args.command, "inputs": inputs}
     try:
         report.update(HANDLERS[args.command](args))
-    except (ParseError, FileNotFoundError) as exc:
+    except (ParseError, UsageError, FileNotFoundError) as exc:
         report["error"] = {"kind": type(exc).__name__, "message": str(exc)}
         emit(report, None)
         sys.stderr.write(f"error: {exc}\n")

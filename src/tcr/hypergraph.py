@@ -85,10 +85,11 @@ def support_of(edges) -> tuple:
     return tuple(sorted(s))
 
 
-def edges_within(edges, vertices) -> list:
-    """Edges entirely contained in the given vertex set, in canonical order."""
-    vs = set(vertices)
-    return sorted(e for e in edges if vs.issuperset(e))
+def edges_within(edges, vertices, k: int) -> list:
+    """The members of `edges` (any container of k-edges) inside the vertex
+    set, in canonical order.  Enumerates the k-subsets of the set, so the
+    cost follows the set, not the size of `edges`."""
+    return [e for e in itertools.combinations(sorted(set(vertices)), k) if e in edges]
 
 
 @dataclass(frozen=True)

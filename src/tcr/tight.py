@@ -9,7 +9,7 @@ proof of absence (with the explored-node count as certificate).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import SearchCapExceeded, UnknownEdge
@@ -60,6 +60,7 @@ class TightDecomposition:
     components: tuple  # tuple of frozensets of edges
     component_of: dict  # Edge -> component id
     colour_of: Optional[dict] = None  # component id -> Colour
+    _sorted: tuple = field(default=(), repr=False, compare=False)  # canonical edge order
 
     def edges_of(self, cid: int) -> frozenset:
         return self.components[cid]
@@ -72,10 +73,12 @@ class TightDecomposition:
 
 
 def _component_sets(k: int, edges) -> list:
-    """Group edges by tight connectivity; returns frozensets sorted by min edge.
+    """Group edges by tight connectivity: one canonically ordered edge list
+    per component, the lists ordered by their smallest edge.
 
     Two edges are adjacent iff they share a (k-1)-subset, so unioning every
-    edge into its subsets' buckets realizes the transitive closure."""
+    edge into its subsets' buckets realizes the transitive closure (for
+    k = 2: the connected components of a graph)."""
     es = sorted(edges)
     uf = UnionFind(len(es))
     first_of = {}
@@ -88,32 +91,34 @@ def _component_sets(k: int, edges) -> list:
                 uf.union(prev, i)
     groups = {}
     for i, e in enumerate(es):
-        groups.setdefault(uf.find(i), set()).add(e)
-    return [frozenset(g) for g in sorted(groups.values(), key=min)]
+        groups.setdefault(uf.find(i), []).append(e)
+    return list(groups.values())
+
+
+def _decomposition(comps, colour_of=None) -> TightDecomposition:
+    component_of = {e: cid for cid, comp in enumerate(comps) for e in comp}
+    return TightDecomposition(tuple(frozenset(c) for c in comps), component_of,
+                              colour_of, tuple(tuple(c) for c in comps))
 
 
 def tight_components(H: KGraph) -> TightDecomposition:
-    comps = _component_sets(H.k, H.edges)
-    component_of = {}
-    for cid, comp in enumerate(comps):
-        for e in comp:
-            component_of[e] = cid
-    return TightDecomposition(tuple(comps), component_of)
+    return _decomposition(_component_sets(H.k, H.edges))
 
 
 def monochromatic_components(CH: ColouredKGraph) -> TightDecomposition:
-    """Tight components of the red and blue subgraphs, red components first."""
-    comps = []
-    colour_of = {}
-    for colour in (Colour.RED, Colour.BLUE):
-        for comp in _component_sets(CH.k, CH.edges_of(colour)):
-            colour_of[len(comps)] = colour
-            comps.append(comp)
-    component_of = {}
-    for cid, comp in enumerate(comps):
-        for e in comp:
-            component_of[e] = cid
-    return TightDecomposition(tuple(comps), component_of, colour_of)
+    """Tight components of the red and blue subgraphs, red components first.
+    Computed once per graph and cached on it, so every consumer shares it."""
+    decomp = getattr(CH, "_components", None)
+    if decomp is None:
+        comps = []
+        colour_of = {}
+        for colour in (Colour.RED, Colour.BLUE):
+            for comp in _component_sets(CH.k, CH.edges_of(colour)):
+                colour_of[len(comps)] = colour
+                comps.append(comp)
+        decomp = _decomposition(comps, colour_of)
+        object.__setattr__(CH, "_components", decomp)
+    return decomp
 
 
 @dataclass(frozen=True)

@@ -199,3 +199,10 @@ def shadow_brute(edges, k):
     for e in edges:
         out.update(itertools.combinations(sorted(e), k - 1))
     return out
+
+
+def edges_within_brute(edges, vertices) -> list:
+    """Every member of `edges` whose vertices all lie in the set, by a full
+    scan, sorted."""
+    vs = set(vertices)
+    return sorted(e for e in edges if vs.issuperset(e))

@@ -144,7 +144,7 @@ def test_augment_u_case_output_is_fact_at_s5():
     decomp = monochromatic_components(ch)
     r0 = decomp.component_of[(1, 2, 3, 4)]
     assign = {p: r0 for p in itertools.combinations(range(1, 10), 2)}
-    bp = make_blueprint(ch, Fraction(1, 2), assign, decomp)
+    bp = make_blueprint(ch, Fraction(1, 2), assign)
     M = ((1, 2, 3, 4), (5, 6, 7, 8))
     state = AugmentationState(M, Colour.RED, r0)
     rng = random.Random(0)
@@ -196,7 +196,7 @@ def two_clique_fixture():
     blue_id = 1 - red_id
     assign = {p: blue_id for p in itertools.combinations(range(1, 7), 2)}
     assign.update({p: red_id for p in itertools.combinations(range(7, 11), 2)})
-    bp = make_blueprint(ch, Fraction(2, 3), assign, decomp)
+    bp = make_blueprint(ch, Fraction(2, 3), assign)
     return ch, bp, red_id, blue_id
 
 
@@ -317,7 +317,7 @@ def star_fixture(N):
     red_id = decomp.component_of[(1, 2, 3, 4)]
     blue_id = decomp.component_of[(2, 3, 4, 5)]
     assign = {p: red_id for p in itertools.combinations(range(1, N + 1), 2)}
-    return ch, make_blueprint(ch, Fraction(1, 2), assign, decomp), red_id, blue_id
+    return ch, make_blueprint(ch, Fraction(1, 2), assign), red_id, blue_id
 
 
 def test_replace_empty_intersection_family():
@@ -387,7 +387,7 @@ def test_red_star_route_on_hand_built_blueprint(with_partner):
     decomp = monochromatic_components(ch)
     blue_id, red_id = decomp.component_of[(5, 6, 7, 8)], decomp.component_of[(1, 2, 3, 4)]
     assign = {p: blue_id for p in itertools.combinations(range(1, 9), 2)}
-    bp = make_blueprint(ch, Fraction(1, 2), assign, decomp)
+    bp = make_blueprint(ch, Fraction(1, 2), assign)
     state = AugmentationState(((5, 6, 7, 8),), Colour.BLUE, blue_id)
     out = augment_once(ch, bp, red_id, state, DriverParams(), random.Random(0))
     route = (4, 6, 7, 8) if with_partner else (1, 2, 3, 4)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -46,6 +47,32 @@ def test_check_consistency_violation():
     bp = make_blueprint(ch, Fraction(9, 10), {(1, 2): 0, (1, 5): 1})
     res = check_blueprint(ch, bp)
     assert any(v["kind"] == "consistency" for v in res.violations)
+
+
+def test_check_ignores_forged_masks():
+    """The checker reads CH's own shadow masks: forged full-degree masks on a
+    blueprint below the degree threshold do not hide a single violation."""
+    ch, bp = full_red_blueprint(6, Fraction(0))
+    forged = dataclasses.replace(bp, masks={e: (1 << 7) - 2 for e in bp.masks})
+    assert all(forged.in_shadow(e, z) for e in forged.masks for z in range(1, 7))
+    res = check_blueprint(ch, forged)
+    assert [v["kind"] for v in res.violations] == ["degree"] * 15
+
+
+def test_check_ignores_forged_decomposition():
+    """The checker reads CH's own components: a blueprint recoloured blue,
+    with a forged decomposition that calls its component blue, still shows
+    the colour mismatch against the red component of CH."""
+    ch = build(4, 8, [("R", (1, 2, 3, 4)), ("B", (5, 6, 7, 8))])
+    bp = make_blueprint(ch, Fraction(9, 10), {(1, 2): 0})
+    blue = {(1, 2): Colour.BLUE}
+    forged = dataclasses.replace(
+        bp, graph=dataclasses.replace(bp.graph, colour=blue),
+        decomposition=dataclasses.replace(bp.decomposition,
+                                          colour_of={0: Colour.BLUE, 1: Colour.RED}))
+    assert forged.decomposition.colour(0) is forged.graph.colour[(1, 2)]
+    res = check_blueprint(ch, forged)
+    assert {"kind": "colour_mismatch", "edge": (1, 2), "component": 0} in res.violations
 
 
 def test_check_colour_mismatch_guarded_by_constructor():
@@ -201,7 +228,7 @@ def test_good_monotone_under_blueprint_restriction():
     smaller = dict(bp.assign)
     for p in list(smaller)[:5]:
         del smaller[p]
-    bp_small = make_blueprint(ch, bp.eps, smaller, bp.decomposition)
+    bp_small = make_blueprint(ch, bp.eps, smaller)
     good_small = good_edges(ch, bp_small, ch.graph.edges)
     assert good_small.issubset(good_full)
 
@@ -296,7 +323,7 @@ def bw_fixture():
         assign[p] = blue_id
     for p in itertools.combinations(range(7, 11), 2):
         assign[p] = red_id
-    bp = make_blueprint(ch, Fraction(2, 3), assign, decomp)
+    bp = make_blueprint(ch, Fraction(2, 3), assign)
     return ch, bp, red_id, blue_id
 
 
@@ -432,7 +459,7 @@ def test_good_edges_tightly_connected_in_dense_windows(seed):
     res = build_blueprint(ch, Fraction(1, 20))
     bp = res.blueprint
     W = sorted(bp.vertex_set)[:11]
-    good = [e for e in edges_within(ch.graph.edges, W) if is_good(ch, bp, e)]
+    good = [e for e in edges_within(ch.graph.edges, W, 4) if is_good(ch, bp, e)]
     if len(good) < 2:
         return
     decomp = tight_components(KGraph(4, ch.n, frozenset(good)))

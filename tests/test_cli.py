@@ -155,6 +155,24 @@ def test_cli_mu_rejects_nonpositive_beta(tmp_path, capsys, beta):
     assert json.loads(out)["error"]["kind"] == "Unsupported"
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["driver", "--in", "FILE", "--seed", "1", "--eps", "1/2"], "--eps"),
+    (["augment", "--in", "FILE", "--seed", "1", "--eta", "1"], "--eta"),
+    (["blowup", "--in", "FILE", "--r", "0"], "--r"),
+    (["blueprint", "check", "--in", "FILE", "--eps", "-1"], "--eps"),
+    (["extremal", "parity", "--k", "4", "--n", "2", "--i", "7"], "--i"),
+    (["extremal", "split", "--k", "4", "--n", "2", "--verify", "--len", "9"], "--len"),
+])
+def test_cli_bad_parameter_value_is_usage_error(tmp_path, capsys, argv, name):
+    path = tmp_path / "split.tcg"
+    path.write_text(serialize_coloured_hypergraph(split_coloring(4, 2)[0]), encoding="utf-8")
+    code, out, _ = run_captured(capsys, [str(path) if a == "FILE" else a for a in argv])
+    assert code == EXIT_USAGE
+    error = json.loads(out)["error"]
+    assert error["kind"] == "UsageError"
+    assert name in error["message"]
+
+
 def test_cli_parse_failure_exit_code(tmp_path, capsys):
     path = tmp_path / "bad.tcg"
     path.write_text("tcg 1\nk=4 n=8\nR 1 2 3\n", encoding="utf-8")

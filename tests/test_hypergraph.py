@@ -6,11 +6,13 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import near_complete_coloured, rand_coloured
-from oracles import degree_brute, shadow_brute
+from conftest import complete_random_coloured, near_complete_coloured, rand_coloured
+from oracles import degree_brute, edges_within_brute, shadow_brute
+from tcr.blueprint import build_blueprint
 from tcr.errors import BadArity, ConflictingColour, MalformedEdge
 from tcr.hypergraph import (Colour, build, complete_kgraph, degree_and_link,
-                            density_check, shadow)
+                            density_check, edges_within, shadow)
+from tcr.tight import monochromatic_components
 
 
 def test_build_single_red_edge():
@@ -143,3 +145,28 @@ def test_density_near_complete_passes_small_eps():
     rng = random.Random(3)
     ch = near_complete_coloured(4, 10, rng, deletions=2)
     assert density_check(ch.graph, Fraction(3, 4), Fraction(1, 4)).passed
+
+
+def _edges_within_hosts(rng):
+    """(name, host edges, k, n): sparse and complete 4-graphs, every
+    monochromatic component of a random colouring, and a blueprint 2-graph."""
+    sparse = rand_coloured(4, 12, 60, rng)
+    ch = complete_random_coloured(4, 10, rng)
+    decomp = monochromatic_components(ch)
+    bp = build_blueprint(ch, Fraction(1, 20)).blueprint
+    return ([("sparse", sparse.graph.edges, 4, 12), ("complete", ch.graph.edges, 4, 10)]
+            + [(f"component {cid}", comp, 4, 10) for cid, comp in enumerate(decomp.components)]
+            + [("blueprint", bp.assign, 2, 10)])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_edges_within_matches_scan_oracle(seed):
+    """The k-subset enumeration returns the same edges, in canonical order,
+    as a full scan of the host, for vertex sets of every size."""
+    rng = random.Random(seed)
+    for name, host, k, n in _edges_within_hosts(rng):
+        for size in (0, 3, k, 7, n):
+            vertices = rng.sample(range(1, n + 1), size)
+            got = edges_within(host, vertices, k)
+            assert got == edges_within_brute(host, vertices), (name, vertices)
+            assert got == sorted(set(got))
