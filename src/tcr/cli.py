@@ -2,9 +2,11 @@
 
 One command per process; a single structured JSON report on stdout, human
 logs on stderr.  Exit codes: 0 success, 1 parse/usage, 2 hypothesis or
-contract violation, 3 cap exceeded.  Rationals are emitted as exact "p/q"
-strings.  Reports for a fixed input and seed are byte-identical; wall-clock
-timing goes to stderr unless --timing asks for it in the report.
+contract violation, 3 cap exceeded, 4 internal error (a failed self-check,
+such as an LP optimum whose dual certificate does not verify).  Rationals
+are emitted as exact "p/q" strings.  Reports for a fixed input and seed are
+byte-identical; wall-clock timing goes to stderr unless --timing asks for it
+in the report.
 
 tcg format: line 1 "tcg 1"; line 2 "k=<int> n=<int>"; then one edge per
 line "<R|B> v1 ... vk" with strictly increasing vertices; "#" starts a
@@ -26,8 +28,8 @@ from . import extremal as extremal_mod
 from . import matchings as matchings_mod
 from .augment import AugmentationState, DriverParams, augment_once, initial_matching, run_driver
 from .errors import (ContractUnmet, HypothesisViolated, InconsistentWitness,
-                     ParseError, SearchCapExceeded, SizeCapExceeded, TcrError,
-                     Unsupported, UsageError)
+                     InternalError, ParseError, SearchCapExceeded, SizeCapExceeded,
+                     TcrError, Unsupported, UsageError)
 from .extremal import ProfileNotConstant, TargetSpec
 from .hypergraph import Colour, ColouredKGraph, build
 from .tight import monochromatic_components, tight_components
@@ -36,6 +38,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_CONTRACT = 2
 EXIT_CAP = 3
+EXIT_INTERNAL = 4
 
 PARAM_NAMES = ("eps", "gamma", "delta", "eta", "c")   # DriverParams, in order
 
@@ -332,6 +335,9 @@ def _cmd_driver(args) -> dict:
 
 
 def _cmd_extremal(args) -> dict:
+    _require(args.k >= 2, f"--k must be >= 2, got {args.k}")
+    least_n = 2 if args.mode == "split" else 1
+    _require(args.n >= least_n, f"--n must be >= {least_n}, got {args.n}")
     if args.mode == "split":
         CH, spec = extremal_mod.split_coloring(args.k, args.n)
     else:
@@ -418,6 +424,11 @@ def run(argv) -> int:
         emit(report, None)
         sys.stderr.write(f"violation: {exc}\n")
         return EXIT_CONTRACT
+    except InternalError as exc:
+        report["error"] = {"kind": type(exc).__name__, "message": str(exc)}
+        emit(report, None)
+        sys.stderr.write(f"internal error: {exc}\n")
+        return EXIT_INTERNAL
     elapsed_ms = int((time.monotonic() - started) * 1000)
     emit(report, elapsed_ms if args.timing else None)
     sys.stderr.write(f"{args.command}: ok in {elapsed_ms} ms\n")

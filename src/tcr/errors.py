@@ -1,7 +1,9 @@
 """Exception hierarchy.
 
 Every domain error subclasses TcrError so callers (and the CLI) can map
-failure classes to exit codes without matching on message text.
+failure classes to exit codes without matching on message text.  A failed
+self-check is an InternalError instead: a bug in this package, never a
+property of the input.
 """
 
 
@@ -85,3 +87,12 @@ class ParseError(TcrError):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
+
+
+class InternalError(Exception):
+    """A self-check of this package failed.  Not a TcrError, so that it is
+    never reported as a domain error or a contract violation."""
+
+
+class CertificateFailed(InternalError):
+    """An exact LP optimum failed its independent primal-dual check."""

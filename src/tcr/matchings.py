@@ -229,7 +229,9 @@ def max_r_fractional(host, r: int, node_cap: int = 100_000) -> FractionalMatchin
         excluded = frozenset(e for e, u in upper.items() if u == 0)
         value, weights = lp.matching_lp(edges, vertex_caps=caps, lower=lower,
                                         upper=upper, excluded=excluded)
-        if value is None or value <= best_val:
+        # the objective counts 1/r units, so every integral solution below
+        # this node has value at most floor(value)
+        if value is None or value.numerator // value.denominator <= best_val:
             return
         frac = next((e for e in sorted(weights) if weights[e].denominator != 1), None)
         if frac is None:

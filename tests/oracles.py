@@ -2,7 +2,8 @@
 
 Nothing here imports the algorithms under test beyond plain data types:
 matchings come from bare include/exclude recursion, LP optima from basic
-solution enumeration, connectivity from BFS.  Deliberately simple and slow.
+solution enumeration and from a dense Fraction tableau, connectivity from
+BFS.  Deliberately simple and slow.
 """
 from __future__ import annotations
 
@@ -206,3 +207,74 @@ def edges_within_brute(edges, vertices) -> list:
     scan, sorted."""
     vs = set(vertices)
     return sorted(e for e in edges if vs.issuperset(e))
+
+
+def simplex_fraction_reference(c, rows, rhs, ties=None):
+    """Maximize c.x, rows[i].x <= rhs[i], x >= 0, on a dense Fraction
+    tableau with Bland's rule: the exact simplex as first written, kept as
+    the oracle that `lp.simplex_max` must agree with pivot for pivot.
+    Returns (value, x list); raises ValueError for rhs < 0 or unboundedness.
+    Each ratio-test tie is appended to `ties` as (entering column, row).
+    """
+    m = len(rows)
+    nv = len(c)
+    # tableau: m constraint rows + objective row; columns: nv vars, m slacks, rhs
+    width = nv + m + 1
+    tab = []
+    for i, row in enumerate(rows):
+        if rhs[i] < 0:
+            raise ValueError("simplex_max requires rhs >= 0")
+        t = [Fraction(x) for x in row] + [Fraction(0)] * m + [Fraction(rhs[i])]
+        t[nv + i] = Fraction(1)
+        tab.append(t)
+    obj = [-Fraction(x) for x in c] + [Fraction(0)] * (m + 1)
+    basis = [nv + i for i in range(m)]
+
+    while True:
+        enter = -1
+        for j in range(nv + m):
+            if obj[j] < 0:
+                enter = j
+                break
+        if enter < 0:
+            break
+        leave = -1
+        best = None
+        for i in range(m):
+            a = tab[i][enter]
+            if a > 0:
+                ratio = tab[i][-1] / a
+                if ratio == best and ties is not None:
+                    ties.append((enter, i))
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best = ratio
+                    leave = i
+        if leave < 0:
+            raise ValueError("unbounded linear program")
+        piv = tab[leave][enter]
+        prow = tab[leave]
+        if piv != Fraction(1):
+            for j in range(width):
+                if prow[j]:
+                    prow[j] /= piv
+        for i in range(m):
+            if i == leave:
+                continue
+            f = tab[i][enter]
+            if f:
+                row = tab[i]
+                for j in range(width):
+                    if prow[j]:
+                        row[j] -= f * prow[j]
+        f = obj[enter]
+        if f:
+            for j in range(width):
+                if prow[j]:
+                    obj[j] -= f * prow[j]
+        basis[leave] = enter
+
+    x = [Fraction(0)] * nv
+    for i, b in enumerate(basis):
+        if b < nv:
+            x[b] = tab[i][-1]
+    return obj[-1], x

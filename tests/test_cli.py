@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from tcr.cli import (EXIT_CAP, EXIT_CONTRACT, EXIT_OK, EXIT_USAGE,
+from tcr import lp
+from tcr.cli import (EXIT_CAP, EXIT_CONTRACT, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE,
                      parse_coloured_hypergraph, run,
                      serialize_coloured_hypergraph)
 from tcr.errors import ParseError
@@ -162,6 +163,8 @@ def test_cli_mu_rejects_nonpositive_beta(tmp_path, capsys, beta):
     (["blueprint", "check", "--in", "FILE", "--eps", "-1"], "--eps"),
     (["extremal", "parity", "--k", "4", "--n", "2", "--i", "7"], "--i"),
     (["extremal", "split", "--k", "4", "--n", "2", "--verify", "--len", "9"], "--len"),
+    (["extremal", "split", "--k", "1", "--n", "2"], "--k"),
+    (["extremal", "parity", "--k", "4", "--n", "0", "--i", "1"], "--n"),
 ])
 def test_cli_bad_parameter_value_is_usage_error(tmp_path, capsys, argv, name):
     path = tmp_path / "split.tcg"
@@ -171,6 +174,16 @@ def test_cli_bad_parameter_value_is_usage_error(tmp_path, capsys, argv, name):
     error = json.loads(out)["error"]
     assert error["kind"] == "UsageError"
     assert name in error["message"]
+
+
+def test_cli_failed_certificate_is_internal_error(tmp_path, capsys, monkeypatch):
+    """A failed self-check exits 4 with a JSON report, never 2."""
+    path = tmp_path / "split.tcg"
+    path.write_text(serialize_coloured_hypergraph(split_coloring(4, 2)[0]), encoding="utf-8")
+    monkeypatch.setattr(lp, "check_certificate", lambda *args: False)
+    code, out, _ = run_captured(capsys, ["match", "lp", "--in", str(path), "--component", "0"])
+    assert code == EXIT_INTERNAL
+    assert json.loads(out)["error"]["kind"] == "CertificateFailed"
 
 
 def test_cli_parse_failure_exit_code(tmp_path, capsys):

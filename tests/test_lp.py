@@ -1,0 +1,163 @@
+"""The fraction-free simplex against the Fraction tableau it replaced, and
+the dual certificate that every optimum carries."""
+import itertools
+import random
+from fractions import Fraction
+
+import pytest
+
+from oracles import simplex_fraction_reference
+from tcr import lp
+from tcr.errors import CertificateFailed, InternalError, TcrError
+from tcr.hypergraph import complete_kgraph
+from tcr.matchings import max_fractional_lp, max_r_fractional
+
+
+def random_lp(rng):
+    """A small LP with mixed signs, rational entries, degenerate rhs = 0
+    rows and, half the time, a positive multiple of one row (a ratio-test
+    tie whenever a column enters through both)."""
+    nv, m = rng.randint(1, 8), rng.randint(0, 7)
+
+    def entry():
+        r = rng.random()
+        if r < 0.4:
+            return 0
+        if r < 0.8:
+            return rng.randint(-2, 3)
+        return Fraction(rng.randint(-5, 7), rng.randint(1, 6))
+
+    c = [entry() for _ in range(nv)]
+    rows = [[entry() for _ in range(nv)] for _ in range(m)]
+    rhs = [rng.choice([0, 0, 1, 2, Fraction(rng.randint(0, 9), rng.randint(1, 4))])
+           for _ in range(m)]
+    if rows and rng.random() < 0.5:
+        i, s = rng.randrange(m), rng.choice([1, 2, Fraction(1, 3)])
+        rows.append([a * s for a in rows[i]])
+        rhs.append(rhs[i] * s)
+    if rhs and rng.random() < 0.05:
+        rhs[0] = -1
+    return c, rows, rhs
+
+
+def outcome(solver, c, rows, rhs):
+    try:
+        value, x = solver(c, rows, rhs)[:2]
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+    return (value, x)
+
+
+def test_simplex_agrees_with_fraction_reference():
+    """400 seeded LPs: the same value and vertex, exactly, or the same
+    ValueError; the pivot path is the reference's, ties included."""
+    kinds = {"optimal": 0, "unbounded": 0, "negative rhs": 0}
+    degenerate = tied = 0
+    for seed in range(400):
+        c, rows, rhs = random_lp(random.Random(seed))
+        ties = []
+        expected = outcome(lambda *lp_args: simplex_fraction_reference(*lp_args, ties=ties),
+                           c, rows, rhs)
+        degenerate += 0 in rhs
+        tied += bool(ties)
+        got = outcome(lp.simplex_max, c, rows, rhs)
+        assert got == expected, seed
+        if got[0] != "ValueError":
+            assert all(type(v) is Fraction for v in [got[0], *got[1]])
+            kinds["optimal"] += 1
+        else:
+            kinds["unbounded" if "unbounded" in got[1] else "negative rhs"] += 1
+    assert min(kinds.values()) >= 10, kinds
+    assert degenerate >= 100 and tied >= 50, (degenerate, tied)
+
+
+def vertex_rows(edges):
+    vertices = sorted({v for e in edges for v in e})
+    return [[1 if v in e else 0 for e in edges] for v in vertices]
+
+
+def test_k5_dual_is_the_quarter_weighting():
+    """The fractional matching LP of K_5^(4) has the unique dual 1/4 at
+    every vertex (each vertex lies in four of the five edges)."""
+    edges = complete_kgraph(4, 5).sorted_edges
+    value, x, y = lp.simplex_max([1] * 5, vertex_rows(edges), [1] * 5)
+    assert value == Fraction(5, 4)
+    assert y == [Fraction(1, 4)] * 5
+    assert sum(x) == value
+
+
+def test_check_certificate_rejects_perturbations():
+    edges = list(itertools.combinations(range(1, 8), 4))[:12]
+    c, rows, rhs = [1] * len(edges), vertex_rows(edges), [1] * len(vertex_rows(edges))
+    value, x, y = lp.simplex_max(c, rows, rhs)
+    assert lp.check_certificate(c, rows, rhs, value, x, y)
+    j = next(j for j, v in enumerate(x) if v)
+    i = next(i for i, w in enumerate(y) if w)
+    bumped_x = list(x)
+    bumped_x[j] += Fraction(1, 7)
+    lowered_x = list(x)
+    lowered_x[j] -= Fraction(1, 7)
+    lowered_y = list(y)
+    lowered_y[i] -= Fraction(1, 7)
+    raised_y = list(y)
+    raised_y[i] += Fraction(1, 7)
+    negative_x = list(x)
+    negative_x[next(j for j, v in enumerate(x) if not v)] = Fraction(-1, 3)
+    assert not lp.check_certificate(c, rows, rhs, value, bumped_x, y)
+    assert not lp.check_certificate(c, rows, rhs, value, lowered_x, y)
+    assert not lp.check_certificate(c, rows, rhs, value, negative_x, y)
+    assert not lp.check_certificate(c, rows, rhs, value, x, lowered_y)
+    assert not lp.check_certificate(c, rows, rhs, value, x, raised_y)
+    assert not lp.check_certificate(c, rows, rhs, value + 1, x, y)
+    assert not lp.check_certificate(c, rows, rhs, value, x, y[:-1])
+
+
+def test_check_certificate_rejects_shifted_mass():
+    """Moving weight between two entries keeps both objectives equal, so
+    only the feasibility checks can catch it (K5: x = y = 1/4 everywhere)."""
+    edges = complete_kgraph(4, 5).sorted_edges
+    c, rows, rhs = [1] * 5, vertex_rows(edges), [1] * 5
+    value, x, y = lp.simplex_max(c, rows, rhs)
+    shifted = [Fraction(0), Fraction(1, 2)] + [Fraction(1, 4)] * 3
+    assert sum(shifted) == value and sum(x) == value
+    assert lp.check_certificate(c, rows, rhs, value, x, y)
+    assert not lp.check_certificate(c, rows, rhs, value, shifted, y)
+    assert not lp.check_certificate(c, rows, rhs, value, x, shifted)
+
+
+def test_check_certificate_rejects_negative_entries():
+    """A negative entry that leaves every other condition intact."""
+    assert lp.simplex_max([1, 1], [[1, 1]], [1]) == (1, [1, 0], [1])
+    assert not lp.check_certificate([1, 1], [[1, 1]], [1], 1, [-1, 2], [1])
+    assert lp.simplex_max([1], [[1], [1]], [1, 2]) == (1, [1], [1, 0])
+    assert not lp.check_certificate([1], [[1], [1]], [1, 2], 1, [1], [3, -1])
+
+
+def test_every_simplex_result_is_certified(monkeypatch):
+    """Each simplex_max result is the one check_certificate accepted."""
+    checked, returned = [], []
+    check, solve = lp.check_certificate, lp.simplex_max
+
+    def recording_check(c, rows, rhs, value, x, y):
+        checked.append((value, list(x), list(y)))
+        return check(c, rows, rhs, value, x, y)
+
+    def recording_solve(c, rows, rhs):
+        result = solve(c, rows, rhs)
+        returned.append((result[0], list(result[1]), list(result[2])))
+        return result
+
+    monkeypatch.setattr(lp, "check_certificate", recording_check)
+    monkeypatch.setattr(lp, "simplex_max", recording_solve)
+    max_fractional_lp(complete_kgraph(4, 6).edges)
+    max_r_fractional(list(itertools.combinations(range(1, 8), 4))[:10], 2)
+    assert len(returned) >= 5
+    assert checked == returned
+
+
+def test_failed_certificate_is_an_internal_error(monkeypatch):
+    monkeypatch.setattr(lp, "check_certificate", lambda *args: False)
+    with pytest.raises(CertificateFailed) as info:
+        max_fractional_lp(complete_kgraph(4, 5).edges)
+    assert isinstance(info.value, InternalError)
+    assert not isinstance(info.value, (TcrError, ValueError))

@@ -9,6 +9,7 @@ from conftest import all_red, rand_coloured, split_edges
 from oracles import brute_max_matching, lp_vertex_enumeration
 from tcr.errors import NonEmptyIntersection, SearchCapExceeded, Unsupported
 from tcr.hypergraph import Colour, build, complete_kgraph
+from tcr.lp import matching_lp
 from tcr.matchings import (FractionalMatching, empty_intersection_matching,
                            from_matching, greedy_matching, max_fractional_lp,
                            max_matching_exact, max_r_fractional, mu_estimate,
@@ -199,6 +200,20 @@ def test_r_fractional_bounds(seed):
     integral = max_matching_exact(ch.graph.edges).size
     lp = lp_vertex_enumeration(ch.graph.edges)
     assert integral <= phi.weight() <= lp
+
+
+def test_r_fractional_120_random_edges_on_14_vertices():
+    """r = 3 on 120 random edges over 14 vertices: once a stalled case
+    (over 1,200 LP solves without finishing); the floor prune settles it."""
+    rng = random.Random(0)
+    edges = rng.sample(list(itertools.combinations(range(1, 15), 4)), 120)
+    phi = max_r_fractional(edges, 3)
+    ok, _ = validate_fractional(None, phi)
+    assert ok
+    assert phi.host == frozenset(edges)
+    assert all((w * 3).denominator == 1 for w in phi.weights.values())
+    lp_optimum, _ = matching_lp(sorted(edges))
+    assert len(greedy_matching(edges)) <= phi.weight() <= lp_optimum
 
 
 def test_mu_all_red_k8():
