@@ -46,27 +46,36 @@ def blueprint_eps_for_density(eps) -> Fraction:
 def pair_shadow_masks(decomp: TightDecomposition, k: int) -> dict:
     """component id -> {(k-2)-set: bitmask of z with set+z in the component's shadow}.
 
-    z completes a (k-2)-set into the shadow through an edge exactly when
-    both lie in that edge, so each edge contributes its complement bits to
-    every (k-2)-subset.  Computed once per decomposition and cached on it."""
+    Read off the decomposition's (k-1)-set buckets, not its edges: each
+    (k-1)-set q of a component's shadow sets bit v in the mask of q - v,
+    for each v in q.  Every (k-1)-set of the shadow lies in exactly one
+    component of its colour, so the masks are those an edge scan gives.
+    Computed once per decomposition and cached on it."""
     out = getattr(decomp, "_masks", None)
     if out is None:
-        out = {}
-        for cid, comp in enumerate(decomp.components):
-            masks = {}
-            get = masks.get
-            for e in comp:
-                full = 0
-                for v in e:
-                    full |= 1 << v
-                for pair in itertools.combinations(e, k - 2):
-                    pbits = 0
-                    for v in pair:
-                        pbits |= 1 << v
-                    masks[pair] = get(pair, 0) | (full ^ pbits)
-            out[cid] = masks
+        by_key = [{} for _ in decomp.components]
+        for first, buckets in decomp._buckets:
+            for q, local in buckets.items():
+                masks = by_key[first + local]
+                rest = q
+                while rest:
+                    bit = rest & -rest
+                    rest ^= bit
+                    masks[q ^ bit] = masks.get(q ^ bit, 0) | bit
+        out = {cid: {_vertices(key, k - 2): mask for key, mask in masks.items()}
+               for cid, masks in enumerate(by_key)}
         object.__setattr__(decomp, "_masks", out)
     return out
+
+
+def _vertices(mask: int, size: int) -> tuple:
+    """The `size` vertices of a vertex bitmask, ascending."""
+    out = []
+    for _ in range(size):
+        bit = mask & -mask
+        mask ^= bit
+        out.append(bit.bit_length() - 1)
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -217,7 +226,7 @@ def build_blueprint(CH: ColouredKGraph, eps, bp_eps=None) -> BlueprintBuild:
     keep = {}
     for colour in (Colour.RED, Colour.BLUE):
         pairs = [p for p, cid in chosen.items() if decomp.colour(cid) is colour]
-        for members in _component_sets(2, pairs):
+        for members in _component_sets(2, pairs)[0]:
             counts = {}
             for p in members:
                 counts[chosen[p]] = counts.get(chosen[p], 0) + 1
@@ -283,7 +292,7 @@ def trim_spanning_component(F: ColouredKGraph, eps) -> TrimResult:
         best = set()
         for colour in (Colour.RED, Colour.BLUE):
             mono = [e for e in edges if F.colour[e] is colour]
-            for comp in _component_sets(2, mono):
+            for comp in _component_sets(2, mono)[0]:
                 comp_vs = set(support_of(comp))
                 if comp_vs == kept:
                     return TrimResult(tuple(sorted(kept)), colour, tuple(comp),

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import operator
+import re
 import sys
 import time
 from dataclasses import asdict, is_dataclass
@@ -28,7 +30,7 @@ from . import extremal as extremal_mod
 from . import matchings as matchings_mod
 from .augment import AugmentationState, DriverParams, augment_once, initial_matching, run_driver
 from .errors import (ContractUnmet, HypothesisViolated, InconsistentWitness,
-                     InternalError, ParseError, SearchCapExceeded, SizeCapExceeded,
+                     InternalError, MalformedEdge, ParseError, SearchCapExceeded, SizeCapExceeded,
                      TcrError, Unsupported, UsageError)
 from .extremal import ProfileNotConstant, TargetSpec
 from .hypergraph import Colour, ColouredKGraph, build
@@ -44,21 +46,28 @@ PARAM_NAMES = ("eps", "gamma", "delta", "eta", "c")   # DriverParams, in order
 
 
 def parse_coloured_hypergraph(text: str) -> ColouredKGraph:
-    """Parse the tcg format; failures carry the offending line number."""
-    lines = text.split("\n")
-    meaningful = []
-    for lineno, raw in enumerate(lines, start=1):
+    """Parse the tcg format; failures carry the offending line number.
+
+    The parser checks what `build` cannot see (the colour letter, integer
+    tokens, strictly increasing order) and streams the edges into `build`,
+    which checks arity, range and repeats once; a malformed edge is reported
+    at its line.  Faults are reported in line order."""
+    lines = enumerate(text.split("\n"), start=1)
+    header = []
+    for lineno, raw in lines:
         stripped = raw.split("#", 1)[0].strip()
         if stripped:
-            meaningful.append((lineno, stripped))
-    if not meaningful:
+            header.append((lineno, stripped))
+            if len(header) == 2:
+                break
+    if not header:
         raise ParseError("empty input")
-    lineno, header = meaningful[0]
-    if header != "tcg 1":
-        raise ParseError(f"expected 'tcg 1' header, got {header!r}", lineno)
-    if len(meaningful) < 2:
+    lineno, first = header[0]
+    if first != "tcg 1":
+        raise ParseError(f"expected 'tcg 1' header, got {first!r}", lineno)
+    if len(header) < 2:
         raise ParseError("missing 'k=... n=...' line", lineno)
-    lineno, dims = meaningful[1]
+    lineno, dims = header[1]
     parts = dims.split()
     if (len(parts) != 2 or not parts[0].startswith("k=")
             or not parts[1].startswith("n=")):
@@ -68,23 +77,34 @@ def parse_coloured_hypergraph(text: str) -> ColouredKGraph:
         n = int(parts[1][2:])
     except ValueError:
         raise ParseError(f"non-integer dimensions in {dims!r}", lineno) from None
-    coloured = []
-    for lineno, line in meaningful[2:]:
-        fields = line.split()
-        if fields[0] not in ("R", "B"):
-            raise ParseError(f"colour must be R or B, got {fields[0]!r}", lineno)
-        if len(fields) != k + 1:
-            raise ParseError(f"expected {k} vertices, got {len(fields) - 1}", lineno)
-        try:
-            verts = [int(f) for f in fields[1:]]
-        except ValueError:
-            raise ParseError(f"non-integer vertex in {line!r}", lineno) from None
-        if any(a >= b for a, b in zip(verts, verts[1:])):
-            raise ParseError("vertices must be strictly increasing", lineno)
-        if verts[0] < 1 or verts[-1] > n:
-            raise ParseError(f"vertex outside [1, {n}]", lineno)
-        coloured.append((fields[0], tuple(verts)))
-    return build(k, n, coloured)
+    edge_line = None   # the line of the edge build is checking
+
+    def edges():
+        nonlocal edge_line
+        colours = {"R": Colour.RED, "B": Colour.BLUE}
+        for lineno, raw in lines:
+            fields = raw.split("#", 1)[0].split()
+            if not fields:
+                continue
+            colour = colours.get(fields[0])
+            if colour is None:
+                raise ParseError(f"colour must be R or B, got {fields[0]!r}", lineno)
+            try:
+                verts = tuple(map(int, fields[1:]))
+            except ValueError:
+                line = raw.split("#", 1)[0].strip()
+                raise ParseError(f"non-integer vertex in {line!r}", lineno) from None
+            if any(map(operator.ge, verts, verts[1:])):
+                raise ParseError("vertices must be strictly increasing", lineno)
+            edge_line = lineno
+            yield colour, verts
+
+    try:
+        return build(k, n, edges())
+    except MalformedEdge as exc:
+        if edge_line is None:   # the dimensions, before any edge
+            raise
+        raise ParseError(str(exc), edge_line) from None
 
 
 def serialize_coloured_hypergraph(CH: ColouredKGraph) -> str:
@@ -223,6 +243,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--N", type=int, required=True)
     sp.add_argument("--no-seeds", action="store_true",
                     help="skip the extremal-colouring fast path")
+    for sp in sub.choices.values():   # --timing is also accepted after the command
+        sp.add_argument("--timing", action="store_true", default=argparse.SUPPRESS,
+                        help=argparse.SUPPRESS)
     return p
 
 
@@ -363,13 +386,14 @@ def _cmd_extremal(args) -> dict:
 
 
 def _cmd_ramsey(args) -> dict:
-    kind = "cycle" if args.target.startswith("c") else "path"
-    if args.target[0] not in "cp":
-        raise ParseError(f"target must look like c6 or p5, got {args.target!r}")
-    try:
-        length = int(args.target[1:])
-    except ValueError:
-        raise ParseError(f"bad target length in {args.target!r}") from None
+    _require(args.k >= 2, f"--k must be >= 2, got {args.k}")
+    _require(args.N >= args.k, f"--N must be >= --k = {args.k}, got {args.N}")
+    form = re.fullmatch(r"([cp])([0-9]+)", args.target)
+    _require(form is not None, f"--target must look like c6 or p5, got {args.target!r}")
+    kind = "cycle" if form[1] == "c" else "path"
+    length, least = int(form[2]), args.k + 1 if kind == "cycle" else args.k
+    _require(length >= least,
+             f"--target {kind} length must be >= {least} for k = {args.k}, got {length}")
     res = extremal_mod.ramsey_search_tiny(args.k, TargetSpec(kind, length), args.N,
                                           allow_seeds=not args.no_seeds)
     out = {"all_coloured": res.all_coloured, "nodes": res.nodes,

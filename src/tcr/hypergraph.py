@@ -42,11 +42,13 @@ def canon_edge(vertices, k: int, n: int) -> Edge:
     e = tuple(sorted(vertices))
     if len(e) != k:
         raise MalformedEdge(f"edge {e} has arity {len(e)}, expected {k}")
-    for i, v in enumerate(e):
-        if not isinstance(v, int) or v < 1 or v > n:
+    prev = 0
+    for v in e:
+        if not isinstance(v, int) or v <= prev or v > n:
+            if isinstance(v, int) and 1 <= v <= n:   # equal to its sorted predecessor
+                raise MalformedEdge(f"edge {e}: repeated vertex {v}")
             raise MalformedEdge(f"edge {e}: vertex {v} outside [1, {n}]")
-        if i > 0 and e[i - 1] == v:
-            raise MalformedEdge(f"edge {e}: repeated vertex {v}")
+        prev = v
     return e
 
 
@@ -58,12 +60,14 @@ class KGraph:
     n: int
     edges: frozenset
 
-    def __post_init__(self):
-        object.__setattr__(self, "_sorted", tuple(sorted(self.edges)))
-
     @property
     def sorted_edges(self) -> tuple:
-        return self._sorted
+        """The edges in canonical order, sorted on first use."""
+        out = self.__dict__.get("_sorted")
+        if out is None:
+            out = tuple(sorted(self.edges))
+            object.__setattr__(self, "_sorted", out)
+        return out
 
     @property
     def m(self) -> int:
@@ -114,8 +118,13 @@ class ColouredKGraph:
         return KGraph(self.k, self.n, frozenset(self.edges_of(colour)))
 
     def swapped(self) -> "ColouredKGraph":
-        """The same graph with every edge colour flipped."""
-        return ColouredKGraph(self.graph, {e: c.opposite for e, c in self.colour.items()})
+        """The same graph with every edge colour flipped.  A monochromatic
+        decomposition already cached on this graph is carried across."""
+        out = ColouredKGraph(self.graph, {e: c.opposite for e, c in self.colour.items()})
+        decomp = getattr(self, "_components", None)
+        if decomp is not None:
+            object.__setattr__(out, "_components", decomp.swapped())
+        return out
 
 
 def build(k: int, n: int, coloured_edges) -> ColouredKGraph:
@@ -137,7 +146,10 @@ def build(k: int, n: int, coloured_edges) -> ColouredKGraph:
         if old is not None and old is not c:
             raise ConflictingColour(f"edge {e} given as both {old.value} and {c.value}")
         colour[e] = c
-    return ColouredKGraph(KGraph(k, n, frozenset(colour)), colour)
+    graph = KGraph(k, n, frozenset(colour))
+    # sorted from input order: linear time for a sorted input such as a tcg file
+    object.__setattr__(graph, "_sorted", tuple(sorted(colour)))
+    return ColouredKGraph(graph, colour)
 
 
 def degree_and_link(H: KGraph, S) -> tuple:

@@ -1,37 +1,21 @@
 """Tight walks, tight components, and exhaustive tight cycle/path search.
 
 Two edges are tightly adjacent when they share exactly k-1 vertices; tight
-components are the connected components of that relation, computed by
-union-find over the (k-1)-subset buckets of the edge set.  Cycle and path
-searches are exhaustive DFS with window pruning, so an Absent verdict is a
-proof of absence (with the explored-node count as certificate).
+components are the connected components of that relation, computed in one
+pass by an inlined union-find over the (k-1)-subset buckets of the edge
+set, each subset keyed by its vertex bitmask.  The pass also keeps the
+bucket map ((k-1)-set -> component) that the blueprint's shadow masks are
+read from.  Cycle and path searches are exhaustive DFS with window
+pruning, so an Absent verdict is a proof of absence (with the
+explored-node count as certificate).
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import SearchCapExceeded, UnknownEdge
 from .hypergraph import Colour, ColouredKGraph, KGraph, support_of
-
-
-class UnionFind:
-    def __init__(self, size: int):
-        self.parent = list(range(size))
-
-    def find(self, a: int) -> int:
-        root = a
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[a] != root:
-            self.parent[a], a = root, self.parent[a]
-        return root
-
-    def union(self, a: int, b: int):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
 
 
 def is_tight_walk(H: KGraph, seq) -> bool:
@@ -54,13 +38,17 @@ class TightDecomposition:
 
     Component ids are assigned in order of each component's smallest edge,
     so the decomposition is independent of input edge order.  colour_of is
-    populated only for monochromatic decompositions.
-    """
+    populated only for monochromatic decompositions, whose red components
+    come first.  _buckets holds, per colour class (one for a plain
+    decomposition), the class's first component id and its map from each
+    (k-1)-set of the shadow, as a vertex bitmask, to the local id of the
+    one component of the class whose edges contain it."""
 
     components: tuple  # tuple of frozensets of edges
     component_of: dict  # Edge -> component id
     colour_of: Optional[dict] = None  # component id -> Colour
     _sorted: tuple = field(default=(), repr=False, compare=False)  # canonical edge order
+    _buckets: tuple = field(default=(), repr=False, compare=False)  # ((first id, map), ...)
 
     def edges_of(self, cid: int) -> frozenset:
         return self.components[cid]
@@ -71,52 +59,87 @@ class TightDecomposition:
     def colour(self, cid: int) -> Optional[Colour]:
         return None if self.colour_of is None else self.colour_of[cid]
 
+    def swapped(self) -> "TightDecomposition":
+        """The decomposition of the colour-swapped graph: the blue
+        components become the first ids, as a fresh analysis numbers them."""
+        (_, red), (blues, blue) = self._buckets
+        order = list(range(blues, len(self.components))) + list(range(blues))
+        colour_of = {new: self.colour_of[old].opposite for new, old in enumerate(order)}
+        return _decomposition([self._sorted[old] for old in order], colour_of,
+                              ((0, blue), (len(order) - blues, red)))
 
-def _component_sets(k: int, edges) -> list:
-    """Group edges by tight connectivity: one canonically ordered edge list
-    per component, the lists ordered by their smallest edge.
 
-    Two edges are adjacent iff they share a (k-1)-subset, so unioning every
-    edge into its subsets' buckets realizes the transitive closure (for
-    k = 2: the connected components of a graph)."""
+def _component_sets(k: int, edges) -> tuple:
+    """Group edges by tight connectivity in one pass.
+
+    Returns (groups, buckets): one canonically ordered edge list per
+    component, the lists ordered by their smallest edge, and the map from
+    each (k-1)-subset, keyed by its vertex bitmask mask ^ (1 << v), to the
+    index of the group whose edges contain it.  Two edges are adjacent iff
+    they share a (k-1)-subset, so unioning every edge with the first edge
+    of each of its subsets' buckets realizes the transitive closure (for
+    k = 2: the connected components of a graph).  The union-find halves
+    paths and keeps the smaller root, so every parent precedes its child
+    and a group's root is its smallest edge."""
     es = sorted(edges)
-    uf = UnionFind(len(es))
+    parent = list(range(len(es)))
     first_of = {}
     for i, e in enumerate(es):
-        for sub in itertools.combinations(e, k - 1):
-            prev = first_of.get(sub)
-            if prev is None:
-                first_of[sub] = i
-            else:
-                uf.union(prev, i)
-    groups = {}
+        full = 0
+        for v in e:
+            full |= 1 << v
+        root = i
+        for v in e:
+            j = first_of.setdefault(full ^ (1 << v), i)
+            if j == i:
+                continue
+            while parent[j] != j:
+                parent[j] = j = parent[parent[j]]
+            if j < root:
+                parent[root] = j
+                root = j
+            elif j > root:
+                parent[j] = root
+    # parent[i] <= i, so one pass in index order can overwrite each parent
+    # pointer with the group index of its edge
+    group_of = parent
+    groups = []
     for i, e in enumerate(es):
-        groups.setdefault(uf.find(i), []).append(e)
-    return list(groups.values())
+        if group_of[i] == i:
+            group_of[i] = len(groups)
+            groups.append([e])
+        else:
+            group_of[i] = group_of[group_of[i]]
+            groups[group_of[i]].append(e)
+    return groups, {key: group_of[i] for key, i in first_of.items()}
 
 
-def _decomposition(comps, colour_of=None) -> TightDecomposition:
+def _decomposition(comps, colour_of=None, buckets=()) -> TightDecomposition:
     component_of = {e: cid for cid, comp in enumerate(comps) for e in comp}
     return TightDecomposition(tuple(frozenset(c) for c in comps), component_of,
-                              colour_of, tuple(tuple(c) for c in comps))
+                              colour_of, tuple(tuple(c) for c in comps), tuple(buckets))
 
 
 def tight_components(H: KGraph) -> TightDecomposition:
-    return _decomposition(_component_sets(H.k, H.edges))
+    comps, buckets = _component_sets(H.k, H.edges)
+    return _decomposition(comps, buckets=((0, buckets),))
 
 
 def monochromatic_components(CH: ColouredKGraph) -> TightDecomposition:
     """Tight components of the red and blue subgraphs, red components first.
-    Computed once per graph and cached on it, so every consumer shares it."""
+    Computed once per graph and cached on it, so every consumer shares it.
+    Each colour class keeps its own bucket map: a (k-1)-set can lie in a
+    red and in a blue edge at once."""
     decomp = getattr(CH, "_components", None)
     if decomp is None:
-        comps = []
-        colour_of = {}
+        comps, colour_of, buckets = [], {}, []
         for colour in (Colour.RED, Colour.BLUE):
-            for comp in _component_sets(CH.k, CH.edges_of(colour)):
+            groups, first_of = _component_sets(CH.k, CH.edges_of(colour))
+            buckets.append((len(comps), first_of))
+            for comp in groups:
                 colour_of[len(comps)] = colour
                 comps.append(comp)
-        decomp = _decomposition(comps, colour_of)
+        decomp = _decomposition(comps, colour_of, buckets)
         object.__setattr__(CH, "_components", decomp)
     return decomp
 

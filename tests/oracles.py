@@ -3,7 +3,9 @@
 Nothing here imports the algorithms under test beyond plain data types:
 matchings come from bare include/exclude recursion, LP optima from basic
 solution enumeration and from a dense Fraction tableau, connectivity from
-BFS.  Deliberately simple and slow.
+BFS, shadow masks from subset tests over all (k-2)-sets.  The reference
+tcg parser uses only `hypergraph.build` for construction.  Deliberately
+simple and slow.
 """
 from __future__ import annotations
 
@@ -207,6 +209,73 @@ def edges_within_brute(edges, vertices) -> list:
     scan, sorted."""
     vs = set(vertices)
     return sorted(e for e in edges if vs.issuperset(e))
+
+
+def shadow_masks_brute(component_edges, k) -> dict:
+    """{(k-2)-set: bitmask}: bit z is set iff the (k-2)-set plus z lies
+    inside some edge of the component; (k-2)-sets with no such z are left
+    out.  Every (k-2)-set of the support against every z, by subset tests."""
+    edges = [set(e) for e in component_edges]
+    support = sorted(set().union(*edges)) if edges else []
+    out = {}
+    for pair in itertools.combinations(support, k - 2):
+        mask = 0
+        for z in support:
+            if z not in pair and any(e.issuperset(pair + (z,)) for e in edges):
+                mask |= 1 << z
+        if mask:
+            out[pair] = mask
+    return out
+
+
+def parse_reference(text: str):
+    """The tcg parser as first written: every meaningful line is collected
+    and checked (colour letter, arity, integers, strictly increasing, range)
+    before the edges go to `build`, which checks them again.  The oracle
+    that `cli.parse_coloured_hypergraph` must agree with."""
+    from tcr.errors import ParseError
+    from tcr.hypergraph import build
+
+    lines = text.split("\n")
+    meaningful = []
+    for lineno, raw in enumerate(lines, start=1):
+        stripped = raw.split("#", 1)[0].strip()
+        if stripped:
+            meaningful.append((lineno, stripped))
+    if not meaningful:
+        raise ParseError("empty input")
+    lineno, header = meaningful[0]
+    if header != "tcg 1":
+        raise ParseError(f"expected 'tcg 1' header, got {header!r}", lineno)
+    if len(meaningful) < 2:
+        raise ParseError("missing 'k=... n=...' line", lineno)
+    lineno, dims = meaningful[1]
+    parts = dims.split()
+    if (len(parts) != 2 or not parts[0].startswith("k=")
+            or not parts[1].startswith("n=")):
+        raise ParseError(f"expected 'k=<int> n=<int>', got {dims!r}", lineno)
+    try:
+        k = int(parts[0][2:])
+        n = int(parts[1][2:])
+    except ValueError:
+        raise ParseError(f"non-integer dimensions in {dims!r}", lineno) from None
+    coloured = []
+    for lineno, line in meaningful[2:]:
+        fields = line.split()
+        if fields[0] not in ("R", "B"):
+            raise ParseError(f"colour must be R or B, got {fields[0]!r}", lineno)
+        if len(fields) != k + 1:
+            raise ParseError(f"expected {k} vertices, got {len(fields) - 1}", lineno)
+        try:
+            verts = [int(f) for f in fields[1:]]
+        except ValueError:
+            raise ParseError(f"non-integer vertex in {line!r}", lineno) from None
+        if any(a >= b for a, b in zip(verts, verts[1:])):
+            raise ParseError("vertices must be strictly increasing", lineno)
+        if verts[0] < 1 or verts[-1] > n:
+            raise ParseError(f"vertex outside [1, {n}]", lineno)
+        coloured.append((fields[0], tuple(verts)))
+    return build(k, n, coloured)
 
 
 def simplex_fraction_reference(c, rows, rhs, ties=None):

@@ -6,6 +6,7 @@ of one graph is decomposed twice.  `tight._component_sets` is counted per
 (graph object, edge list): a count above 1 means some consumer recomputed
 the analysis instead of sharing it.
 """
+import itertools
 import sys
 from collections import Counter
 
@@ -15,6 +16,7 @@ from tcr import tight
 from tcr.augment import DriverParams, run_driver
 from tcr.cli import run, serialize_coloured_hypergraph
 from tcr.extremal import split_coloring
+from tcr.hypergraph import build
 
 
 @pytest.fixture
@@ -52,5 +54,16 @@ def test_run_driver_decomposes_each_colour_class_once(decompositions):
     CH = split_coloring(4, 3)[0]
     run_driver(CH, DriverParams(), 7)
     run_driver(CH, DriverParams(), 8)
+    assert len(decompositions) == 2
+    assert set(decompositions.values()) == {1}
+
+
+def test_swapped_graph_reuses_the_analysis(decompositions):
+    """A blue spanning component makes run_driver work on CH.swapped(),
+    which carries CH's decomposition across instead of recomputing it."""
+    CH = build(4, 24, [("R" if sum(v <= 12 for v in e) >= 3 else "B", e)
+                       for e in itertools.combinations(range(1, 25), 4)])
+    rep = run_driver(CH, DriverParams(), 7)
+    assert rep.colour_swapped
     assert len(decompositions) == 2
     assert set(decompositions.values()) == {1}

@@ -6,12 +6,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import all_red, near_complete_coloured, split_edges
+from conftest import (all_red, complete_random_coloured, near_complete_coloured,
+                      rand_coloured, split_edges)
+from oracles import shadow_masks_brute
 from tcr.blowup import blow_up
 from tcr.blueprint import (blueprint_blowup, blueprint_eps_for_density,
                            build_blueprint, check_blueprint, compute_B_W,
                            good_edges, is_good, is_suitable_pair, local_pivot,
-                           make_blueprint, rational_sqrt_upper,
+                           make_blueprint, pair_shadow_masks, rational_sqrt_upper,
                            sample_suitable_pairs, trim_spanning_component)
 from tcr.errors import HypothesisViolated
 from tcr.hypergraph import Colour, build
@@ -47,6 +49,26 @@ def test_check_consistency_violation():
     bp = make_blueprint(ch, Fraction(9, 10), {(1, 2): 0, (1, 5): 1})
     res = check_blueprint(ch, bp)
     assert any(v["kind"] == "consistency" for v in res.violations)
+
+
+@pytest.mark.parametrize("k, n", [(3, 7), (4, 8), (5, 8)])
+@pytest.mark.parametrize("seed", range(4))
+def test_pair_shadow_masks_match_brute_force_oracle(k, n, seed):
+    """Masks read off the (k-1)-set buckets equal the subset-test oracle for
+    every component, on sparse random colourings and on complete ones,
+    where most (k-1)-sets lie in a red and in a blue edge at once."""
+    rng = random.Random(seed)
+    sparse = rand_coloured(k, n, rng.randint(1, 20), rng)
+    dense = complete_random_coloured(k, n, rng)
+    shadows = [{q for e in dense.edges_of(c) for q in itertools.combinations(e, k - 1)}
+               for c in (Colour.RED, Colour.BLUE)]
+    assert shadows[0] & shadows[1]
+    for ch in (sparse, dense):
+        decomp = monochromatic_components(ch)
+        masks = pair_shadow_masks(decomp, k)
+        assert sorted(masks) == list(range(len(decomp.components)))
+        for cid, comp in enumerate(decomp.components):
+            assert masks[cid] == shadow_masks_brute(comp, k)
 
 
 def test_check_ignores_forged_masks():

@@ -1,14 +1,18 @@
+import itertools
 import json
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from oracles import parse_reference
 from tcr import lp
 from tcr.cli import (EXIT_CAP, EXIT_CONTRACT, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE,
                      parse_coloured_hypergraph, run,
                      serialize_coloured_hypergraph)
 from tcr.errors import ParseError
 from tcr.extremal import split_coloring
-from tcr.hypergraph import Colour
+from tcr.hypergraph import Colour, build
 
 
 def run_captured(capsys, argv):
@@ -48,6 +52,95 @@ def test_round_trip_on_split_file():
     again = parse_coloured_hypergraph(text)
     assert serialize_coloured_hypergraph(again) == text
     assert again.colour == ch.colour
+
+
+CORRUPTIONS = ("none", "letter", "arity_short", "arity_long", "non_integer",
+               "out_of_range", "unsorted", "repeated", "conflict", "header")
+
+
+def tcg_text(rng, corruption):
+    """A random tcg text with comments, blank lines and indentation, and
+    at most one corrupted line."""
+    k = rng.randint(2, 5)
+    n = rng.randint(k, 9)
+    pool = list(itertools.combinations(range(1, n + 1), k))
+    edges = rng.sample(pool, rng.randint(0, min(len(pool), 25)))
+    lines = [[rng.choice("RB"), *map(str, e)] for e in edges]
+    if lines and rng.random() < 0.3:   # a repeat with its own colour is accepted
+        lines.append(list(rng.choice(lines)))
+    if corruption == "conflict" and lines:
+        twin = list(rng.choice(lines))
+        twin[0] = "B" if twin[0] == "R" else "R"
+        lines.insert(rng.randint(0, len(lines)), twin)
+    elif corruption not in ("none", "header", "conflict") and lines:
+        bad = rng.choice(lines)
+        if corruption == "letter":
+            bad[0] = rng.choice(["G", "r", "RB", "1"])
+        elif corruption == "arity_short":
+            del bad[rng.randint(1, k)]
+        elif corruption == "arity_long":
+            bad.append(str(n + rng.randint(1, 3)))
+        elif corruption == "non_integer":
+            bad[rng.randint(1, k)] = rng.choice(["x", "1.5", "?", "--"])
+        elif corruption == "out_of_range":
+            if rng.random() < 0.5:
+                bad[-1] = str(n + rng.randint(1, 3))
+            else:
+                bad[1] = str(-rng.randint(0, 2))
+        elif corruption == "unsorted":
+            bad[1], bad[2] = bad[2], bad[1]
+        elif corruption == "repeated":
+            bad[2] = bad[1]
+    body = [" ".join(fields) for fields in lines]
+    header = ["tcg 1", f"k={k} n={n}"]
+    if corruption == "header":
+        header[rng.randint(0, 1)] = rng.choice(["tcg 2", f"k={k}", f"k=x n={n}", "n=4 k=4"])
+    out = []
+    for line in header + body:
+        while rng.random() < 0.15:
+            out.append(rng.choice(["", "# comment", "   ", "  # R 1 2"]))
+        if rng.random() < 0.2:
+            line = "  " + line + "  # note"
+        out.append(line)
+    return "\n".join(out) + rng.choice(["\n", "", "\n\n"])
+
+
+def outcome(parse, text):
+    try:
+        CH = parse(text)
+    except Exception as exc:   # the class and line are compared, not caught
+        return type(exc), getattr(exc, "line", None)
+    return CH.k, CH.n, CH.colour
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(0, 10**9), st.sampled_from(CORRUPTIONS))
+def test_parser_agrees_with_reference_parser(seed, corruption):
+    """On random tcg texts with at most one corrupted line, the parser
+    accepts exactly what the reference parser accepts, builds an equal
+    graph, and raises the same error class at the same line."""
+    text = tcg_text(random.Random(seed), corruption)
+    expected = outcome(parse_reference, text)
+    assert outcome(parse_coloured_hypergraph, text) == expected
+    if corruption not in ("none", "header", "conflict") and expected[0] is ParseError:
+        assert expected[1] is not None
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10**9))
+def test_parse_serialize_round_trip(seed):
+    """serialize(parse(text)) is the canonical text of the same graph, and
+    parsing it again gives the graph back."""
+    rng = random.Random(seed)
+    text = tcg_text(rng, "none")
+    ch = parse_coloured_hypergraph(text)
+    canonical = serialize_coloured_hypergraph(ch)
+    again = parse_coloured_hypergraph(canonical)
+    assert (again.k, again.n, again.colour) == (ch.k, ch.n, ch.colour)
+    assert again.graph == ch.graph
+    assert serialize_coloured_hypergraph(again) == canonical
+    direct = build(ch.k, ch.n, [(c, e) for e, c in ch.colour.items()])
+    assert serialize_coloured_hypergraph(direct) == canonical
 
 
 def test_cli_extremal_split_verify(capsys):
@@ -165,6 +258,14 @@ def test_cli_mu_rejects_nonpositive_beta(tmp_path, capsys, beta):
     (["extremal", "split", "--k", "4", "--n", "2", "--verify", "--len", "9"], "--len"),
     (["extremal", "split", "--k", "1", "--n", "2"], "--k"),
     (["extremal", "parity", "--k", "4", "--n", "0", "--i", "1"], "--n"),
+    (["ramsey", "--k", "2", "--target", "c1", "--N", "6"], "--target"),
+    (["ramsey", "--k", "2", "--target", "c2", "--N", "6"], "--target"),
+    (["ramsey", "--k", "2", "--target", "p1", "--N", "6"], "--target"),
+    (["ramsey", "--k", "2", "--target", "x1", "--N", "6"], "--target"),
+    (["ramsey", "--k", "2", "--target", "c", "--N", "6"], "--target"),
+    (["ramsey", "--k", "2", "--target", "", "--N", "6"], "--target"),
+    (["ramsey", "--k", "0", "--target", "c3", "--N", "6"], "--k"),
+    (["ramsey", "--k", "4", "--target", "c5", "--N", "3"], "--N"),
 ])
 def test_cli_bad_parameter_value_is_usage_error(tmp_path, capsys, argv, name):
     path = tmp_path / "split.tcg"
@@ -268,3 +369,22 @@ def test_cli_timing_flag_controls_field(tmp_path, capsys):
     assert json.loads(out)["timing_ms"] is None
     _, out, _ = run_captured(capsys, ["--timing", "components", "--in", str(path)])
     assert json.loads(out)["timing_ms"] is not None
+
+
+def test_cli_timing_after_the_command(tmp_path, capsys):
+    """--timing is accepted after the subcommand as well and stays out of
+    the report's inputs; the rest of the report is unchanged."""
+    ch, _ = split_coloring(4, 3)
+    path = tmp_path / "split13.tcg"
+    path.write_text(serialize_coloured_hypergraph(ch), encoding="utf-8")
+    argv = ["driver", "--in", str(path), "--seed", "7"]
+    reports = []
+    for extra_before, extra_after in (([], []), ([], ["--timing"]), (["--timing"], [])):
+        code, out, _ = run_captured(capsys, extra_before + argv + extra_after)
+        assert code == EXIT_OK
+        reports.append(json.loads(out))
+    assert reports[0]["timing_ms"] is None
+    for report in reports[1:]:
+        assert isinstance(report["timing_ms"], int)
+        assert "timing" not in report["inputs"]
+        assert dict(report, timing_ms=None) == reports[0]

@@ -7,10 +7,12 @@ from hypothesis import given, settings, strategies as st
 from conftest import all_red, rand_coloured, split_edges
 from oracles import (bfs_tight_walk, brute_components, verify_cycle_witness,
                      verify_path_witness)
+from tcr.blueprint import pair_shadow_masks
 from tcr.errors import SearchCapExceeded, UnknownEdge
-from tcr.hypergraph import Colour, KGraph, build, complete_kgraph
-from tcr.tight import (Absent, cycle_windows, find_tight_cycle, find_tight_path,
-                       is_tight_walk, monochromatic_components, tight_components)
+from tcr.hypergraph import Colour, ColouredKGraph, KGraph, build, complete_kgraph
+from tcr.tight import (Absent, _component_sets, cycle_windows, find_tight_cycle,
+                       find_tight_path, is_tight_walk, monochromatic_components,
+                       tight_components)
 
 
 def cycle_edge_set(n, k):
@@ -67,6 +69,38 @@ def test_components_match_bfs_oracle_and_are_order_independent(seed):
     rng.shuffle(shuffled)
     d2 = tight_components(KGraph(4, 9, frozenset(shuffled)))
     assert d2.components == d.components
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10_000))
+def test_component_sets_k2_match_bfs_oracle(seed):
+    """With k = 2 the int-keyed routine gives the connected components of a
+    graph, and its bucket map sends each vertex to its component."""
+    rng = random.Random(seed)
+    pool = list(itertools.combinations(range(1, 13), 2))
+    edges = rng.sample(pool, rng.randint(0, 20))
+    groups, buckets = _component_sets(2, edges)
+    assert [frozenset(g) for g in groups] == brute_components(2, edges)
+    assert all(g == sorted(g) for g in groups)
+    assert buckets == {1 << v: cid for cid, g in enumerate(groups) for e in g for v in e}
+
+
+def test_swapped_graph_carries_its_decomposition():
+    """CH.swapped() of an analysed graph carries the decomposition across,
+    equal to a fresh analysis of the swapped colouring, masks included."""
+    rng = random.Random(3)
+    ch = rand_coloured(4, 9, 60, rng)
+    original = monochromatic_components(ch)
+    carried = monochromatic_components(ch.swapped())
+    fresh_graph = ColouredKGraph(ch.graph, {e: c.opposite for e, c in ch.colour.items()})
+    fresh = monochromatic_components(fresh_graph)
+    assert carried is not fresh and carried is not original
+    assert carried == fresh   # components, component_of, colour_of
+    assert carried._sorted == fresh._sorted
+    assert pair_shadow_masks(carried, 4) == pair_shadow_masks(fresh, 4)
+    reds = sum(c is Colour.RED for c in original.colour_of.values())
+    assert carried.edges_of(0) == original.edges_of(reds)   # the first blue one
+    assert carried.colour(0) is Colour.RED
 
 
 @settings(max_examples=15, deadline=None)
