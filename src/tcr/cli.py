@@ -77,6 +77,8 @@ def parse_coloured_hypergraph(text: str) -> ColouredKGraph:
         n = int(parts[1][2:])
     except ValueError:
         raise ParseError(f"non-integer dimensions in {dims!r}", lineno) from None
+    if k < 2 or n < k:
+        raise ParseError(f"need k >= 2 and n >= k, got {dims!r}", lineno)
     edge_line = None   # the line of the edge build is checking
 
     def edges():
@@ -102,8 +104,6 @@ def parse_coloured_hypergraph(text: str) -> ColouredKGraph:
     try:
         return build(k, n, edges())
     except MalformedEdge as exc:
-        if edge_line is None:   # the dimensions, before any edge
-            raise
         raise ParseError(str(exc), edge_line) from None
 
 

@@ -1,20 +1,23 @@
-"""Exact rational simplex for small linear programs.
+"""Exact rational revised simplex for small linear programs.
 
 Solves max c.x subject to A x <= b, x >= 0 with b >= 0 (so the slack basis
-is feasible and no phase-1 is needed).  Bland's rule guarantees termination.
-The tableau is fraction-free (integer-preserving elimination, Bareiss 1968):
-every row, the objective row included, is a list of Python ints over one
-positive row denominator, and a pivot scales rows by the pivot entry and
-divides out their gcd.  Fractions are built only for the optimum.  Every
-optimum comes with the dual y read off the objective row, and
-`check_certificate` verifies (x, y) with its own arithmetic before it is
-returned, as QSopt_ex does (Applegate-Cook-Dash-Espinoza 2007); a failed
-check raises CertificateFailed, an internal error.
+is feasible and no phase-1 is needed), where A is given by sparse columns.
+Bland's rule guarantees termination.  Each row of A and b is scaled to
+integers, and the basis inverse is kept fraction-free (Edmonds 1967;
+Bareiss 1968) as the integer adjugate M of the basis B over D = det B > 0:
+a pivot on entry p in row r replaces each other row M_i by
+(p * M_i - alpha_i * M_r) // D, an exact division, and sets D = p.  The
+duals Y = c_B M price each column from its own non-zero entries, so no
+eliminated column is ever stored.  Fractions are built only for the
+optimum.  Every optimum comes with its dual y, and `check_certificate`
+verifies (x, y) by pricing the columns with its own arithmetic before it
+is returned, as QSopt_ex does (Applegate-Cook-Dash-Espinoza 2007); a
+failed check raises CertificateFailed, an internal error.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 from .errors import CertificateFailed
 
@@ -28,43 +31,62 @@ def _integer_row(values):
     return [v.numerator * (d // v.denominator) for v in values], d
 
 
-def simplex_max(c, rows, rhs):
-    """Maximize c.x, rows[i].x <= rhs[i], x >= 0.
+def simplex_max(c, columns, rhs):
+    """Maximize c.x, A.x <= rhs, x >= 0, where column j of A is the list
+    columns[j] of its non-zero entries as (row, value) pairs.
 
-    c: list of rationals (length nv); rows: list of lists; rhs: list of
-    rationals, all >= 0.  Returns (value, x, y): the optimum, a primal
-    optimal vertex and a dual optimal y (one entry per row), all Fractions,
-    verified by `check_certificate`.  Raises ValueError for a negative rhs
-    or an unbounded program.
+    c: list of rationals (length nv); rhs: list of rationals, all >= 0, one
+    per row.  Returns (value, x, y): the optimum, a primal optimal vertex
+    and a dual optimal y (one entry per row), all Fractions, verified by
+    `check_certificate`.  Raises ValueError for a negative rhs or an
+    unbounded program.  Entering column: the first improving one, structural
+    columns before slacks; leaving row: the least ratio, ties to the smaller
+    basis index.
     """
-    m = len(rows)
+    m = len(rhs)
     nv = len(c)
-    # columns: nv vars, m slacks, rhs; row i's true entries are tab[i][j] / den[i]
-    tab = []
-    den = []
-    for i, row in enumerate(rows):
-        if rhs[i] < 0:
-            raise ValueError("simplex_max requires rhs >= 0")
-        ints, d = _integer_row(list(row) + [rhs[i]])
-        slacks = [0] * m
-        slacks[i] = d
-        tab.append(ints[:-1] + slacks + ints[-1:])
-        den.append(d)
-    ints, obj_den = _integer_row(c)
-    obj = [-v for v in ints] + [0] * (m + 1)
+    if any(b < 0 for b in rhs):
+        raise ValueError("simplex_max requires rhs >= 0")
+    # row i, its rhs and its slack variable are scaled by den[i], so every
+    # basis is an integer matrix; the pivot path and x are unchanged, and
+    # y_i is scaled back by den[i] at the end
+    den = [b.denominator for b in rhs]
+    for col in columns:
+        for i, a in col:
+            if a.denominator != 1:
+                den[i] = lcm(den[i], a.denominator)
+    cols = [[(i, a.numerator * (den[i] // a.denominator)) for i, a in col]
+            for col in columns]
+    cost, cost_den = _integer_row(c)
+    # rows[i] = (M_i, beta_i) with beta = M b; obj = (Y, z) with z = Y b
+    rows = [[0] * i + [1] + [0] * (m - i - 1) + [b.numerator * (d // b.denominator)]
+            for i, (b, d) in enumerate(zip(rhs, den))]
+    obj = [0] * (m + 1)
+    D = 1
     basis = [nv + i for i in range(m)]
 
     while True:
-        enter = next((j for j in range(nv + m) if obj[j] < 0), -1)
-        if enter < 0:
-            break
-        # least ratio rhs_i / a_i (the row denominators cancel), ties to the
-        # smaller basis index
+        # price: the reduced cost of column j is (cost_j * D - Y.A_j) / D
+        for enter, col in enumerate(cols):
+            g = cost[enter] * D
+            for i, a in col:
+                g -= obj[i] * a
+            if g > 0:
+                alpha = [sum(row[i] * a for i, a in col) for row in rows]
+                break
+        else:
+            enter = next((i for i in range(m) if obj[i] < 0), -1)
+            if enter < 0:
+                break
+            g = -obj[enter]
+            alpha = [row[enter] for row in rows]
+            enter += nv
+        # least ratio beta_i / alpha_i (D cancels), ties to the smaller
+        # basis index
         leave = -1
-        for i in range(m):
-            a = tab[i][enter]
+        for i, a in enumerate(alpha):
             if a > 0:
-                b = tab[i][-1]
+                b = rows[i][-1]
                 if leave < 0:
                     leave, best_a, best_b = i, a, b
                     continue
@@ -73,70 +95,59 @@ def simplex_max(c, rows, rhs):
                     leave, best_a, best_b = i, a, b
         if leave < 0:
             raise ValueError("unbounded linear program")
-        prow = tab[leave]
-        g = gcd(*prow)
-        if g > 1:
-            prow = [v // g for v in prow]
-            tab[leave] = prow
-        p = prow[enter]
-        den[leave] = p
-        for i in range(m):
-            f = tab[i][enter]
-            if f and i != leave:
-                tab[i], den[i] = _eliminate(tab[i], den[i], prow, p, f)
-        f = obj[enter]
-        if f:
-            obj, obj_den = _eliminate(obj, obj_den, prow, p, f)
+        prow = rows[leave]
+        p = alpha[leave]
+        for i, f in enumerate(alpha):
+            if i != leave:
+                rows[i] = _pivot(rows[i], f, prow, p, D)
+        obj = _pivot(obj, -g, prow, p, D)
+        D = p
         basis[leave] = enter
 
     x = [ZERO] * nv
-    for i, b in enumerate(basis):
+    for row, b in zip(rows, basis):
         if b < nv:
-            x[b] = Fraction(tab[i][-1], den[i])
-    value = Fraction(obj[-1], obj_den)
-    y = [Fraction(v, obj_den) if v else ZERO for v in obj[nv:nv + m]]
-    if not check_certificate(c, rows, rhs, value, x, y):
+            x[b] = Fraction(row[-1], D)
+    value = Fraction(obj[-1], D * cost_den)
+    y = [Fraction(w * d, D * cost_den) if w else ZERO for w, d in zip(obj, den)]
+    if not check_certificate(c, columns, rhs, value, x, y):
         raise CertificateFailed(f"simplex optimum {value} failed its dual certificate")
     return value, x, y
 
 
-def _eliminate(row, d, prow, p, f):
-    """row / d minus f / d times the pivot row prow / p, whose entry in the
-    pivot column is 1: (row * p - f * prow) / (d * p), reduced by the gcd."""
-    new = [r * p - f * q for r, q in zip(row, prow)]
-    d *= p
-    g = gcd(d, *new)
-    if g > 1:
-        new = [v // g for v in new]
-        d //= g
-    return new, d
+def _pivot(row, f, prow, p, D):
+    """The row of the next adjugate: (p * row - f * prow) // D, exact."""
+    if f:
+        return [(p * u - f * v) // D for u, v in zip(row, prow)]
+    if p == D:
+        return row
+    return [p * u // D for u in row]
 
 
-def check_certificate(c, rows, rhs, value, x, y) -> bool:
-    """Whether x and y are optimal for max c.x, rows.x <= rhs, x >= 0 and its
-    dual, with objective `value`: x is primal feasible, y is dual feasible
-    (y >= 0 and y.rows >= c) and c.x = rhs.y = value, so weak duality proves
-    both optimal.  Exact arithmetic on x and y brought to a common
-    denominator each, over the non-zero entries only."""
-    if len(x) != len(c) or len(y) != len(rows):
+def check_certificate(c, columns, rhs, value, x, y) -> bool:
+    """Whether x and y are optimal for max c.x, A.x <= rhs, x >= 0 (A given
+    by `columns` as in `simplex_max`) and its dual, with objective `value`:
+    x is primal feasible, y is dual feasible (y >= 0 and y.A_j >= c_j for
+    every column j) and c.x = rhs.y = value, so weak duality proves both
+    optimal.  Exact arithmetic on x and y brought to a common denominator
+    each; each column is priced from its non-zero entries."""
+    if len(x) != len(c) or len(columns) != len(c) or len(y) != len(rhs):
         return False
     if any(v < 0 for v in x) or any(w < 0 for w in y):
         return False
     x, dx = _integer_row(x)
     y, dy = _integer_row(y)
-    support = [(j, v) for j, v in enumerate(x) if v]
-    for row, b in zip(rows, rhs):
-        if sum(row[j] * v for j, v in support) > b * dx:
-            return False
-    cover = [0] * len(c)
-    for row, w in zip(rows, y):
-        if w:
-            for j, a in enumerate(row):
-                if a:
-                    cover[j] += w * a
-    if any(cv < cj * dy for cv, cj in zip(cover, c)):
+    load = [0] * len(rhs)
+    for col, v in zip(columns, x):
+        if v:
+            for i, a in col:
+                load[i] += a * v
+    if any(ld > b * dx for ld, b in zip(load, rhs)):
         return False
-    return (sum(c[j] * v for j, v in support) == value * dx
+    for col, cj in zip(columns, c):
+        if sum(y[i] * a for i, a in col) < cj * dy:
+            return False
+    return (sum(cj * v for cj, v in zip(c, x) if v) == value * dx
             and sum(w * b for w, b in zip(y, rhs) if w) == value * dy)
 
 
@@ -148,7 +159,8 @@ def matching_lp(edge_list, vertex_caps=None, lower=None, upper=None, excluded=No
     that edge's weight (lower bounds are substituted out, upper bounds add a
     row).  excluded is a set of edges forced to 0.  Returns
     (value, {edge: weight}) including the lower-bounded mass, or
-    (None, None) when the bounds alone are infeasible.
+    (None, None) when the bounds alone are infeasible.  Each edge's column
+    has a 1 in the row of each of its vertices and in its bound row.
     """
     excluded = excluded or frozenset()
     lower = lower or {}
@@ -166,18 +178,18 @@ def matching_lp(edge_list, vertex_caps=None, lower=None, upper=None, excluded=No
                 base[vindex[v]] -= lb
     if any(b < 0 for b in base):
         return None, None
-    rows = []
-    rhs = list(base)
-    for v in vertices:
-        rows.append([1 if v in e else 0 for e in active])
-    for j, e in enumerate(active):
+    columns = []
+    rhs = base
+    for e in active:
+        col = [(vindex[v], 1) for v in e]
         if e in upper:
             residual = Fraction(upper[e]) - lower.get(e, ZERO)
             if residual < 0:
                 return None, None
-            rows.append([1 if jj == j else 0 for jj in range(len(active))])
+            col.append((len(rhs), 1))
             rhs.append(residual)
-    _, x, _ = simplex_max([1] * len(active), rows, rhs)
+        columns.append(col)
+    _, x, _ = simplex_max([1] * len(active), columns, rhs)
     weights = {}
     total = ZERO
     for e, w in zip(active, x):

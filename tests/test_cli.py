@@ -295,6 +295,21 @@ def test_cli_parse_failure_exit_code(tmp_path, capsys):
     assert "error" in json.loads(out)
 
 
+@pytest.mark.parametrize("text", ["tcg 1\nk=1 n=5\nR 3\n", "tcg 1\nk=4 n=3\n"])
+def test_cli_bad_dimensions_are_a_parse_error(tmp_path, capsys, text):
+    """k < 2 or n < k on the `k=… n=…` line is a malformed input line."""
+    path = tmp_path / "dims.tcg"
+    path.write_text(text, encoding="utf-8")
+    code, out, _ = run_captured(capsys, ["components", "--in", str(path)])
+    assert code == EXIT_USAGE
+    error = json.loads(out)["error"]
+    assert error["kind"] == "ParseError"
+    assert error["message"].startswith("line 2:")
+    with pytest.raises(ParseError) as exc:
+        parse_coloured_hypergraph(text)
+    assert exc.value.line == 2
+
+
 def test_cli_component_out_of_range(tmp_path, capsys):
     ch, _ = split_coloring(4, 2)
     path = tmp_path / "s.tcg"

@@ -1,8 +1,9 @@
-"""The fraction-free simplex against the Fraction tableau it replaced, and
-the dual certificate that every optimum carries."""
+"""The revised simplex against the Fraction tableau it replaced, and the
+dual certificate that every optimum carries."""
 import itertools
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -10,6 +11,7 @@ from oracles import simplex_fraction_reference
 from tcr import lp
 from tcr.errors import CertificateFailed, InternalError, TcrError
 from tcr.hypergraph import complete_kgraph
+from tcr.lp import matching_lp
 from tcr.matchings import max_fractional_lp, max_r_fractional
 
 
@@ -40,6 +42,11 @@ def random_lp(rng):
     return c, rows, rhs
 
 
+def transpose(rows, nv):
+    """The sparse columns of the dense rows: (row, value) per non-zero."""
+    return [[(i, row[j]) for i, row in enumerate(rows) if row[j]] for j in range(nv)]
+
+
 def outcome(solver, c, rows, rhs):
     try:
         value, x = solver(c, rows, rhs)[:2]
@@ -60,7 +67,7 @@ def test_simplex_agrees_with_fraction_reference():
                            c, rows, rhs)
         degenerate += 0 in rhs
         tied += bool(ties)
-        got = outcome(lp.simplex_max, c, rows, rhs)
+        got = outcome(lp.simplex_max, c, transpose(rows, len(c)), rhs)
         assert got == expected, seed
         if got[0] != "ValueError":
             assert all(type(v) is Fraction for v in [got[0], *got[1]])
@@ -69,6 +76,59 @@ def test_simplex_agrees_with_fraction_reference():
             kinds["unbounded" if "unbounded" in got[1] else "negative rhs"] += 1
     assert min(kinds.values()) >= 10, kinds
     assert degenerate >= 100 and tied >= 50, (degenerate, tied)
+
+
+def dense_matching_lp(edge_list, vertex_caps=None, lower=None, upper=None,
+                      excluded=None, ties=None):
+    """`lp.matching_lp` on dense rows, solved by the reference tableau: one
+    row per vertex, then one per upper-bounded edge in edge order."""
+    lower, upper, excluded = lower or {}, upper or {}, excluded or frozenset()
+    active = [e for e in edge_list if e not in excluded]
+    vertices = sorted({v for e in active for v in e})
+    rhs = [Fraction(1 if vertex_caps is None else vertex_caps[v])
+           - sum(lower.get(e, 0) for e in active if v in e) for v in vertices]
+    if any(b < 0 for b in rhs):
+        return None, None
+    rows = [[1 if v in e else 0 for e in active] for v in vertices]
+    for j, e in enumerate(active):
+        if e in upper:
+            if upper[e] < lower.get(e, 0):
+                return None, None
+            rows.append([1 if i == j else 0 for i in range(len(active))])
+            rhs.append(Fraction(upper[e]) - lower.get(e, 0))
+    _, x = simplex_fraction_reference([1] * len(active), rows, rhs, ties=ties)
+    weights = {e: w + lower.get(e, 0) for e, w in zip(active, x) if w + lower.get(e, 0)}
+    return sum(weights.values(), Fraction(0)), weights
+
+
+def test_matching_lp_agrees_with_dense_reference():
+    """400 seeded matching LPs with vertex caps, lower and upper bounds and
+    excluded edges: matching_lp's sparse columns give the reference
+    tableau's vertex, exactly, or the same infeasibility."""
+    seen = {"caps": 0, "lower": 0, "upper": 0, "excluded": 0, "infeasible": 0, "tied": 0}
+    for seed in range(400):
+        rng = random.Random(seed)
+        n = rng.randint(5, 9)
+        edges = sorted(rng.sample(list(itertools.combinations(range(1, n + 1), 4)),
+                                  rng.randint(1, min(30, comb(n, 4)))))
+        caps = None if rng.random() < 0.5 else {
+            v: rng.choice([1, 2, 3, Fraction(3, 2)]) for v in range(1, n + 1)}
+        lower = {e: Fraction(1, rng.choice([3, 4, 6, 8])) for e in edges if rng.random() < 0.1}
+        upper = {e: lower.get(e, 0) + Fraction(rng.randint(0, 3), rng.choice([2, 3, 4]))
+                 for e in edges if rng.random() < 0.4}
+        if upper and rng.random() < 0.15:
+            upper[min(upper)] = -1
+        excluded = {e for e in edges if rng.random() < 0.15}
+        ties = []
+        expected = dense_matching_lp(edges, caps, lower, upper, excluded, ties)
+        assert matching_lp(edges, caps, lower, upper, excluded) == expected, seed
+        seen["caps"] += caps is not None
+        seen["lower"] += bool(lower)
+        seen["upper"] += bool(upper)
+        seen["excluded"] += bool(excluded)
+        seen["infeasible"] += expected == (None, None)
+        seen["tied"] += bool(ties)
+    assert min(seen.values()) >= 40, seen
 
 
 def vertex_rows(edges):
@@ -80,7 +140,7 @@ def test_k5_dual_is_the_quarter_weighting():
     """The fractional matching LP of K_5^(4) has the unique dual 1/4 at
     every vertex (each vertex lies in four of the five edges)."""
     edges = complete_kgraph(4, 5).sorted_edges
-    value, x, y = lp.simplex_max([1] * 5, vertex_rows(edges), [1] * 5)
+    value, x, y = lp.simplex_max([1] * 5, transpose(vertex_rows(edges), 5), [1] * 5)
     assert value == Fraction(5, 4)
     assert y == [Fraction(1, 4)] * 5
     assert sum(x) == value
@@ -89,6 +149,7 @@ def test_k5_dual_is_the_quarter_weighting():
 def test_check_certificate_rejects_perturbations():
     edges = list(itertools.combinations(range(1, 8), 4))[:12]
     c, rows, rhs = [1] * len(edges), vertex_rows(edges), [1] * len(vertex_rows(edges))
+    rows = transpose(rows, len(c))
     value, x, y = lp.simplex_max(c, rows, rhs)
     assert lp.check_certificate(c, rows, rhs, value, x, y)
     j = next(j for j, v in enumerate(x) if v)
@@ -116,7 +177,7 @@ def test_check_certificate_rejects_shifted_mass():
     """Moving weight between two entries keeps both objectives equal, so
     only the feasibility checks can catch it (K5: x = y = 1/4 everywhere)."""
     edges = complete_kgraph(4, 5).sorted_edges
-    c, rows, rhs = [1] * 5, vertex_rows(edges), [1] * 5
+    c, rows, rhs = [1] * 5, transpose(vertex_rows(edges), 5), [1] * 5
     value, x, y = lp.simplex_max(c, rows, rhs)
     shifted = [Fraction(0), Fraction(1, 2)] + [Fraction(1, 4)] * 3
     assert sum(shifted) == value and sum(x) == value
@@ -127,10 +188,10 @@ def test_check_certificate_rejects_shifted_mass():
 
 def test_check_certificate_rejects_negative_entries():
     """A negative entry that leaves every other condition intact."""
-    assert lp.simplex_max([1, 1], [[1, 1]], [1]) == (1, [1, 0], [1])
-    assert not lp.check_certificate([1, 1], [[1, 1]], [1], 1, [-1, 2], [1])
-    assert lp.simplex_max([1], [[1], [1]], [1, 2]) == (1, [1], [1, 0])
-    assert not lp.check_certificate([1], [[1], [1]], [1, 2], 1, [1], [3, -1])
+    assert lp.simplex_max([1, 1], transpose([[1, 1]], 2), [1]) == (1, [1, 0], [1])
+    assert not lp.check_certificate([1, 1], transpose([[1, 1]], 2), [1], 1, [-1, 2], [1])
+    assert lp.simplex_max([1], transpose([[1], [1]], 1), [1, 2]) == (1, [1], [1, 0])
+    assert not lp.check_certificate([1], transpose([[1], [1]], 1), [1, 2], 1, [1], [3, -1])
 
 
 def test_every_simplex_result_is_certified(monkeypatch):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import all_red, rand_coloured, split_edges
+from conftest import all_red, complete_random_coloured, rand_coloured, split_edges
 from oracles import brute_max_matching, lp_vertex_enumeration
 from tcr.errors import NonEmptyIntersection, SearchCapExceeded, Unsupported
 from tcr.hypergraph import Colour, build, complete_kgraph
@@ -214,6 +214,20 @@ def test_r_fractional_120_random_edges_on_14_vertices():
     assert all((w * 3).denominator == 1 for w in phi.weights.values())
     lp_optimum, _ = matching_lp(sorted(edges))
     assert len(greedy_matching(edges)) <= phi.weight() <= lp_optimum
+
+
+def test_lp_on_918_edge_component_is_unchanged():
+    """The largest monochromatic component of a random complete colouring
+    at N = 16 (918 edges): the lexicographic-support loop returns the
+    weights that the dense-tableau simplex returned."""
+    from tcr.tight import monochromatic_components
+    ch = complete_random_coloured(4, 16, random.Random(16))
+    component = max(monochromatic_components(ch).components, key=len)
+    assert len(component) == 918
+    phi = max_fractional_lp(component)
+    assert phi.weights == {(1, 13, 14, 15): 1, (2, 10, 12, 16): 1,
+                           (3, 7, 8, 11): 1, (4, 5, 6, 9): 1}
+    assert all(type(w) is Fraction for w in phi.weights.values())
 
 
 def test_mu_all_red_k8():
