@@ -77,9 +77,7 @@ def parse_coloured_hypergraph(text: str) -> ColouredKGraph:
         n = int(parts[1][2:])
     except ValueError:
         raise ParseError(f"non-integer dimensions in {dims!r}", lineno) from None
-    if k < 2 or n < k:
-        raise ParseError(f"need k >= 2 and n >= k, got {dims!r}", lineno)
-    edge_line = None   # the line of the edge build is checking
+    edge_line = lineno   # the line build is checking: the dimensions, then each edge
 
     def edges():
         nonlocal edge_line

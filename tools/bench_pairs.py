@@ -1,8 +1,8 @@
 """Run one perfbench workload on two checkouts in alternating pairs.
 
-Each pair runs `python3 perfbench/run.py --workload W --seed S --seconds T
---trace 0` once in each checkout, the base first in even pairs and the
-change first in odd ones, and keeps the last two lines of each run (the
+Each pair runs `python3 perfbench/run.py --workload W --seed S --trace 0`
+once in each checkout, at perfbench's own run length, the base first in
+even pairs and the change first in odd ones, and keeps the last two lines of each run (the
 run record, which holds the machine, and the result).  The summary gives,
 per end-to-end metric, both medians, the base's interquartile range and
 the number of pairs the change wins.
@@ -20,10 +20,10 @@ import sys
 from pathlib import Path
 
 
-def run_once(checkout: str, workload: str, seed: int, seconds: int) -> dict:
+def run_once(checkout: str, workload: str, seed: int) -> dict:
     out = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--trace", "0"],
         cwd=checkout, capture_output=True, text=True, check=True).stdout.splitlines()
     return {"record": json.loads(out[-2]), "result": json.loads(out[-1])}
 
@@ -48,7 +48,6 @@ def main(argv=None) -> int:
     ap.add_argument("--change", required=True)
     ap.add_argument("--workload", required=True)
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=int, default=25)
     ap.add_argument("--out")
     args = ap.parse_args(argv)
     pairs = []
@@ -56,7 +55,7 @@ def main(argv=None) -> int:
         order = ("base", "change") if i % 2 == 0 else ("change", "base")
         pair = {"seed": i + 1, "first": order[0]}
         for side in order:
-            pair[side] = run_once(getattr(args, side), args.workload, i + 1, args.seconds)
+            pair[side] = run_once(getattr(args, side), args.workload, i + 1)
         pairs.append(pair)
         print(json.dumps({side: pair[side]["result"]["metrics"] for side in order}), flush=True)
     record = {"workload": args.workload, "pairs": pairs, "summary": summary(pairs)}

@@ -19,25 +19,16 @@ import argparse
 import hashlib
 import itertools
 import json
-import os
-import platform
 import random
 import statistics
 import sys
 import time
 from pathlib import Path
 
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
 
-def machine() -> dict:
-    model = ""
-    try:
-        with open("/proc/cpuinfo", encoding="utf-8") as fh:
-            model = next((ln.split(":", 1)[1].strip() for ln in fh
-                          if ln.startswith("model name")), "")
-    except OSError:
-        pass
-    return {"nproc": os.cpu_count(), "python": platform.python_version(),
-            "cpu_model": model or platform.processor(), "platform": platform.platform()}
+from run import machine_record  # noqa: E402
 
 
 def largest_component(n: int):
@@ -83,13 +74,13 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--ns", type=int, nargs="+", default=[14, 18, 22, 26])
     ap.add_argument("--repeats", type=int, default=3)
-    ap.add_argument("--src", default=str(Path(__file__).resolve().parent.parent / "src"))
+    ap.add_argument("--src", default=str(ROOT / "src"))
     ap.add_argument("--out", help="write the JSON record here as well as to stdout")
     args = ap.parse_args(argv)
     sys.path.insert(0, args.src)
     record = {"what": "max_fractional_lp on the largest monochromatic component of a "
                       "random complete colouring of K_N^(4) seeded by N",
-              "machine": machine(), "repeats": args.repeats,
+              "machine": machine_record(), "repeats": args.repeats,
               "results": [measure(n, args.repeats) for n in args.ns]}
     text = json.dumps(record, indent=1)
     print(text)
