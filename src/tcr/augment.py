@@ -29,6 +29,7 @@ from .matchings import (FractionalMatching, empty_intersection_matching,
 ZERO = Fraction(0)
 ONE = Fraction(1)
 QUARTER = Fraction(1, 4)
+ITERATION_CAP = 25   # growth steps run_driver takes at most
 
 
 @dataclass(frozen=True)
@@ -44,8 +45,6 @@ class DriverParams:
     delta: Fraction = Fraction(1, 10)
     eta: Fraction = Fraction(3, 20)
     c: Fraction = Fraction(1, 100)
-    iteration_cap: int = 25
-    sample_attempts: int = 60
 
     def __post_init__(self):
         vals = (Fraction(self.eps), Fraction(self.gamma), Fraction(self.delta),
@@ -309,8 +308,7 @@ def _replace(CH, bp, cid, M, W, s, rng, params, trace, name,
     if not M or len(W) < s:
         return weights, replaced
     comp = bp.decomposition.edges_of(cid)
-    sample = sample_suitable_pairs(CH, bp, M, W, s, len(M), rng,
-                                   params.sample_attempts)
+    sample = sample_suitable_pairs(CH, bp, M, W, s, len(M), rng)
     for f, wf in sample.pairs:
         family = set(edges_within(comp, f + wf, 4))
         out = f
@@ -565,7 +563,7 @@ def run_driver(CH: ColouredKGraph, params: DriverParams, seed: int) -> DriverRep
     if init.status == "target_reached":
         status = "reached"
     else:
-        while iterations < params.iteration_cap:
+        while iterations < ITERATION_CAP:
             iterations += 1
             if state.colour is Colour.RED and state.component != R_id:
                 trace.append({"claim": "iterate", "stopped":

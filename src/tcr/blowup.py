@@ -13,8 +13,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (DenominatorMismatch, InconsistentWitness, MixedComponents,
-                     NotAMatching, NotPartite, SizeCapExceeded, UnknownEdge)
+from .errors import (DenominatorMismatch, MixedComponents, NotAMatching, NotPartite,
+                     SizeCapExceeded, UnknownEdge)
 from .hypergraph import ColouredKGraph, KGraph
 from .matchings import FractionalMatching, validate_fractional
 from .tight import monochromatic_components
@@ -96,16 +96,14 @@ def matching_to_fractional(bmap: BlowUpMap, m_star) -> FractionalMatching:
     return phi
 
 
-def fractional_to_matching(bmap: BlowUpMap, phi: FractionalMatching,
-                           good_context=None) -> tuple:
+def fractional_to_matching(bmap: BlowUpMap, phi: FractionalMatching) -> tuple:
     """A 1/r-fractional matching in the base becomes a matching of size
     weight*r in the blow-up.
 
     For each base vertex x the classes are carved into disjoint runs of
     r*phi(e) clones per incident support edge (possible because the loads
     are at most 1), and each support edge contributes the diagonal perfect
-    matching of its runs.  good_context, when given, is a (blown graph,
-    blown blueprint) pair used to re-verify goodness of the output.
+    matching of its runs.
     """
     r = bmap.r
     for e, w in phi.weights.items():
@@ -126,10 +124,4 @@ def fractional_to_matching(bmap: BlowUpMap, phi: FractionalMatching,
         for i in range(count):
             matching.append(tuple(sorted(run[i] for run in runs)))
     matching.sort()
-    if good_context is not None:
-        from .blueprint import is_good
-        blown_ch, blown_bp = good_context
-        bad = [e for e in matching if not is_good(blown_ch, blown_bp, e)]
-        if bad:
-            raise InconsistentWitness(f"converted edges not good: {bad[:3]}")
     return tuple(matching)

@@ -17,15 +17,15 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, isqrt
-from typing import Optional
 
 from .errors import ContractUnmet, HypothesisViolated, InconsistentWitness
 from .hypergraph import Colour, ColouredKGraph, KGraph, edges_within, support_of
 from .tight import TightDecomposition, _component_sets, monochromatic_components
 
 
-def rational_sqrt_upper(x, denominator: int = 1000) -> Fraction:
-    """Smallest m/denominator whose square is >= x (exact integer arithmetic)."""
+def rational_sqrt_upper(x) -> Fraction:
+    """Smallest m/1000 whose square is >= x (exact integer arithmetic)."""
+    denominator = 1000
     x = Fraction(x)
     if x < 0:
         raise ValueError("negative radicand")
@@ -182,7 +182,7 @@ class BlueprintBuild:
     coverage: int
 
 
-def build_blueprint(CH: ColouredKGraph, eps, bp_eps=None) -> BlueprintBuild:
+def build_blueprint(CH: ColouredKGraph, eps) -> BlueprintBuild:
     """Heuristic constructor.
 
     For each (k-2)-set, take the monochromatic component maximizing its
@@ -193,7 +193,7 @@ def build_blueprint(CH: ColouredKGraph, eps, bp_eps=None) -> BlueprintBuild:
     """
     if CH.k != 4:
         raise HypothesisViolated(f"blueprints need a 4-graph, got k = {CH.k}")
-    bp_eps = Fraction(bp_eps) if bp_eps is not None else blueprint_eps_for_density(eps)
+    bp_eps = blueprint_eps_for_density(eps)
     decomp = monochromatic_components(CH)
     comp_masks = pair_shadow_masks(decomp, CH.k)
     threshold = (1 - bp_eps) * CH.n
@@ -307,16 +307,12 @@ def trim_spanning_component(F: ColouredKGraph, eps) -> TrimResult:
         kept.remove(uncovered[0])
 
 
-def blueprint_blowup(bp: Blueprint, bmap, blown_ch: Optional[ColouredKGraph] = None):
-    """Blow up a blueprint along a BlowUpMap.
+def blueprint_blowup(bp: Blueprint, bmap, blown_ch: ColouredKGraph) -> Blueprint:
+    """Blow up a blueprint along a BlowUpMap into the blown graph blown_ch.
 
     Each blueprint edge's clones are assigned to the blow-up of its base
-    component; the result passes the checker at the same eps.  Returns
-    (blown graph, blown blueprint).
+    component; the result passes the checker at the same eps.
     """
-    from .blowup import blow_up
-    if blown_ch is None:
-        blown_ch, _ = blow_up(bmap.base, bmap.r)
     blown_decomp = monochromatic_components(blown_ch)
     cid_map = {}
     for cid, comp in enumerate(bp.decomposition.components):
@@ -328,8 +324,7 @@ def blueprint_blowup(bp: Blueprint, bmap, blown_ch: Optional[ColouredKGraph] = N
         blown_cid = cid_map[cid]
         for combo in itertools.product(*(bmap.classes[x] for x in e)):
             assign[tuple(sorted(combo))] = blown_cid
-    blown_bp = make_blueprint(blown_ch, bp.eps, assign)
-    return blown_ch, blown_bp
+    return make_blueprint(blown_ch, bp.eps, assign)
 
 
 def good_flags(CH: ColouredKGraph, bp: Blueprint, f) -> tuple:
@@ -463,14 +458,17 @@ class SampleResult:
     exhausted: bool    # fewer than `want` found within the retry budget
 
 
+SAMPLE_ATTEMPTS = 60   # retry budget of sample_suitable_pairs per wanted pair
+
+
 def sample_suitable_pairs(CH: ColouredKGraph, bp: Blueprint, M, W, s: int,
-                          want: int, rng, attempts_per: int = 60) -> SampleResult:
+                          want: int, rng) -> SampleResult:
     """Randomized search for `want` pairwise-disjoint suitable pairs, each an
     M-edge plus an s-subset of W, verified by is_suitable_pair."""
     m_avail = sorted(tuple(sorted(e)) for e in M)
     w_avail = sorted(set(W))
     found = []
-    budget = max(1, want) * attempts_per
+    budget = max(1, want) * SAMPLE_ATTEMPTS
     while len(found) < want and budget > 0 and m_avail and len(w_avail) >= s:
         budget -= 1
         f = rng.choice(m_avail)

@@ -29,10 +29,9 @@ from . import blueprint as blueprint_mod
 from . import extremal as extremal_mod
 from . import matchings as matchings_mod
 from .augment import AugmentationState, DriverParams, augment_once, initial_matching, run_driver
-from .errors import (ContractUnmet, HypothesisViolated, InconsistentWitness,
-                     InternalError, MalformedEdge, ParseError, SearchCapExceeded, SizeCapExceeded,
-                     TcrError, Unsupported, UsageError)
-from .extremal import ProfileNotConstant, TargetSpec
+from .errors import (HypothesisViolated, InternalError, MalformedEdge, ParseError,
+                     SearchCapExceeded, SizeCapExceeded, TcrError, Unsupported, UsageError)
+from .extremal import TargetSpec
 from .hypergraph import Colour, ColouredKGraph, build
 from .tight import monochromatic_components, tight_components
 
@@ -43,6 +42,15 @@ EXIT_CAP = 3
 EXIT_INTERNAL = 4
 
 PARAM_NAMES = ("eps", "gamma", "delta", "eta", "c")   # DriverParams, in order
+
+# (exception classes, exit code, stderr label) for a failed command; the
+# first row that matches wins
+FAILURES = (
+    ((ParseError, UsageError, FileNotFoundError), EXIT_USAGE, "error"),
+    ((SearchCapExceeded, SizeCapExceeded), EXIT_CAP, "cap exceeded"),
+    ((TcrError, ValueError), EXIT_CONTRACT, "violation"),
+    ((InternalError,), EXIT_INTERNAL, "internal error"),
+)
 
 
 def parse_coloured_hypergraph(text: str) -> ColouredKGraph:
@@ -430,27 +438,13 @@ def run(argv) -> int:
     report = {"command": args.command, "inputs": inputs}
     try:
         report.update(HANDLERS[args.command](args))
-    except (ParseError, UsageError, FileNotFoundError) as exc:
+    except tuple(c for classes, _, _ in FAILURES for c in classes) as exc:
+        code, label = next((code, label) for classes, code, label in FAILURES
+                           if isinstance(exc, classes))
         report["error"] = {"kind": type(exc).__name__, "message": str(exc)}
         emit(report, None)
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
-    except (SearchCapExceeded, SizeCapExceeded) as exc:
-        report["error"] = {"kind": type(exc).__name__, "message": str(exc)}
-        emit(report, None)
-        sys.stderr.write(f"cap exceeded: {exc}\n")
-        return EXIT_CAP
-    except (HypothesisViolated, ContractUnmet, InconsistentWitness,
-            ProfileNotConstant, TcrError, ValueError) as exc:
-        report["error"] = {"kind": type(exc).__name__, "message": str(exc)}
-        emit(report, None)
-        sys.stderr.write(f"violation: {exc}\n")
-        return EXIT_CONTRACT
-    except InternalError as exc:
-        report["error"] = {"kind": type(exc).__name__, "message": str(exc)}
-        emit(report, None)
-        sys.stderr.write(f"internal error: {exc}\n")
-        return EXIT_INTERNAL
+        sys.stderr.write(f"{label}: {exc}\n")
+        return code
     elapsed_ms = int((time.monotonic() - started) * 1000)
     emit(report, elapsed_ms if args.timing else None)
     sys.stderr.write(f"{args.command}: ok in {elapsed_ms} ms\n")

@@ -17,7 +17,7 @@ from typing import Optional
 from .blowup import DEFAULT_EDGE_CAP
 from .errors import SearchCapExceeded, SizeCapExceeded, TcrError
 from .hypergraph import Colour, ColouredKGraph, build, support_of
-from .tight import (Absent, cycle_windows, find_tight_cycle,
+from .tight import (SUPPORT_CAP, Absent, cycle_windows, find_tight_cycle,
                     find_tight_path, monochromatic_components, path_windows)
 
 
@@ -42,24 +42,36 @@ class ExtremalSpec:
         return self.k * self.n + self.i
 
 
-def split_coloring(k: int, n: int, edge_cap: int = DEFAULT_EDGE_CAP):
+def _split_edges(k: int, N: int, x: int) -> list:
+    """K_N^(k) with the edges meeting X = [x] red and the others blue."""
+    red, blue = Colour.RED, Colour.BLUE
+    return [(red if e[0] <= x else blue, e)
+            for e in itertools.combinations(range(1, N + 1), k)]
+
+
+def _parity_edges(k: int, N: int, x: int) -> list:
+    """K_N^(k) with the edges meeting X = [x] in an even number of vertices
+    red and the others blue."""
+    red, blue = Colour.RED, Colour.BLUE
+    return [(blue if sum(1 for v in e if v <= x) % 2 else red, e)
+            for e in itertools.combinations(range(1, N + 1), k)]
+
+
+def split_coloring(k: int, n: int):
     """K_N minus nothing, N = (k+1)n - 2: edges meeting X = [n-1] red, others blue."""
     if k < 2 or n < 2:
         raise ValueError("need k, n >= 2")
     N = (k + 1) * n - 2
-    if comb(N, k) > edge_cap:
-        raise SizeCapExceeded(f"C({N},{k}) exceeds cap {edge_cap}")
+    if comb(N, k) > DEFAULT_EDGE_CAP:
+        raise SizeCapExceeded(f"C({N},{k}) exceeds cap {DEFAULT_EDGE_CAP}")
     x_top = n - 1
-    edges = []
-    for e in itertools.combinations(range(1, N + 1), k):
-        edges.append(("R" if e[0] <= x_top else "B", e))
-    CH = build(k, N, edges)
+    CH = build(k, N, _split_edges(k, N, x_top))
     spec = ExtremalSpec("split", k, n, 0, gcd(k, 0), N,
                         tuple(range(1, x_top + 1)), tuple(range(x_top + 1, N + 1)))
     return CH, spec
 
 
-def parity_coloring(k: int, n: int, i: int, edge_cap: int = DEFAULT_EDGE_CAP):
+def parity_coloring(k: int, n: int, i: int):
     """N = ((d+1)/d) k n - 2 with d = gcd(k, i); |X| = (k/d) n - 1; an edge is
     red iff it has an even number of vertices in X."""
     if k < 2 or n < 1:
@@ -68,17 +80,12 @@ def parity_coloring(k: int, n: int, i: int, edge_cap: int = DEFAULT_EDGE_CAP):
         raise ValueError(f"need 0 <= i <= k-1, got i = {i}")
     d = gcd(k, i)
     N = (d + 1) * k * n // d - 2
-    if comb(N, k) > edge_cap:
-        raise SizeCapExceeded(f"C({N},{k}) exceeds cap {edge_cap}")
+    if comb(N, k) > DEFAULT_EDGE_CAP:
+        raise SizeCapExceeded(f"C({N},{k}) exceeds cap {DEFAULT_EDGE_CAP}")
     x_size = k * n // d - 1
-    xset = set(range(1, x_size + 1))
-    edges = []
-    for e in itertools.combinations(range(1, N + 1), k):
-        meet = sum(1 for v in e if v in xset)
-        edges.append(("R" if meet % 2 == 0 else "B", e))
-    CH = build(k, N, edges)
+    CH = build(k, N, _parity_edges(k, N, x_size))
     spec = ExtremalSpec("parity", k, n, i, d, N,
-                        tuple(sorted(xset)), tuple(range(x_size + 1, N + 1)))
+                        tuple(range(1, x_size + 1)), tuple(range(x_size + 1, N + 1)))
     return CH, spec
 
 
@@ -229,15 +236,10 @@ def _seed_colourings(k: int, N: int, target: TargetSpec):
     n = -(-ell // k)   # ceil
     seeds = []
     if 1 <= n - 1 < N:
-        x_top = n - 1
-        seeds.append([("R" if e[0] <= x_top else "B", e)
-                      for e in itertools.combinations(range(1, N + 1), k)])
-    for i in (ell % k,):
-        d = gcd(k, i)
-        x_size = k * n // d - 1
-        if 1 <= x_size < N:
-            seeds.append([("R" if sum(1 for v in e if v <= x_size) % 2 == 0 else "B", e)
-                          for e in itertools.combinations(range(1, N + 1), k)])
+        seeds.append(_split_edges(k, N, n - 1))
+    x_size = k * n // gcd(k, ell % k) - 1
+    if 1 <= x_size < N:
+        seeds.append(_parity_edges(k, N, x_size))
     return seeds
 
 
@@ -257,10 +259,12 @@ def ramsey_search_tiny(k: int, target: TargetSpec, N: int,
         all_red = build(k, N, [("R", e) for e in
                                itertools.combinations(range(1, N + 1), k)])
         return RamseyResult(False, all_red, 0, 0, True)
-    if allow_seeds:
+    # a seed is verified by the tight searches, so its support N must be
+    # within their cap
+    if allow_seeds and N <= SUPPORT_CAP:
         for seed in _seed_colourings(k, N, target):
             CH = build(k, N, seed)
-            if len(support_of(CH.graph.edges)) <= 14 and _verify_counterexample(CH, target):
+            if _verify_counterexample(CH, target):
                 return RamseyResult(False, CH, 0, 0, True)
     if not (k == 2 and N <= 7 or k >= 3 and N <= 6):
         raise SizeCapExceeded(

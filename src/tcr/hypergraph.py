@@ -28,14 +28,6 @@ class Colour(Enum):
     def opposite(self) -> "Colour":
         return Colour.BLUE if self is Colour.RED else Colour.RED
 
-    @classmethod
-    def from_letter(cls, letter: str) -> "Colour":
-        if letter == "R":
-            return cls.RED
-        if letter == "B":
-            return cls.BLUE
-        raise ValueError(f"unknown colour letter {letter!r}")
-
 
 def canon_edge(vertices, k: int, n: int) -> Edge:
     """Sort and validate one edge: k distinct vertices, all in [n]."""
@@ -140,7 +132,7 @@ def build(k: int, n: int, coloured_edges) -> ColouredKGraph:
     colour = {}
     for c, raw in coloured_edges:
         if isinstance(c, str):
-            c = Colour.from_letter(c)
+            c = Colour(c)
         e = canon_edge(raw, k, n)
         old = colour.get(e)
         if old is not None and old is not c:

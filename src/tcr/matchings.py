@@ -8,6 +8,7 @@ the lexicographically smallest support so results are reproducible.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -19,6 +20,9 @@ from .tight import monochromatic_components
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+R_FRACTIONAL_NODE_CAP = 100_000   # branch-and-bound nodes in max_r_fractional
+FLOORED_NODE_CAP = 50_000         # branch-and-bound nodes in the exact mu_estimate path
+EXACT_CAP = 20                    # most edges mu_estimate solves exactly
 
 
 @dataclass(frozen=True)
@@ -180,7 +184,7 @@ def greedy_matching(edges) -> list:
     return out
 
 
-def max_fractional_lp(host, colour=None, component=None) -> FractionalMatching:
+def max_fractional_lp(host) -> FractionalMatching:
     """Optimal fractional matching with exact rational weights.
 
     Among the optima, greedily forces edges to zero in canonical order
@@ -189,7 +193,7 @@ def max_fractional_lp(host, colour=None, component=None) -> FractionalMatching:
     """
     edges = sorted(tuple(sorted(e)) for e in host)
     if not edges:
-        return FractionalMatching(frozenset(), {}, colour, component)
+        return FractionalMatching(frozenset(), {})
     value, weights = lp.matching_lp(edges)
     excluded: set = set()
     for e in edges:
@@ -200,10 +204,44 @@ def max_fractional_lp(host, colour=None, component=None) -> FractionalMatching:
         if trial_value == value:
             excluded.add(e)
             weights = trial_weights
-    return FractionalMatching(frozenset(edges), weights, colour, component)
+    return FractionalMatching(frozenset(edges), weights)
 
 
-def max_r_fractional(host, r: int, node_cap: int = 100_000) -> FractionalMatching:
+def _lp_branch_and_bound(edges, branch, incumbent, vertex_caps, bound, node_cap):
+    """LP-based branch and bound (Land & Doig 1960) over the matching LP.
+
+    A node is a pair of edge-bound maps (lower, upper); an upper bound of 0
+    excludes the edge.  A node is pruned when its LP is infeasible or when
+    bound(value) <= the incumbent's value.  Otherwise branch(weights, lower,
+    upper) returns None when the LP optimum is itself a solution, which then
+    becomes the incumbent, or the child bound pairs in search order.
+    Returns the final incumbent (value, weights).
+    """
+    best = incumbent
+    nodes = 0
+
+    def solve(lower: dict, upper: dict):
+        nonlocal best, nodes
+        nodes += 1
+        if nodes > node_cap:
+            raise SearchCapExceeded(f"LP branch and bound exceeded {node_cap} nodes")
+        excluded = frozenset(e for e, u in upper.items() if u == 0)
+        value, weights = lp.matching_lp(edges, vertex_caps=vertex_caps, lower=lower,
+                                        upper=upper, excluded=excluded)
+        if value is None or bound(value) <= best[0]:
+            return
+        children = branch(weights, lower, upper)
+        if children is None:
+            best = (value, weights)
+            return
+        for child in children:
+            solve(*child)
+
+    solve({}, {})
+    return best
+
+
+def max_r_fractional(host, r: int) -> FractionalMatching:
     """Maximum-weight 1/r-fractional matching (all weights multiples of 1/r).
 
     Solved as the integer program max sum(y) over y >= 0 with vertex loads
@@ -216,39 +254,21 @@ def max_r_fractional(host, r: int, node_cap: int = 100_000) -> FractionalMatchin
         return FractionalMatching(frozenset(), {})
     caps = {v: Fraction(r) for e in edges for v in e}
 
-    # greedy warm start: integral matching, weight 1 each = r units
-    best_sol = {e: Fraction(r) for e in greedy_matching(edges)}
-    best_val = sum(best_sol.values(), ZERO)
-    nodes = 0
-
-    def solve(lower: dict, upper: dict):
-        nonlocal best_val, best_sol, nodes
-        nodes += 1
-        if nodes > node_cap:
-            raise SearchCapExceeded(f"1/r optimiser exceeded {node_cap} nodes")
-        excluded = frozenset(e for e, u in upper.items() if u == 0)
-        value, weights = lp.matching_lp(edges, vertex_caps=caps, lower=lower,
-                                        upper=upper, excluded=excluded)
-        # the objective counts 1/r units, so every integral solution below
-        # this node has value at most floor(value)
-        if value is None or value.numerator // value.denominator <= best_val:
-            return
+    def branch(weights, lower, upper):
         frac = next((e for e in sorted(weights) if weights[e].denominator != 1), None)
         if frac is None:
-            best_val = value
-            best_sol = dict(weights)
-            return
+            return None
         w = weights[frac]
         floor_w = Fraction(w.numerator // w.denominator)
-        down = dict(upper)
-        down[frac] = floor_w
-        solve(lower, down)
-        up = dict(lower)
-        up[frac] = floor_w + 1
-        solve(up, upper)
+        return ((lower, {**upper, frac: floor_w}), ({**lower, frac: floor_w + 1}, upper))
 
-    solve({}, {})
-    weights = {e: w / r for e, w in sorted(best_sol.items()) if w}
+    # greedy warm start: integral matching, weight 1 each = r units; the
+    # objective counts 1/r units, so every integral solution below a node
+    # has value at most the floor of the node's LP value
+    warm = {e: Fraction(r) for e in greedy_matching(edges)}
+    _, best = _lp_branch_and_bound(edges, branch, (sum(warm.values(), ZERO), warm),
+                                   caps, math.floor, R_FRACTIONAL_NODE_CAP)
+    weights = {e: w / r for e, w in sorted(best.items()) if w}
     return FractionalMatching(frozenset(edges), weights)
 
 
@@ -286,43 +306,25 @@ class MuEstimate:
     per_choice: tuple       # (component ids, value, exact) per candidate choice
 
 
-def _floored_lp_exact(edges, beta, node_cap=50_000):
+def _floored_lp_exact(edges, beta):
     """Exact optimum of the matching LP with the disjunctive constraint
     weight(e) = 0 or weight(e) >= beta, by branch and bound on violating edges."""
-    best = [ZERO, {}]
-    nodes = [0]
-
-    def solve(floored: dict, excluded: frozenset):
-        nodes[0] += 1
-        if nodes[0] > node_cap:
-            raise SearchCapExceeded("floored LP exceeded node cap")
-        value, weights = lp.matching_lp(edges, lower=floored, excluded=excluded)
-        if value is None:
-            return
-        bad = next((e for e in sorted(weights)
-                    if ZERO < weights[e] < beta and e not in floored), None)
+    def branch(weights, lower, upper):
+        bad = next((e for e in sorted(weights) if ZERO < weights[e] < beta), None)
         if bad is None:
-            if value > best[0]:
-                best[0] = value
-                best[1] = weights
-            return
-        if value <= best[0]:
-            return
-        lo = dict(floored)
-        lo[bad] = Fraction(beta)
-        solve(lo, excluded)
-        solve(floored, excluded | {bad})
+            return None
+        return (({**lower, bad: beta}, upper), (lower, {**upper, bad: ZERO}))
 
-    solve({}, frozenset())
-    return best[0], best[1]
+    return _lp_branch_and_bound(edges, branch, (ZERO, {}), None, lambda value: value,
+                                FLOORED_NODE_CAP)
 
 
-def mu_estimate(CH: ColouredKGraph, s: int, beta, exact_cap: int = 20) -> MuEstimate:
+def mu_estimate(CH: ColouredKGraph, s: int, beta) -> MuEstimate:
     """Best weight of a fractional matching supported on s monochromatic tight
     components with every nonzero weight at least beta.
 
     Exact (disjunctive branch and bound) when the chosen components carry at
-    most exact_cap edges; otherwise the plain LP optimum is floored and the
+    most EXACT_CAP edges; otherwise the plain LP optimum is floored and the
     verified value is reported as a lower bound with exact=False unless the
     plain optimum already honours the floor.
     """
@@ -338,7 +340,7 @@ def mu_estimate(CH: ColouredKGraph, s: int, beta, exact_cap: int = 20) -> MuEsti
     choices = []
     for combo in itertools.combinations(range(ncomp), s):
         edges = sorted(set().union(*[decomp.components[c] for c in combo]))
-        if len(edges) <= exact_cap:
+        if len(edges) <= EXACT_CAP:
             value, _ = _floored_lp_exact(edges, beta)
             choices.append((combo, value, True, value))
         else:

@@ -17,6 +17,8 @@ from typing import Optional
 from .errors import SearchCapExceeded, UnknownEdge
 from .hypergraph import Colour, ColouredKGraph, KGraph, support_of
 
+SUPPORT_CAP = 14   # largest support the exhaustive searches take by default
+
 
 def is_tight_walk(H: KGraph, seq) -> bool:
     """True iff consecutive edges of the sequence overlap in exactly k-1 vertices."""
@@ -252,7 +254,7 @@ def _search(H: KGraph, length: int, within, decomposition, support_cap: int,
 
 
 def find_tight_cycle(H: KGraph, length: int, within=None, decomposition=None,
-                     support_cap: int = 14):
+                     support_cap: int = SUPPORT_CAP):
     """Exhaustive search for a tight cycle on `length` vertices.
 
     Rotations are cut by starting at the minimum vertex of the candidate
@@ -265,7 +267,7 @@ def find_tight_cycle(H: KGraph, length: int, within=None, decomposition=None,
 
 
 def find_tight_path(H: KGraph, length: int, within=None, decomposition=None,
-                    support_cap: int = 14):
+                    support_cap: int = SUPPORT_CAP):
     """Exhaustive search for a tight path on `length` vertices (length >= k)."""
     if length < H.k:
         raise ValueError(f"path length {length} < k = {H.k}")

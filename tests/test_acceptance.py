@@ -206,7 +206,7 @@ def test_criterion_6_blueprint_suite():
         assert ok, f"instance {i} (n={n})"
     for ch, bp in smallest[:6]:
         blown, bmap = blow_up(ch, 2)
-        _, blown_bp = blueprint_blowup(bp, bmap, blown)
+        blown_bp = blueprint_blowup(bp, bmap, blown)
         ok &= check_blueprint(blown, blown_bp).ok
         ok &= blown_bp.min_degree() == 2 * bp.min_degree()
     elapsed = time.monotonic() - t0

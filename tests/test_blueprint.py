@@ -189,8 +189,7 @@ def test_trim_density_precondition():
 def test_blueprint_blowup_same_eps_and_degree_scaling():
     ch, bp = full_red_blueprint(6, Fraction(1, 3))
     blown, bmap = blow_up(ch, 2)
-    blown2, blown_bp = blueprint_blowup(bp, bmap, blown)
-    assert blown2 is blown
+    blown_bp = blueprint_blowup(bp, bmap, blown)
     assert check_blueprint(blown, blown_bp).ok
     assert blown_bp.eps == bp.eps
     assert blown_bp.min_degree() == 2 * bp.min_degree()
@@ -199,7 +198,7 @@ def test_blueprint_blowup_same_eps_and_degree_scaling():
 def test_blueprint_blowup_identity_r1():
     ch, bp = full_red_blueprint(6, Fraction(1, 3))
     blown, bmap = blow_up(ch, 1)
-    _, blown_bp = blueprint_blowup(bp, bmap, blown)
+    blown_bp = blueprint_blowup(bp, bmap, blown)
     assert blown_bp.assign == bp.assign
 
 
@@ -211,7 +210,7 @@ def test_blueprint_blowup_preserves_checker(seed):
     res = build_blueprint(ch, Fraction(1, 20))
     assert check_blueprint(ch, res.blueprint).ok
     blown, bmap = blow_up(ch, 2)
-    _, blown_bp = blueprint_blowup(res.blueprint, bmap, blown)
+    blown_bp = blueprint_blowup(res.blueprint, bmap, blown)
     assert check_blueprint(blown, blown_bp).ok
     assert blown_bp.min_degree() == 2 * res.blueprint.min_degree()
 

@@ -4,6 +4,7 @@ from math import comb
 import pytest
 
 from oracles import verify_cycle_witness
+from tcr import extremal
 from tcr.errors import SizeCapExceeded
 from tcr.extremal import (TargetSpec, parity_coloring, ramsey_search_tiny,
                           split_coloring, verify_no_mono_cycle)
@@ -156,6 +157,16 @@ def test_ramsey_cap():
         ramsey_search_tiny(2, TargetSpec("cycle", 3), 8, allow_seeds=False)
     with pytest.raises(SizeCapExceeded):
         ramsey_search_tiny(3, TargetSpec("cycle", 4), 7, allow_seeds=False)
+
+
+def test_ramsey_checks_size_before_building_seeds(monkeypatch):
+    """Above the tight-search support cap no seed can be verified, so none
+    is built before the size check."""
+    def no_build(*args):
+        raise AssertionError("built a colouring")
+    monkeypatch.setattr(extremal, "build", no_build)
+    with pytest.raises(SizeCapExceeded):
+        ramsey_search_tiny(4, TargetSpec("cycle", 5), 15)
 
 
 def test_ramsey_no_seed_path_matches_seeded():

@@ -7,7 +7,7 @@ from math import comb
 
 import pytest
 
-from oracles import simplex_fraction_reference
+from oracles import dense_matching_lp, simplex_fraction_reference
 from tcr import lp
 from tcr.errors import CertificateFailed, InternalError, TcrError
 from tcr.hypergraph import complete_kgraph
@@ -76,29 +76,6 @@ def test_simplex_agrees_with_fraction_reference():
             kinds["unbounded" if "unbounded" in got[1] else "negative rhs"] += 1
     assert min(kinds.values()) >= 10, kinds
     assert degenerate >= 100 and tied >= 50, (degenerate, tied)
-
-
-def dense_matching_lp(edge_list, vertex_caps=None, lower=None, upper=None,
-                      excluded=None, ties=None):
-    """`lp.matching_lp` on dense rows, solved by the reference tableau: one
-    row per vertex, then one per upper-bounded edge in edge order."""
-    lower, upper, excluded = lower or {}, upper or {}, excluded or frozenset()
-    active = [e for e in edge_list if e not in excluded]
-    vertices = sorted({v for e in active for v in e})
-    rhs = [Fraction(1 if vertex_caps is None else vertex_caps[v])
-           - sum(lower.get(e, 0) for e in active if v in e) for v in vertices]
-    if any(b < 0 for b in rhs):
-        return None, None
-    rows = [[1 if v in e else 0 for e in active] for v in vertices]
-    for j, e in enumerate(active):
-        if e in upper:
-            if upper[e] < lower.get(e, 0):
-                return None, None
-            rows.append([1 if i == j else 0 for i in range(len(active))])
-            rhs.append(Fraction(upper[e]) - lower.get(e, 0))
-    _, x = simplex_fraction_reference([1] * len(active), rows, rhs, ties=ties)
-    weights = {e: w + lower.get(e, 0) for e, w in zip(active, x) if w + lower.get(e, 0)}
-    return sum(weights.values(), Fraction(0)), weights
 
 
 def test_matching_lp_agrees_with_dense_reference():

@@ -1,12 +1,14 @@
 import itertools
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import all_red, complete_random_coloured, rand_coloured, split_edges
-from oracles import brute_max_matching, lp_vertex_enumeration
+from oracles import brute_max_matching, dense_matching_lp, lp_vertex_enumeration
+from tcr import lp, matchings
 from tcr.errors import NonEmptyIntersection, SearchCapExceeded, Unsupported
 from tcr.hypergraph import Colour, build, complete_kgraph
 from tcr.lp import matching_lp
@@ -16,6 +18,7 @@ from tcr.matchings import (FractionalMatching, empty_intersection_matching,
                            validate_fractional)
 
 K5 = complete_kgraph(4, 5)
+ZERO = Fraction(0)
 QUARTER = Fraction(1, 4)
 
 
@@ -202,12 +205,23 @@ def test_r_fractional_bounds(seed):
     assert integral <= phi.weight() <= lp
 
 
-def test_r_fractional_120_random_edges_on_14_vertices():
+def test_r_fractional_120_random_edges_on_14_vertices(monkeypatch):
     """r = 3 on 120 random edges over 14 vertices: once a stalled case
-    (over 1,200 LP solves without finishing); the floor prune settles it."""
+    (over 1,200 LP solves without finishing); the floor prune settles it
+    in 115 solves."""
     rng = random.Random(0)
     edges = rng.sample(list(itertools.combinations(range(1, 15), 4)), 120)
+    solves = []
+    solve = lp.matching_lp
+
+    def counted(*args, **kwargs):
+        solves.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(lp, "matching_lp", counted)
     phi = max_r_fractional(edges, 3)
+    monkeypatch.undo()
+    assert len(solves) == 115
     ok, _ = validate_fractional(None, phi)
     assert ok
     assert phi.host == frozenset(edges)
@@ -228,6 +242,48 @@ def test_lp_on_918_edge_component_is_unchanged():
     assert phi.weights == {(1, 13, 14, 15): 1, (2, 10, 12, 16): 1,
                            (3, 7, 8, 11): 1, (4, 5, 6, 9): 1}
     assert all(type(w) is Fraction for w in phi.weights.values())
+
+
+def test_floored_lp_matches_best_support_lp():
+    """The exact floored LP equals the best, over every support S, of the
+    dense reference LP with weight >= beta on S and every other edge
+    excluded; its weights honour the floor."""
+    betas = (Fraction(1, 100), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3))
+    branched = 0
+    for seed in range(60):
+        rng = random.Random(seed)
+        n = rng.randint(5, 8)
+        edges = sorted(rng.sample(list(itertools.combinations(range(1, n + 1), 4)),
+                                  rng.randint(2, min(10, comb(n, 4)))))
+        beta = betas[seed % 4]
+        best = ZERO
+        for size in range(1, len(edges) + 1):
+            for support in itertools.combinations(edges, size):
+                value, _ = dense_matching_lp(edges, lower={e: beta for e in support},
+                                             excluded=set(edges) - set(support))
+                if value is not None:
+                    best = max(best, value)
+        value, weights = matchings._floored_lp_exact(edges, beta)
+        assert value == best, seed
+        assert sum(weights.values(), ZERO) == value
+        assert all(w >= beta for w in weights.values()), seed
+        ok, _ = validate_fractional(None, FractionalMatching(frozenset(edges), weights))
+        assert ok
+        plain = matching_lp(edges)[1]
+        branched += any(ZERO < w < beta for w in plain.values())
+    assert branched >= 10, branched
+
+
+def test_lp_branch_and_bound_node_caps(monkeypatch):
+    """Each search raises SearchCapExceeded once it passes its node cap."""
+    rng = random.Random(0)
+    edges = rng.sample(list(itertools.combinations(range(1, 15), 4)), 120)
+    monkeypatch.setattr(matchings, "R_FRACTIONAL_NODE_CAP", 10)
+    with pytest.raises(SearchCapExceeded):
+        max_r_fractional(edges, 3)
+    monkeypatch.setattr(matchings, "FLOORED_NODE_CAP", 1)
+    with pytest.raises(SearchCapExceeded):
+        matchings._floored_lp_exact(sorted(K5.edges), Fraction(1, 2))
 
 
 def test_mu_all_red_k8():

@@ -4,8 +4,17 @@ Each pair runs `python3 perfbench/run.py --workload W --seed S --trace 0`
 once in each checkout, at perfbench's own run length, the base first in
 even pairs and the change first in odd ones, and keeps the last two lines of each run (the
 run record, which holds the machine, and the result).  The summary gives,
-per end-to-end metric, both medians, the base's interquartile range and
-the number of pairs the change wins.
+per end-to-end metric, both medians, the base's interquartile range, the
+number of pairs the change wins and a verdict against the metric's bound in
+the base's BENCHMARK.json:
+
+- `worse`: the change's median is worse than the base median by more than
+  the bound;
+- `unresolved`: not worse, but the base's IQR / median exceeds the bound and
+  not every change run beats every base run;
+- `better`: the change wins at least nine pairs in ten and its median beats
+  the base median by more than the base's IQR;
+- `no worse`: anything else.
 
     python3 tools/bench_pairs.py --base ../parent --change . \\
         --workload lp_exact --pairs 10 --out BENCH_lp_exact.json
@@ -28,7 +37,24 @@ def run_once(checkout: str, workload: str, seed: int) -> dict:
     return {"record": json.loads(out[-2]), "result": json.loads(out[-1])}
 
 
-def summary(pairs: list) -> dict:
+def verdict(base: list, change: list, bound: float, lower_is_better: bool = True) -> str:
+    """One metric's verdict; the runs are listed pair by pair."""
+    if not lower_is_better:
+        base, change = [-b for b in base], [-c for c in change]
+    b_med, c_med = statistics.median(base), statistics.median(change)
+    q1, _, q3 = statistics.quantiles(base, n=4) if len(base) > 1 else (0, 0, 0)
+    if c_med > b_med + abs(b_med) * bound:
+        return "worse"
+    if q3 - q1 > abs(b_med) * bound and not max(change) < min(base):
+        return "unresolved"
+    wins = sum(c < b for b, c in zip(base, change))
+    if 10 * wins >= 9 * len(base) and b_med - c_med > q3 - q1:
+        return "better"
+    return "no worse"
+
+
+def summary(pairs: list, bounds: dict) -> dict:
+    """bounds maps each end-to-end metric to its BENCHMARK.json entry."""
     out = {}
     for name in pairs[0]["base"]["result"]["metrics"]:
         base = [p["base"]["result"]["metrics"][name]["value"] for p in pairs]
@@ -37,6 +63,11 @@ def summary(pairs: list) -> dict:
         out[name] = {"base_median": statistics.median(base),
                      "change_median": statistics.median(change), "base_iqr": q3 - q1,
                      "change_lower_in": sum(c < b for b, c in zip(base, change))}
+        if name in bounds:
+            spec = bounds[name]
+            out[name]["bound"] = spec["bound"]
+            out[name]["verdict"] = verdict(base, change, spec["bound"],
+                                           spec["better"] == "lower")
     out["all_correct"] = all(p[side]["result"]["correct"] and not p[side]["result"]["failed"]
                              for p in pairs for side in ("base", "change"))
     return out
@@ -58,7 +89,9 @@ def main(argv=None) -> int:
             pair[side] = run_once(getattr(args, side), args.workload, i + 1)
         pairs.append(pair)
         print(json.dumps({side: pair[side]["result"]["metrics"] for side in order}), flush=True)
-    record = {"workload": args.workload, "pairs": pairs, "summary": summary(pairs)}
+    benchmark = json.loads((Path(args.base) / "BENCHMARK.json").read_text(encoding="utf-8"))
+    bounds = {m["name"]: m for m in benchmark["end_to_end"]}
+    record = {"workload": args.workload, "pairs": pairs, "summary": summary(pairs, bounds)}
     print(json.dumps(record["summary"], indent=1))
     if args.out:
         Path(args.out).write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
