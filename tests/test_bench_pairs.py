@@ -4,20 +4,23 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 
-from bench_pairs import summary, verdict  # noqa: E402
+from bench_pairs import compare, summary, verdict  # noqa: E402
 
 STEADY = [1.0, 1.01, 0.99, 1.0, 1.0] * 2
 SPREAD = [1.0, 2.0] * 5
 
 
+def judge(base, change, bound):
+    return verdict(compare(base, change), base, change, bound)
+
+
 def test_verdicts():
-    assert verdict(STEADY, [0.5] * 10, 0.1) == "better"
-    assert verdict(STEADY, [1.05] * 10, 0.1) == "no worse"
-    assert verdict(STEADY, [1.2] * 10, 0.1) == "worse"
-    assert verdict(SPREAD, [1.05] * 10, 0.1) == "unresolved"
+    assert judge(STEADY, [0.5] * 10, 0.1) == "better"
+    assert judge(STEADY, [1.05] * 10, 0.1) == "no worse"
+    assert judge(STEADY, [1.2] * 10, 0.1) == "worse"
+    assert judge(SPREAD, [1.05] * 10, 0.1) == "unresolved"
     # a wide base spread is resolved when every change run beats every base run
-    assert verdict(SPREAD, [0.9] * 10, 0.1) == "no worse"
-    assert verdict(STEADY, [1.5] * 10, 0.1, lower_is_better=False) == "better"
+    assert judge(SPREAD, [0.9] * 10, 0.1) == "no worse"
 
 
 def test_summary_gives_a_verdict_to_bounded_metrics_only():

@@ -37,18 +37,23 @@ def run_once(checkout: str, workload: str, seed: int) -> dict:
     return {"record": json.loads(out[-2]), "result": json.loads(out[-1])}
 
 
-def verdict(base: list, change: list, bound: float, lower_is_better: bool = True) -> str:
-    """One metric's verdict; the runs are listed pair by pair."""
-    if not lower_is_better:
-        base, change = [-b for b in base], [-c for c in change]
-    b_med, c_med = statistics.median(base), statistics.median(change)
+def compare(base: list, change: list) -> dict:
+    """Both medians, the base's interquartile range and the pairs the change
+    wins; the runs are listed pair by pair."""
     q1, _, q3 = statistics.quantiles(base, n=4) if len(base) > 1 else (0, 0, 0)
-    if c_med > b_med + abs(b_med) * bound:
+    return {"base_median": statistics.median(base),
+            "change_median": statistics.median(change), "base_iqr": q3 - q1,
+            "change_lower_in": sum(c < b for b, c in zip(base, change))}
+
+
+def verdict(row: dict, base: list, change: list, bound: float) -> str:
+    """One metric's verdict from its `compare` row; lower is better."""
+    b_med, c_med, iqr = row["base_median"], row["change_median"], row["base_iqr"]
+    if c_med > b_med * (1 + bound):
         return "worse"
-    if q3 - q1 > abs(b_med) * bound and not max(change) < min(base):
+    if iqr > b_med * bound and not max(change) < min(base):
         return "unresolved"
-    wins = sum(c < b for b, c in zip(base, change))
-    if 10 * wins >= 9 * len(base) and b_med - c_med > q3 - q1:
+    if 10 * row["change_lower_in"] >= 9 * len(base) and b_med - c_med > iqr:
         return "better"
     return "no worse"
 
@@ -59,15 +64,11 @@ def summary(pairs: list, bounds: dict) -> dict:
     for name in pairs[0]["base"]["result"]["metrics"]:
         base = [p["base"]["result"]["metrics"][name]["value"] for p in pairs]
         change = [p["change"]["result"]["metrics"][name]["value"] for p in pairs]
-        q1, _, q3 = statistics.quantiles(base, n=4) if len(base) > 1 else (0, 0, 0)
-        out[name] = {"base_median": statistics.median(base),
-                     "change_median": statistics.median(change), "base_iqr": q3 - q1,
-                     "change_lower_in": sum(c < b for b, c in zip(base, change))}
+        out[name] = compare(base, change)
         if name in bounds:
-            spec = bounds[name]
-            out[name]["bound"] = spec["bound"]
-            out[name]["verdict"] = verdict(base, change, spec["bound"],
-                                           spec["better"] == "lower")
+            bound = bounds[name]["bound"]
+            out[name]["bound"] = bound
+            out[name]["verdict"] = verdict(out[name], base, change, bound)
     out["all_correct"] = all(p[side]["result"]["correct"] and not p[side]["result"]["failed"]
                              for p in pairs for side in ("base", "change"))
     return out
