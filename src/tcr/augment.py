@@ -293,7 +293,7 @@ def _assemble(host, parts, colour, component) -> FractionalMatching:
     return FractionalMatching(frozenset(host), weights, colour, component)
 
 
-def _replace(CH, bp, cid, M, W, s, rng, params, trace, name,
+def _replace(CH, bp, cid, M, W, s, rng, trace, name,
              partners=None, pivot_R=None):
     """Empty-intersection replacements on sampled suitable pairs (f, W_f),
     f in M and W_f an s-subset of W.
@@ -335,7 +335,7 @@ def _replace(CH, bp, cid, M, W, s, rng, params, trace, name,
     return weights, replaced
 
 
-def _partner_route(CH, bp, cid, u2, W2, rng, params, trace, name, inside):
+def _partner_route(CH, bp, cid, u2, W2, rng, trace, name, inside):
     """The integral matching of component cid made of the partner edges of
     u2's (u, f) pairs and a first-fit good matching disjoint from them.
 
@@ -360,7 +360,7 @@ def _partner_route(CH, bp, cid, u2, W2, rng, params, trace, name, inside):
         u_pp = [u for u in sorted(u2) if not used2.intersection(u2[u] + (u,))]
         fact, replaced = _replace(
             CH, bp, cid, sorted(u2[u] for u in u_pp), [v for v in W2 if v not in used2],
-            4, rng, params, trace, name, partners={u2[u]: (u, partner[u]) for u in u_pp})
+            4, rng, trace, name, partners={u2[u]: (u, partner[u]) for u in u_pp})
     kept = {e: ONE for e in m1 + m2 if e not in replaced}
     return (_assemble(c_edges, [kept, fact], decomp.colour(cid), cid),
             tuple(sorted(m1 + m2)))
@@ -453,7 +453,7 @@ def augment_once(CH: ColouredKGraph, bp: Blueprint, R_id: int,
 
     # empty-intersection replacements inside the matching's own component
     fact, replaced = _replace(CH, bp, cid, M2, W2, 3 if primary else 4, rng,
-                              params, trace, name, pivot_R=R_id if primary else None)
+                              trace, name, pivot_R=R_id if primary else None)
     if primary:
         gain = sum(fact.values(), ZERO) - len(replaced)
         trace.append({"claim": "red_replacements", "gain": str(gain)})
@@ -461,7 +461,7 @@ def augment_once(CH: ColouredKGraph, bp: Blueprint, R_id: int,
     candidates = [(name, _assemble(c_edges, [kept, spread, fact], colour, cid))]
 
     if partner_cid is not None and (u2 or inside):
-        phi, matching = _partner_route(CH, bp, partner_cid, u2, W2, rng, params,
+        phi, matching = _partner_route(CH, bp, partner_cid, u2, W2, rng,
                                        trace, route, inside)
         candidates.append((route, phi))
         next_matchings.append((matching, decomp.colour(partner_cid), partner_cid))

@@ -20,7 +20,6 @@ import operator
 import re
 import sys
 import time
-from dataclasses import asdict, is_dataclass
 from enum import Enum
 from fractions import Fraction
 
@@ -128,18 +127,12 @@ def rat(x) -> str:
 def to_jsonable(obj):
     if isinstance(obj, Fraction):
         return rat(obj)
-    if isinstance(obj, Colour):
-        return obj.value
     if isinstance(obj, Enum):
         return obj.value
     if isinstance(obj, dict):
         return {_key(k): to_jsonable(v) for k, v in sorted(obj.items(), key=lambda t: _key(t[0]))}
     if isinstance(obj, (list, tuple)):
         return [to_jsonable(v) for v in obj]
-    if isinstance(obj, (set, frozenset)):
-        return [to_jsonable(v) for v in sorted(obj)]
-    if is_dataclass(obj) and not isinstance(obj, type):
-        return {f: to_jsonable(v) for f, v in sorted(asdict(obj).items())}
     return obj
 
 

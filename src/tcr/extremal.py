@@ -15,10 +15,13 @@ from math import comb, gcd
 from typing import Optional
 
 from .blowup import DEFAULT_EDGE_CAP
-from .errors import SearchCapExceeded, SizeCapExceeded, TcrError
+from .errors import InternalError, SizeCapExceeded, TcrError
 from .hypergraph import Colour, ColouredKGraph, build, support_of
 from .tight import (SUPPORT_CAP, Absent, cycle_windows, find_tight_cycle,
                     find_tight_path, monochromatic_components, path_windows)
+
+
+EXHAUSTIVE_N = 8   # largest N for which ramsey_search_tiny searches exhaustively
 
 
 class ProfileNotConstant(TcrError):
@@ -248,106 +251,93 @@ def ramsey_search_tiny(k: int, target: TargetSpec, N: int,
     """Decide whether every red/blue colouring of K_N^(k) contains a
     monochromatic target.
 
-    Known extremal-style colourings are tried first; a verified one is a
-    counterexample certificate by itself.  Otherwise the search extends
-    colourings edge-at-a-time in colex order with early monochromatic-copy
-    pruning and lexicographic canonicity checks at complete-prefix depths.
-    Exhaustive verdicts are limited to k = 2, N <= 7 and k >= 3, N <= 6.
+    Every verdict needs N <= tight.SUPPORT_CAP, the largest support on which
+    a counterexample can be verified; a target longer than N fits in no
+    colouring and is answered by the all-red one.  Known extremal-style
+    colourings are tried next; a verified one is a counterexample
+    certificate by itself.  Otherwise the search extends colourings
+    edge-at-a-time in colex order with early monochromatic-copy pruning and
+    lexicographic canonicity checks at complete-prefix depths; this
+    exhaustive verdict needs N <= EXHAUSTIVE_N, because each canonicity
+    check walks all t! relabellings of the prefix K_t.  A search
+    counterexample that fails its own verification is an InternalError.
     """
+    if N > SUPPORT_CAP:
+        raise SizeCapExceeded(f"a verdict needs N <= {SUPPORT_CAP}; got N={N}")
     if target.length > N:
         # the target does not fit; the empty statement is witnessed by any colouring
         all_red = build(k, N, [("R", e) for e in
                                itertools.combinations(range(1, N + 1), k)])
         return RamseyResult(False, all_red, 0, 0, True)
-    # a seed is verified by the tight searches, so its support N must be
-    # within their cap
-    if allow_seeds and N <= SUPPORT_CAP:
+    if allow_seeds:
         for seed in _seed_colourings(k, N, target):
             CH = build(k, N, seed)
             if _verify_counterexample(CH, target):
                 return RamseyResult(False, CH, 0, 0, True)
-    if not (k == 2 and N <= 7 or k >= 3 and N <= 6):
+    if N > EXHAUSTIVE_N:
         raise SizeCapExceeded(
-            f"exhaustive verdict needs k=2, N<=7 or k>=3, N<=6; got k={k}, N={N}")
+            f"an exhaustive verdict needs N <= {EXHAUSTIVE_N}; got N={N}")
 
     # colex edge order makes every prefix C(t, k) an induced complete K_t
     edges = sorted(itertools.combinations(range(1, N + 1), k),
                    key=lambda e: tuple(reversed(e)))
     eindex = {e: i for i, e in enumerate(edges)}
     copies = _target_copies(k, N, target)
-    by_edge = {e: [] for e in edges}
-    remaining = []   # per copy per colour: how many edges still missing
-    for ci, copy in enumerate(copies):
-        remaining.append({Colour.RED: len(copy), Colour.BLUE: len(copy)})
-        for e in copy:
-            by_edge[e].append(ci)
+    # a copy turns monochromatic only when its last edge in colex order is
+    # coloured, so each copy is kept, as a bitmask of edge indices, under
+    # that edge
+    ending = [[] for _ in edges]
+    for copy in copies:
+        idxs = [eindex[e] for e in copy]
+        ending[max(idxs)].append(sum(1 << j for j in idxs))
+    # at depth C(t, k) the assigned edges are exactly K_t
+    checkpoints = {comb(t, k): t for t in range(k + 1, N + 1)}
 
-    # at depth C(t, k) the assigned edges are exactly K_t, so permutations of
-    # [t] act on the prefix; store the inverse index maps for lex comparison
-    checkpoints = {}
-    for t in range(k + 1, N + 1):
-        depth = comb(t, k)
-        inverses = []
-        for perm in itertools.permutations(range(1, t + 1)):
-            inv = [0] * depth
-            for e in edges[:depth]:
-                img = tuple(sorted(perm[v - 1] for v in e))
-                inv[eindex[img]] = eindex[e]
-            inverses.append(tuple(inv))
-        checkpoints[depth] = tuple(inverses)
-
+    # colour 0 is red and 1 is blue, so red < blue in the lex order
     colours = [None] * len(edges)
     nodes = 0
     prunes = 0
 
     def canonical(depth: int) -> bool:
-        # reject the prefix when some relabelling gives a lex-smaller word
-        # (red < blue); relabelled word at j is colours[inv[j]]
-        for inv in checkpoints.get(depth, ()):
+        # reject the prefix when some relabelling of [t] gives a lex-smaller
+        # word; its letter j is the colour of the image of edge j
+        t = checkpoints.get(depth)
+        if t is None:
+            return True
+        for perm in itertools.permutations(range(1, t + 1)):
+            image = (0,) + perm
             for j in range(depth):
-                a = colours[inv[j]]
+                a = colours[eindex[tuple(sorted(image[v] for v in edges[j]))]]
                 b = colours[j]
-                if a is b:
-                    continue
-                if a is Colour.RED:
-                    return False
-                break
+                if a != b:
+                    if a < b:
+                        return False
+                    break
         return True
 
-    def assign(idx: int) -> Optional[list]:
+    def assign(idx: int, coloured: tuple) -> Optional[list]:
+        # coloured[c] is the bitmask of the edges of colour c so far
         nonlocal nodes, prunes
         if idx == len(edges):
             return list(colours)
-        e = edges[idx]
-        options = (Colour.RED,) if idx == 0 else (Colour.RED, Colour.BLUE)
-        for colour in options:
+        for colour in ((0,) if idx == 0 else (0, 1)):
             nodes += 1
             colours[idx] = colour
-            completed = False
-            touched = []
-            for ci in by_edge[e]:
-                remaining[ci][colour] -= 1
-                touched.append(ci)
-                if remaining[ci][colour] == 0:
-                    completed = True
-            if completed or not canonical(idx + 1):
+            mask = coloured[colour] | 1 << idx
+            if (any(m & mask == m for m in ending[idx])
+                    or not canonical(idx + 1)):
                 prunes += 1
-            else:
-                res = assign(idx + 1)
-                if res is not None:
-                    for ci in touched:
-                        remaining[ci][colour] += 1
-                    colours[idx] = None
-                    return res
-            for ci in touched:
-                remaining[ci][colour] += 1
-            colours[idx] = None
+                continue
+            res = assign(idx + 1, (mask, coloured[1]) if colour == 0
+                         else (coloured[0], mask))
+            if res is not None:
+                return res
         return None
 
-    res = assign(0)
+    res = assign(0, (0, 0))
     if res is None:
         return RamseyResult(True, None, nodes, prunes, False)
-    CH = build(k, N, [(c.value, e) for c, e in zip(res, edges)])
+    CH = build(k, N, [("RB"[c], e) for c, e in zip(res, edges)])
     if not _verify_counterexample(CH, target):
-        raise SearchCapExceeded("search produced an unverifiable colouring")
+        raise InternalError("search produced an unverifiable colouring")
     return RamseyResult(False, CH, nodes, prunes, False)

@@ -65,9 +65,6 @@ class KGraph:
     def m(self) -> int:
         return len(self.edges)
 
-    def support(self) -> tuple:
-        return support_of(self.edges)
-
 
 def complete_kgraph(k: int, n: int) -> KGraph:
     return KGraph(k, n, frozenset(itertools.combinations(range(1, n + 1), k)))

@@ -3,9 +3,9 @@
 Nothing here imports the algorithms under test beyond plain data types:
 matchings come from bare include/exclude recursion, LP optima from basic
 solution enumeration and from a dense Fraction tableau, connectivity from
-BFS, shadow masks from subset tests over all (k-2)-sets.  The reference
-tcg parser uses only `hypergraph.build` for construction.  Deliberately
-simple and slow.
+BFS, shadow masks from subset tests over all (k-2)-sets, small Ramsey
+verdicts from every 2-colouring.  The reference tcg parser uses only
+`hypergraph.build` for construction.  Deliberately simple and slow.
 """
 from __future__ import annotations
 
@@ -188,6 +188,29 @@ def verify_path_witness(edge_set, k, ordering) -> bool:
     for i in range(len(ordering) - k + 1):
         window = tuple(sorted(ordering[i + j] for j in range(k)))
         if window not in edge_set:
+            return False
+    return True
+
+
+def brute_has_tight(edge_set, N, k, kind, length) -> bool:
+    """Whether some ordering of `length` distinct vertices of [N] has all
+    its k-windows (cyclic ones for a cycle) in `edge_set`."""
+    windows = length if kind == "cycle" else length - k + 1
+    return any(all(tuple(sorted(o[(i + j) % length] for j in range(k))) in edge_set
+                   for i in range(windows))
+               for o in itertools.permutations(range(1, N + 1), length))
+
+
+def brute_ramsey(k, N, kind, length) -> bool:
+    """Whether every red/blue colouring of K_N^(k) has a monochromatic tight
+    cycle or path on `length` vertices: all 2^C(N, k) colourings, both
+    colour classes tested by `brute_has_tight`."""
+    edges = list(itertools.combinations(range(1, N + 1), k))
+    for bits in range(2 ** len(edges)):
+        red = {e for i, e in enumerate(edges) if bits >> i & 1}
+        blue = set(edges) - red
+        if not (brute_has_tight(red, N, k, kind, length)
+                or brute_has_tight(blue, N, k, kind, length)):
             return False
     return True
 

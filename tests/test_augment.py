@@ -328,7 +328,7 @@ def test_replace_empty_intersection_family():
     f = (2, 3, 4, 5)
     trace = []
     weights, replaced = _replace(ch, bp, blue_id, [f], (6, 7, 8), 3, random.Random(0),
-                                 DriverParams(), trace, "blue")
+                                 trace, "blue")
     family = list(itertools.combinations(range(2, 9), 4))
     assert weights == {e: Fraction(1, 34) for e in family}
     assert replaced == {f}
@@ -343,7 +343,7 @@ def test_replace_nonempty_core_is_traced_with_pivot():
     f = (1, 2, 3, 4)
     trace = []
     weights, replaced = _replace(ch, bp, red_id, [f], (5, 6, 7), 3, random.Random(0),
-                                 DriverParams(), trace, "red", pivot_R=red_id)
+                                 trace, "red", pivot_R=red_id)
     assert weights == {} and replaced == set()
     assert trace == [{"claim": "red_core_nonempty", "f": f, "W_f": (5, 6, 7), "pivot": 1}]
 
@@ -356,7 +356,7 @@ def test_replace_around_a_partner_edge():
     f = (1, 2, 3, 4)
     trace = []
     weights, replaced = _replace(ch, bp, blue_id, [f], (6, 7, 8, 9), 4, random.Random(0),
-                                 DriverParams(), trace, "blue",
+                                 trace, "blue",
                                  partners={f: (5, (2, 3, 4, 5))})
     family = list(itertools.combinations((2, 3, 4, 6, 7, 8, 9), 4)) + [(2, 3, 4, 5)]
     assert weights == {e: Fraction(1, 35) for e in family}
@@ -364,7 +364,7 @@ def test_replace_around_a_partner_edge():
     assert trace == []
     f = (2, 3, 4, 5)
     weights, replaced = _replace(ch, bp, red_id, [f], (6, 7, 8, 9), 4, random.Random(0),
-                                 DriverParams(), trace, "red",
+                                 trace, "red",
                                  partners={f: (1, (1, 2, 3, 4))})
     assert weights == {} and replaced == set()
     assert trace == [{"claim": "red_core_nonempty", "f": f, "W_u": (6, 7, 8, 9), "u": 1}]

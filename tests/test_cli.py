@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import parse_reference
-from tcr import lp
+from tcr import extremal, lp
 from tcr.cli import (EXIT_CAP, EXIT_CONTRACT, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE,
                      parse_coloured_hypergraph, run,
                      serialize_coloured_hypergraph)
@@ -322,9 +322,35 @@ def test_cli_component_out_of_range(tmp_path, capsys):
 
 def test_cli_cap_exit_code(capsys):
     code, out, err = run_captured(
-        capsys, ["ramsey", "--k", "2", "--target", "c3", "--N", "8",
+        capsys, ["ramsey", "--k", "2", "--target", "c3", "--N", "9",
                  "--no-seeds"])
     assert code == EXIT_CAP
+    assert json.loads(out)["error"]["kind"] == "SizeCapExceeded"
+    code, out, err = run_captured(
+        capsys, ["ramsey", "--k", "2", "--target", "c3", "--N", "8",
+                 "--no-seeds"])
+    assert code == EXIT_OK
+    assert json.loads(out)["result"]["all_coloured"] is True
+
+
+def test_cli_ramsey_checks_size_before_a_target_longer_than_N(capsys, monkeypatch):
+    """A target longer than N is answered by a colouring of K_N^(k), so
+    N above the support cap exits 3 before anything is built."""
+    def no_build(*args):
+        raise AssertionError("built a colouring")
+    monkeypatch.setattr(extremal, "build", no_build)
+    code, out, err = run_captured(
+        capsys, ["ramsey", "--k", "4", "--target", "c60", "--N", "50"])
+    assert code == EXIT_CAP
+    assert json.loads(out)["error"]["kind"] == "SizeCapExceeded"
+
+
+def test_cli_ramsey_failed_self_check_is_internal_error(capsys, monkeypatch):
+    monkeypatch.setattr(extremal, "_verify_counterexample", lambda *args: False)
+    code, out, err = run_captured(
+        capsys, ["ramsey", "--k", "2", "--target", "c4", "--N", "5", "--no-seeds"])
+    assert code == EXIT_INTERNAL
+    assert json.loads(out)["error"]["kind"] == "InternalError"
 
 
 def test_cli_contract_exit_code(tmp_path, capsys):

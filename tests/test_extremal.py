@@ -3,7 +3,7 @@ from math import comb
 
 import pytest
 
-from oracles import verify_cycle_witness
+from oracles import brute_has_tight, brute_ramsey, verify_cycle_witness
 from tcr import extremal
 from tcr.errors import SizeCapExceeded
 from tcr.extremal import (TargetSpec, parity_coloring, ramsey_search_tiny,
@@ -153,10 +153,57 @@ def test_ramsey_path_target():
 
 
 def test_ramsey_cap():
+    """An exhaustive verdict needs N <= EXHAUSTIVE_N = 8, for every k."""
     with pytest.raises(SizeCapExceeded):
-        ramsey_search_tiny(2, TargetSpec("cycle", 3), 8, allow_seeds=False)
+        ramsey_search_tiny(2, TargetSpec("cycle", 3), 9, allow_seeds=False)
     with pytest.raises(SizeCapExceeded):
-        ramsey_search_tiny(3, TargetSpec("cycle", 4), 7, allow_seeds=False)
+        ramsey_search_tiny(3, TargetSpec("cycle", 4), 9, allow_seeds=False)
+    assert ramsey_search_tiny(2, TargetSpec("cycle", 3), 8, allow_seeds=False).all_coloured
+    res = ramsey_search_tiny(3, TargetSpec("cycle", 4), 7, allow_seeds=False)
+    assert not res.all_coloured and not res.seeded
+    for colour in (Colour.RED, Colour.BLUE):
+        sub = res.counterexample.monochromatic_subgraph(colour)
+        assert isinstance(find_tight_cycle(sub, 4), Absent)
+
+
+ORACLE_CASES = [(k, N, kind, length) for k, N in ((2, 4), (2, 5), (3, 5), (4, 5))
+                for kind, least in (("cycle", k + 1), ("path", k))
+                for length in range(least, N + 1)]
+
+
+@pytest.mark.parametrize("k,N,kind,length", ORACLE_CASES)
+def test_ramsey_matches_brute_force(k, N, kind, length):
+    """The verdict is the one found by trying every 2-colouring, with and
+    without seeds, and a counterexample has no monochromatic target."""
+    expected = brute_ramsey(k, N, kind, length)
+    for allow_seeds in (True, False):
+        res = ramsey_search_tiny(k, TargetSpec(kind, length), N, allow_seeds=allow_seeds)
+        assert res.all_coloured == expected
+        if not expected:
+            for colour in (Colour.RED, Colour.BLUE):
+                assert not brute_has_tight(res.counterexample.edges_of(colour),
+                                           N, k, kind, length)
+
+
+def test_ramsey_graph_c5_counterexample_at_8():
+    """R(C_5) = 9 for graphs (Rosta 1973; Faudree-Schelp 1974)."""
+    res = ramsey_search_tiny(2, TargetSpec("cycle", 5), 8, allow_seeds=False)
+    assert not res.all_coloured
+    for colour in (Colour.RED, Colour.BLUE):
+        sub = res.counterexample.monochromatic_subgraph(colour)
+        assert isinstance(find_tight_cycle(sub, 5), Absent)
+
+
+@pytest.mark.parametrize("k,target,N,nodes,prunes", [
+    (2, TargetSpec("cycle", 4), 7, 165, 83),
+    (2, TargetSpec("cycle", 6), 8, 4855, 2428),   # R(C_6) = 8 for graphs
+    (4, TargetSpec("path", 7), 8, 12155, 6078),
+])
+def test_ramsey_search_tree_is_pinned(k, target, N, nodes, prunes):
+    """The search visits the same tree: its node and prune counts are
+    pinned, not just its verdict."""
+    res = ramsey_search_tiny(k, target, N, allow_seeds=False)
+    assert (res.all_coloured, res.nodes, res.prunes) == (True, nodes, prunes)
 
 
 def test_ramsey_checks_size_before_building_seeds(monkeypatch):
