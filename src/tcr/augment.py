@@ -22,7 +22,7 @@ from .blueprint import (Blueprint, build_blueprint, compute_B_W, is_good,
                         sample_suitable_pairs, trim_spanning_component)
 from .errors import (HypothesisViolated, InconsistentWitness,
                      NonEmptyIntersection, TcrError)
-from .hypergraph import Colour, ColouredKGraph, density_check, edges_within
+from .hypergraph import Colour, ColouredKGraph, density_check, edges_within, support_of
 from .matchings import (FractionalMatching, empty_intersection_matching,
                         from_matching, greedy_matching, validate_fractional)
 
@@ -106,22 +106,16 @@ def _max_bipartite(admissible: dict) -> dict:
 
 
 def _greedy_good(CH, bp, edges, forbidden=frozenset()):
-    """First-fit maximal matching among good edges avoiding forbidden vertices."""
+    """First-fit maximal matching among good edges avoiding forbidden vertices.
+    CH is unread; perfbench/selftest.py calls this with it."""
     out = []
     used = set(forbidden)
     for e in sorted(edges):
         if used.intersection(e):
             continue
-        if is_good(CH, bp, e):
+        if is_good(bp, e):
             out.append(e)
             used.update(e)
-    return out
-
-
-def _covered(edges) -> set:
-    out = set()
-    for e in edges:
-        out.update(e)
     return out
 
 
@@ -129,7 +123,7 @@ def _largest_red(CH, bp, vertices):
     """The good edges of H inside `vertices`, the red component holding most
     of them (ties to the smaller id, None when no good edge is red), and
     that component's share."""
-    good = [e for e in edges_within(CH.graph.edges, vertices, 4) if is_good(CH, bp, e)]
+    good = [e for e in edges_within(CH.graph.edges, vertices, 4) if is_good(bp, e)]
     by_comp = {}
     for e in good:
         if CH.colour[e] is Colour.RED:
@@ -140,7 +134,7 @@ def _largest_red(CH, bp, vertices):
     return good, r_star, by_comp[r_star]
 
 
-def verify_case_hypotheses(CH, bp, R_id, state: AugmentationState):
+def verify_case_hypotheses(bp, R_id, state: AugmentationState):
     """H1/H2 entry checks: M is a good matching inside its stated
     monochromatic component, and the red blueprint edges all induce R."""
     decomp = bp.decomposition
@@ -155,7 +149,7 @@ def verify_case_hypotheses(CH, bp, R_id, state: AugmentationState):
         used.update(e)
         if decomp.component_of.get(e) != state.component:
             raise HypothesisViolated(f"{e} outside component {state.component}")
-        if not is_good(CH, bp, e):
+        if not is_good(bp, e):
             raise HypothesisViolated(f"matching edge {e} is not good")
     col = decomp.colour(state.component)
     if col is not state.colour:
@@ -171,7 +165,8 @@ def initial_matching(CH: ColouredKGraph, bp: Blueprint, R_id: int,
 
     Greedy in the red good edges first; if small, attach the uncovered set's
     blue component and build blue edges from witness triples, or fall back
-    to the all-blue-pairs region whose good edges are red."""
+    to the all-blue-pairs region whose good edges are red.  rng is unread;
+    perfbench/runner.py calls this with five arguments."""
     decomp = bp.decomposition
     n_scale = params.scale_n(CH.n)
     target = n_scale / 4
@@ -187,7 +182,7 @@ def initial_matching(CH: ColouredKGraph, bp: Blueprint, R_id: int,
     if len(M) >= small:
         return InitialOutcome("ok", M, Colour.RED, R_id, "red_greedy", tuple(trace))
 
-    covered = _covered(M)
+    covered = support_of(M)
     W = tuple(v for v in sorted(bp.vertex_set) if v not in covered)
     try:
         bw = compute_B_W(CH, bp, R_id, W)
@@ -223,7 +218,7 @@ def initial_matching(CH: ColouredKGraph, bp: Blueprint, R_id: int,
                     if w2 in used or w2 in T:
                         continue
                     edge = tuple(sorted(T + (w2,)))
-                    if decomp.component_of.get(edge) == B and is_good(CH, bp, edge):
+                    if decomp.component_of.get(edge) == B and is_good(bp, edge):
                         blue_edges.append(edge)
                         used.update(edge)
                         done = True
@@ -316,7 +311,7 @@ def _replace(CH, bp, cid, M, W, s, rng, trace, name,
             u, out = partners[f]
             family.add(out)
         try:
-            phi = empty_intersection_matching(CH, family)
+            phi = empty_intersection_matching(family)
         except NonEmptyIntersection:
             entry = {"claim": f"{name}_core_nonempty", "f": f}
             entry.update({"W_f": wf} if partners is None else {"W_u": wf, "u": u})
@@ -347,7 +342,7 @@ def _partner_route(CH, bp, cid, u2, W2, rng, trace, name, inside):
     c_edges = decomp.edges_of(cid)
     partner = {u: _comp_partner(decomp, cid, f, u) for u, f in sorted(u2.items())}
     m1 = sorted(partner.values())
-    forbidden = _covered(m1)
+    forbidden = set(support_of(m1))
     if inside:
         forbidden |= set(range(1, CH.n + 1)).difference(W2)
     m2 = _greedy_good(CH, bp, decomp._sorted[cid], forbidden=forbidden)
@@ -356,7 +351,7 @@ def _partner_route(CH, bp, cid, u2, W2, rng, trace, name, inside):
     trace.append(entry)
     fact, replaced = {}, set()
     if not inside:
-        used2 = _covered(m2)
+        used2 = set(support_of(m2))
         u_pp = [u for u in sorted(u2) if not used2.intersection(u2[u] + (u,))]
         fact, replaced = _replace(
             CH, bp, cid, sorted(u2[u] for u in u_pp), [v for v in W2 if v not in used2],
@@ -378,7 +373,7 @@ def augment_once(CH: ColouredKGraph, bp: Blueprint, R_id: int,
     and empty-intersection replacements on sampled suitable pairs.  Every
     candidate output is revalidated; success means a gain of at least
     gamma * n over the incoming matching."""
-    verify_case_hypotheses(CH, bp, R_id, state)
+    verify_case_hypotheses(bp, R_id, state)
     decomp = bp.decomposition
     n_scale = params.scale_n(CH.n)
     target = n_scale / 4
@@ -394,7 +389,7 @@ def augment_once(CH: ColouredKGraph, bp: Blueprint, R_id: int,
     trace = list(state.trace)
 
     # maximality repair: extend M greedily inside its component
-    added = _greedy_good(CH, bp, decomp._sorted[cid], forbidden=_covered(state.matching))
+    added = _greedy_good(CH, bp, decomp._sorted[cid], forbidden=support_of(state.matching))
     M = tuple(sorted([*state.matching, *added]))
     next_matchings = []
     if added:
@@ -404,7 +399,7 @@ def augment_once(CH: ColouredKGraph, bp: Blueprint, R_id: int,
         return AugmentOutcome("terminal", from_matching(M, c_edges, colour, cid),
                               tuple(next_matchings),
                               tuple(trace) + ({"claim": "target_reached_integrally"},))
-    covered = _covered(M)
+    covered = support_of(M)
     W = tuple(v for v in sorted(bp.vertex_set) if v not in covered)
 
     partner_cid = None
@@ -483,8 +478,6 @@ class DriverReport:
     n_scale: Fraction
     target: Fraction
     colour_swapped: bool
-    blueprint_coverage: int
-    blueprint_omitted: int
     initial_kind: str
     iterations: int
     final_weight: Fraction
@@ -497,20 +490,18 @@ class DriverReport:
     best: Optional[FractionalMatching]
 
 
-def _stuck(CH, params, swapped, build_res, kind, trace) -> DriverReport:
+def _stuck(CH, params, swapped, kind, trace) -> DriverReport:
     n_scale = params.scale_n(CH.n)
-    return DriverReport("stuck", CH.n, n_scale, n_scale / 4, swapped,
-                        build_res.coverage, len(build_res.omitted), kind, 0,
+    return DriverReport("stuck", CH.n, n_scale, n_scale / 4, swapped, kind, 0,
                         ZERO, None, None, False, False, False, tuple(trace), None)
 
 
 def _trimmed_blueprint(CH, params):
     """Build the blueprint and trim its graph to a spanning monochromatic
     component, at the blueprint's own missing-pair density if worse."""
-    build_res = build_blueprint(CH, params.eps)
-    miss = 1 - Fraction(build_res.blueprint.graph.graph.m, comb(CH.n, 2))
-    trim = trim_spanning_component(build_res.blueprint.graph, max(params.eps, miss))
-    return build_res, trim
+    bp = build_blueprint(CH, params.eps).blueprint
+    miss = 1 - Fraction(bp.graph.graph.m, comb(CH.n, 2))
+    return bp, trim_spanning_component(bp.graph, max(params.eps, miss))
 
 
 def run_driver(CH: ColouredKGraph, params: DriverParams, seed: int) -> DriverReport:
@@ -526,14 +517,13 @@ def run_driver(CH: ColouredKGraph, params: DriverParams, seed: int) -> DriverRep
             f"input is not (1-eps, eps)-dense at eps = {params.eps}")
 
     work, swapped = CH, False
-    build_res, trim = _trimmed_blueprint(work, params)
+    bp0, trim = _trimmed_blueprint(work, params)
     if trim.colour is Colour.BLUE:
         work, swapped = CH.swapped(), True
-        build_res, trim = _trimmed_blueprint(work, params)
+        bp0, trim = _trimmed_blueprint(work, params)
         if trim.colour is Colour.BLUE:
             trace.append({"claim": "canonical_red_spanning", "failed": True})
-            return _stuck(CH, params, swapped, build_res, "none", trace)
-    bp0 = build_res.blueprint
+            return _stuck(CH, params, swapped, "none", trace)
     trace.append({"claim": "trim", "kept": len(trim.vertices),
                   "min_degree": trim.min_degree})
 
@@ -544,7 +534,7 @@ def run_driver(CH: ColouredKGraph, params: DriverParams, seed: int) -> DriverRep
     red_ids = {bp.assign[e] for e in bp.pairs_of_colour(Colour.RED)}
     if len(red_ids) != 1:
         trace.append({"claim": "unique_spanning_component", "ids": sorted(red_ids)})
-        return _stuck(CH, params, swapped, build_res, "none", trace)
+        return _stuck(CH, params, swapped, "none", trace)
     (R_id,) = red_ids
 
     n_scale = params.scale_n(CH.n)
@@ -552,7 +542,7 @@ def run_driver(CH: ColouredKGraph, params: DriverParams, seed: int) -> DriverRep
     init = initial_matching(work, bp, R_id, params, rng)
     trace.extend(init.trace)
     if init.status == "stuck":
-        return _stuck(CH, params, swapped, build_res, init.kind, trace)
+        return _stuck(CH, params, swapped, init.kind, trace)
 
     decomp = bp.decomposition
     best = from_matching(init.matching, decomp.edges_of(init.component),
@@ -593,7 +583,7 @@ def run_driver(CH: ColouredKGraph, params: DriverParams, seed: int) -> DriverRep
             status = "reached"
 
     ok, violation = validate_fractional(work, best)
-    support_good = ok and all(is_good(work, bp, e) for e in best.weights)
+    support_good = ok and all(is_good(bp, e) for e in best.weights)
     comp_ok = best.component is not None and all(
         decomp.component_of.get(e) == best.component for e in best.weights)
     if not (ok and comp_ok):
@@ -602,8 +592,7 @@ def run_driver(CH: ColouredKGraph, params: DriverParams, seed: int) -> DriverRep
     final_colour = best.colour
     if swapped and final_colour is not None:
         final_colour = final_colour.opposite
-    return DriverReport(status, CH.n, n_scale, target, swapped,
-                        build_res.coverage, len(build_res.omitted), init.kind,
+    return DriverReport(status, CH.n, n_scale, target, swapped, init.kind,
                         iterations, best.weight(), final_colour,
                         best.component, best.weight() >= target, min_weight_ok,
                         support_good, tuple(trace), best)

@@ -32,14 +32,14 @@ class BlowUpMap:
     vertex_class: dict   # blown vertex -> base vertex
 
 
-def blow_up(CH: ColouredKGraph, r: int, edge_cap: int = DEFAULT_EDGE_CAP):
+def blow_up(CH: ColouredKGraph, r: int):
     """The r-blow-up of a coloured graph; colours are inherited from bases."""
     if r < 1:
         raise ValueError(f"r = {r} < 1")
     k = CH.k
     total = CH.graph.m * r ** k
-    if total > edge_cap:
-        raise SizeCapExceeded(f"blow-up would have {total} edges > cap {edge_cap}")
+    if total > DEFAULT_EDGE_CAP:
+        raise SizeCapExceeded(f"blow-up would have {total} edges > cap {DEFAULT_EDGE_CAP}")
     classes = {x: tuple(range(r * (x - 1) + 1, r * x + 1)) for x in range(1, CH.n + 1)}
     vertex_class = {y: x for x, ys in classes.items() for y in ys}
     colour = {}

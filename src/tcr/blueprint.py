@@ -226,7 +226,7 @@ def build_blueprint(CH: ColouredKGraph, eps) -> BlueprintBuild:
     keep = {}
     for colour in (Colour.RED, Colour.BLUE):
         pairs = [p for p, cid in chosen.items() if decomp.colour(cid) is colour]
-        for members in _component_sets(2, pairs)[0]:
+        for members in _component_sets(pairs)[0]:
             counts = {}
             for p in members:
                 counts[chosen[p]] = counts.get(chosen[p], 0) + 1
@@ -292,7 +292,7 @@ def trim_spanning_component(F: ColouredKGraph, eps) -> TrimResult:
         best = set()
         for colour in (Colour.RED, Colour.BLUE):
             mono = [e for e in edges if F.colour[e] is colour]
-            for comp in _component_sets(2, mono)[0]:
+            for comp in _component_sets(mono)[0]:
                 comp_vs = set(support_of(comp))
                 if comp_vs == kept:
                     return TrimResult(tuple(sorted(kept)), colour, tuple(comp),
@@ -327,7 +327,7 @@ def blueprint_blowup(bp: Blueprint, bmap, blown_ch: ColouredKGraph) -> Blueprint
     return make_blueprint(blown_ch, bp.eps, assign)
 
 
-def good_flags(CH: ColouredKGraph, bp: Blueprint, f) -> tuple:
+def good_flags(bp: Blueprint, f) -> tuple:
     """(g1, g2, g3): f inside V(G); blueprint complete on f; some z in f sees
     every remaining pair through its component's shadow."""
     f = tuple(sorted(f))
@@ -344,15 +344,15 @@ def good_flags(CH: ColouredKGraph, bp: Blueprint, f) -> tuple:
     return g1, g2, g3
 
 
-def is_good(CH: ColouredKGraph, bp: Blueprint, f) -> bool:
-    return all(good_flags(CH, bp, f))
+def is_good(bp: Blueprint, f) -> bool:
+    return all(good_flags(bp, f))
 
 
 def good_edges(CH: ColouredKGraph, bp: Blueprint, host) -> frozenset:
     """The subset of host edges that are good for (H, G)."""
     if CH.k != 4:
         raise ValueError("good edges are defined for 4-graphs")
-    return frozenset(e for e in host if is_good(CH, bp, e))
+    return frozenset(e for e in host if is_good(bp, e))
 
 
 @dataclass(frozen=True)
@@ -403,7 +403,7 @@ def is_suitable_pair(CH: ColouredKGraph, bp: Blueprint, f, W) -> SuitablePairRep
                 break
         if not sp6:
             break
-    good = good_flags(CH, bp, f)
+    good = good_flags(bp, f)
     flags = (sp1, sp2, sp3, sp4, sp5, sp6)
     return SuitablePairReport(f, W, flags, good, all(flags) and all(good))
 
@@ -414,8 +414,7 @@ def three_vertex_extension(CH: ColouredKGraph, bp: Blueprint, T1, T2, W):
 
     Each z must extend all current triples to edges, stay blueprint-adjacent
     to everything so far, and land in the shadow of every current pair's
-    component.  Returns the triple or None when the greedy choice dies; the
-    connection search in the growth engine relies on the same conditions.
+    component.  Returns the triple or None when the greedy choice dies.
     """
     T1 = tuple(sorted(T1))
     T2 = tuple(sorted(T2))
@@ -507,7 +506,7 @@ def compute_B_W(CH: ColouredKGraph, bp: Blueprint, R_id: int, W) -> BWResult:
                 f"red blueprint edge {e} induces component {bp.assign[e]}, not {R_id}")
     decomp = bp.decomposition
     red_good_inside = [e for e in edges_within(decomp.edges_of(R_id), W, 4)
-                       if is_good(CH, bp, e)]
+                       if is_good(bp, e)]
     if red_good_inside:
         raise HypothesisViolated(
             f"good red edge {red_good_inside[0]} inside W")
@@ -571,7 +570,7 @@ def compute_B_W(CH: ColouredKGraph, bp: Blueprint, R_id: int, W) -> BWResult:
     for T, hits in gamma.items():
         for w in hits:
             edge = tuple(sorted(T + (w,)))
-            if decomp.component_of[edge] != b_id or not is_good(CH, bp, edge):
+            if decomp.component_of[edge] != b_id or not is_good(bp, edge):
                 raise InconsistentWitness(
                     f"attachment edge {edge} not good in component {b_id}")
     return BWResult(b_id, tuple(triples), gamma)
@@ -592,7 +591,7 @@ def local_pivot(CH: ColouredKGraph, bp: Blueprint, R_id: int, f, W, e) -> int:
     if not report.suitable:
         raise HypothesisViolated(f"(f, W) not suitable: sp={report.sp} good={report.good}")
     decomp = bp.decomposition
-    if decomp.component_of.get(f) != R_id or not is_good(CH, bp, f):
+    if decomp.component_of.get(f) != R_id or not is_good(bp, f):
         raise HypothesisViolated(f"f = {f} is not a good edge of component {R_id}")
     if not set(e).issubset(W) or bp.assign.get(e) != R_id:
         raise HypothesisViolated(f"e = {e} is not a component-{R_id} blueprint edge in W")

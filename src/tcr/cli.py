@@ -2,11 +2,11 @@
 
 One command per process; a single structured JSON report on stdout, human
 logs on stderr.  Exit codes: 0 success, 1 parse/usage, 2 hypothesis or
-contract violation, 3 cap exceeded, 4 internal error (a failed self-check,
-such as an LP optimum whose dual certificate does not verify).  Rationals
-are emitted as exact "p/q" strings.  Reports for a fixed input and seed are
-byte-identical; wall-clock timing goes to stderr unless --timing asks for it
-in the report.
+contract violation, 3 cap exceeded, 4 internal error: any exception that is
+not a domain error, such as a failed self-check (an LP optimum whose dual
+certificate does not verify).  Rationals are emitted as exact "p/q" strings.
+Reports for a fixed input and seed are byte-identical; wall-clock timing
+goes to stderr unless --timing asks for it in the report.
 
 tcg format: line 1 "tcg 1"; line 2 "k=<int> n=<int>"; then one edge per
 line "<R|B> v1 ... vk" with strictly increasing vertices; "#" starts a
@@ -28,8 +28,8 @@ from . import blueprint as blueprint_mod
 from . import extremal as extremal_mod
 from . import matchings as matchings_mod
 from .augment import AugmentationState, DriverParams, augment_once, initial_matching, run_driver
-from .errors import (HypothesisViolated, InternalError, MalformedEdge, ParseError,
-                     SearchCapExceeded, SizeCapExceeded, TcrError, Unsupported, UsageError)
+from .errors import (HypothesisViolated, MalformedEdge, ParseError, SearchCapExceeded,
+                     SizeCapExceeded, TcrError, Unsupported, UsageError)
 from .extremal import TargetSpec
 from .hypergraph import Colour, ColouredKGraph, build
 from .tight import monochromatic_components, tight_components
@@ -47,8 +47,8 @@ PARAM_NAMES = ("eps", "gamma", "delta", "eta", "c")   # DriverParams, in order
 FAILURES = (
     ((ParseError, UsageError, FileNotFoundError), EXIT_USAGE, "error"),
     ((SearchCapExceeded, SizeCapExceeded), EXIT_CAP, "cap exceeded"),
-    ((TcrError, ValueError), EXIT_CONTRACT, "violation"),
-    ((InternalError,), EXIT_INTERNAL, "internal error"),
+    ((TcrError,), EXIT_CONTRACT, "violation"),
+    ((Exception,), EXIT_INTERNAL, "internal error"),
 )
 
 
@@ -358,7 +358,8 @@ def _cmd_driver(args) -> dict:
 
 def _cmd_extremal(args) -> dict:
     _require(args.k >= 2, f"--k must be >= 2, got {args.k}")
-    least_n = 2 if args.mode == "split" else 1
+    # parity with i = 0 and n = 1 would have N = k - 1 vertices
+    least_n = 1 if args.mode == "parity" and args.i != 0 else 2
     _require(args.n >= least_n, f"--n must be >= {least_n}, got {args.n}")
     if args.mode == "split":
         CH, spec = extremal_mod.split_coloring(args.k, args.n)

@@ -16,7 +16,7 @@ from typing import Optional
 
 from .blowup import DEFAULT_EDGE_CAP
 from .errors import InternalError, SizeCapExceeded, TcrError
-from .hypergraph import Colour, ColouredKGraph, build, support_of
+from .hypergraph import Colour, ColouredKGraph, KGraph, build, support_of
 from .tight import (SUPPORT_CAP, Absent, cycle_windows, find_tight_cycle,
                     find_tight_path, monochromatic_components, path_windows)
 
@@ -83,6 +83,8 @@ def parity_coloring(k: int, n: int, i: int):
         raise ValueError(f"need 0 <= i <= k-1, got i = {i}")
     d = gcd(k, i)
     N = (d + 1) * k * n // d - 2
+    if N < k:
+        raise ValueError(f"N = {N} < k = {k}: i = 0 needs n >= 2")
     if comb(N, k) > DEFAULT_EDGE_CAP:
         raise SizeCapExceeded(f"C({N},{k}) exceeds cap {DEFAULT_EDGE_CAP}")
     x_size = k * n // d - 1
@@ -171,8 +173,7 @@ def verify_no_mono_cycle(CH: ColouredKGraph, spec: ExtremalSpec,
                 record["blocked_by"] = blocked[0]
                 record[blocked[0].split("_")[0] + "_needed"] = blocked[1]
             else:
-                result = find_tight_cycle(CH.graph, length, within=cid,
-                                          decomposition=decomp)
+                result = find_tight_cycle(KGraph(k, CH.n, comp), length)
                 if isinstance(result, Absent):
                     record["blocked_by"] = "exhaustive"
                     record["explored"] = result.explored
@@ -268,7 +269,7 @@ def ramsey_search_tiny(k: int, target: TargetSpec, N: int,
         # the target does not fit; the empty statement is witnessed by any colouring
         all_red = build(k, N, [("R", e) for e in
                                itertools.combinations(range(1, N + 1), k)])
-        return RamseyResult(False, all_red, 0, 0, True)
+        return RamseyResult(False, all_red, 0, 0, False)
     if allow_seeds:
         for seed in _seed_colourings(k, N, target):
             CH = build(k, N, seed)

@@ -151,21 +151,21 @@ def check_certificate(c, columns, rhs, value, x, y) -> bool:
             and sum(w * b for w, b in zip(y, rhs) if w) == value * dy)
 
 
-def matching_lp(edge_list, vertex_caps=None, lower=None, upper=None, excluded=None):
+def matching_lp(edge_list, vertex_caps=None, lower=None, upper=None):
     """Max total weight over edges with per-vertex load caps.
 
     edge_list: canonical sorted list of edges.  vertex_caps maps vertex ->
     Fraction cap (default 1).  lower / upper map edge -> Fraction bounds on
     that edge's weight (lower bounds are substituted out, upper bounds add a
-    row).  excluded is a set of edges forced to 0.  Returns
-    (value, {edge: weight}) including the lower-bounded mass, or
-    (None, None) when the bounds alone are infeasible.  Each edge's column
-    has a 1 in the row of each of its vertices and in its bound row.
+    row); an upper bound of 0 drops the edge, which then gets no column, no
+    bound row and no lower mass.  Returns (value, {edge: weight}) including
+    the lower-bounded mass, or (None, None) when the bounds alone are
+    infeasible.  Each edge's column has a 1 in the row of each of its
+    vertices and in its bound row.
     """
-    excluded = excluded or frozenset()
     lower = lower or {}
     upper = upper or {}
-    active = [e for e in edge_list if e not in excluded]
+    active = [e for e in edge_list if upper.get(e) != 0]
     vertices = sorted({v for e in active for v in e})
     vindex = {v: i for i, v in enumerate(vertices)}
     base = [Fraction(1)] * len(vertices) if vertex_caps is None else [

@@ -15,7 +15,7 @@ from typing import Optional
 
 from . import lp
 from .errors import NonEmptyIntersection, SearchCapExceeded, Unsupported
-from .hypergraph import Colour, ColouredKGraph, KGraph, support_of
+from .hypergraph import Colour, ColouredKGraph, support_of
 from .tight import monochromatic_components
 
 ZERO = Fraction(0)
@@ -23,6 +23,7 @@ ONE = Fraction(1)
 R_FRACTIONAL_NODE_CAP = 100_000   # branch-and-bound nodes in max_r_fractional
 FLOORED_NODE_CAP = 50_000         # branch-and-bound nodes in the exact mu_estimate path
 EXACT_CAP = 20                    # most edges mu_estimate solves exactly
+MATCHING_CAP = 10_000             # most edges max_matching_exact takes
 
 
 @dataclass(frozen=True)
@@ -106,7 +107,7 @@ class MatchingCertificate:
     nodes: int        # branch-and-bound nodes explored (exhaustion evidence)
 
 
-def max_matching_exact(host, cap: int = 10_000) -> MatchingCertificate:
+def max_matching_exact(host) -> MatchingCertificate:
     """Maximum-cardinality matching in an edge set by branch and bound.
 
     Branches on the surviving vertex with the fewest candidate edges (either
@@ -115,8 +116,8 @@ def max_matching_exact(host, cap: int = 10_000) -> MatchingCertificate:
     optimality.
     """
     edges = sorted(set(tuple(sorted(e)) for e in host))
-    if len(edges) > cap:
-        raise SearchCapExceeded(f"{len(edges)} edges exceeds matching cap {cap}")
+    if len(edges) > MATCHING_CAP:
+        raise SearchCapExceeded(f"{len(edges)} edges exceeds matching cap {MATCHING_CAP}")
     if not edges:
         return MatchingCertificate((), 0, True, 0)
     k = len(edges[0])
@@ -195,14 +196,14 @@ def max_fractional_lp(host) -> FractionalMatching:
     if not edges:
         return FractionalMatching(frozenset(), {})
     value, weights = lp.matching_lp(edges)
-    excluded: set = set()
+    zeroed: dict = {}
     for e in edges:
         if e not in weights:
-            excluded.add(e)
+            zeroed[e] = ZERO
             continue
-        trial_value, trial_weights = lp.matching_lp(edges, excluded=excluded | {e})
+        trial_value, trial_weights = lp.matching_lp(edges, upper={**zeroed, e: ZERO})
         if trial_value == value:
-            excluded.add(e)
+            zeroed[e] = ZERO
             weights = trial_weights
     return FractionalMatching(frozenset(edges), weights)
 
@@ -225,9 +226,8 @@ def _lp_branch_and_bound(edges, branch, incumbent, vertex_caps, bound, node_cap)
         nodes += 1
         if nodes > node_cap:
             raise SearchCapExceeded(f"LP branch and bound exceeded {node_cap} nodes")
-        excluded = frozenset(e for e, u in upper.items() if u == 0)
         value, weights = lp.matching_lp(edges, vertex_caps=vertex_caps, lower=lower,
-                                        upper=upper, excluded=excluded)
+                                        upper=upper)
         if value is None or bound(value) <= best[0]:
             return
         children = branch(weights, lower, upper)
@@ -272,8 +272,9 @@ def max_r_fractional(host, r: int) -> FractionalMatching:
     return FractionalMatching(frozenset(edges), weights)
 
 
-def empty_intersection_matching(H, F) -> FractionalMatching:
-    """Weight 1/(s-1) on each edge of a family F with empty intersection.
+def empty_intersection_matching(F) -> FractionalMatching:
+    """Weight 1/(s-1) on each edge of a family F with empty intersection,
+    hosted on F.
 
     With s = |F| and no common vertex, every vertex lies in at most s-1
     edges of F, so the vertex constraints hold and the weight is s/(s-1).
@@ -288,10 +289,7 @@ def empty_intersection_matching(H, F) -> FractionalMatching:
         raise NonEmptyIntersection(f"family has common vertices {sorted(common)}")
     s = len(family)
     w = Fraction(1, s - 1)
-    host = H.edges if isinstance(H, KGraph) else (
-        H.graph.edges if isinstance(H, ColouredKGraph) else frozenset(
-            tuple(sorted(e)) for e in H))
-    phi = FractionalMatching(frozenset(host), {e: w for e in family})
+    phi = FractionalMatching(frozenset(family), {e: w for e in family})
     ok, violation = validate_fractional(None, phi)
     if not ok:
         raise NonEmptyIntersection(f"construction invalid: {violation}")

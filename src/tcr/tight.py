@@ -17,7 +17,7 @@ from typing import Optional
 from .errors import SearchCapExceeded, UnknownEdge
 from .hypergraph import Colour, ColouredKGraph, KGraph, support_of
 
-SUPPORT_CAP = 14   # largest support the exhaustive searches take by default
+SUPPORT_CAP = 14   # largest support the exhaustive searches take
 
 
 def is_tight_walk(H: KGraph, seq) -> bool:
@@ -71,7 +71,7 @@ class TightDecomposition:
                               ((0, blue), (len(order) - blues, red)))
 
 
-def _component_sets(k: int, edges) -> tuple:
+def _component_sets(edges) -> tuple:
     """Group edges by tight connectivity in one pass.
 
     Returns (groups, buckets): one canonically ordered edge list per
@@ -123,7 +123,7 @@ def _decomposition(comps, colour_of=None, buckets=()) -> TightDecomposition:
 
 
 def tight_components(H: KGraph) -> TightDecomposition:
-    comps, buckets = _component_sets(H.k, H.edges)
+    comps, buckets = _component_sets(H.edges)
     return _decomposition(comps, buckets=((0, buckets),))
 
 
@@ -136,7 +136,7 @@ def monochromatic_components(CH: ColouredKGraph) -> TightDecomposition:
     if decomp is None:
         comps, colour_of, buckets = [], {}, []
         for colour in (Colour.RED, Colour.BLUE):
-            groups, first_of = _component_sets(CH.k, CH.edges_of(colour))
+            groups, first_of = _component_sets(CH.edges_of(colour))
             buckets.append((len(comps), first_of))
             for comp in groups:
                 colour_of[len(comps)] = colour
@@ -173,14 +173,6 @@ def path_windows(ordering, k: int) -> list:
     return [tuple(sorted(ordering[i + j] for j in range(k))) for i in range(ell - k + 1)]
 
 
-def _host_edges(H: KGraph, within, decomposition):
-    if within is None:
-        return set(H.edges)
-    if decomposition is None:
-        raise ValueError("within requires a decomposition")
-    return set(decomposition.edges_of(within))
-
-
 def _completion_map(k: int, edges) -> dict:
     """(k-1)-window -> vertices completing it to a host edge."""
     out = {}
@@ -191,18 +183,17 @@ def _completion_map(k: int, edges) -> dict:
     return out
 
 
-def _search(H: KGraph, length: int, within, decomposition, support_cap: int,
-            cyclic: bool):
+def _search(H: KGraph, length: int, cyclic: bool):
     """The DFS behind both searches: vertex orderings whose k-windows
     (cyclic or linear) are all host edges.  A path cuts reflections by
     ordering[0] < ordering[-1]; a cycle by ordering[1] < ordering[-1], and
     cuts rotations by starting at its minimum vertex, so every later vertex
     exceeds the start and a start needs length - 1 larger support vertices."""
-    edges = _host_edges(H, within, decomposition)
+    edges = H.edges
     support = support_of(edges)
-    if len(support) > support_cap:
+    if len(support) > SUPPORT_CAP:
         raise SearchCapExceeded(
-            f"support {len(support)} exceeds exhaustive-search cap {support_cap}")
+            f"support {len(support)} exceeds exhaustive-search cap {SUPPORT_CAP}")
     explored = 0
     if length > len(support):
         return Absent(length, len(support), explored)
@@ -253,8 +244,7 @@ def _search(H: KGraph, length: int, within, decomposition, support_cap: int,
     return Absent(length, len(support), explored)
 
 
-def find_tight_cycle(H: KGraph, length: int, within=None, decomposition=None,
-                     support_cap: int = SUPPORT_CAP):
+def find_tight_cycle(H: KGraph, length: int):
     """Exhaustive search for a tight cycle on `length` vertices.
 
     Rotations are cut by starting at the minimum vertex of the candidate
@@ -263,12 +253,11 @@ def find_tight_cycle(H: KGraph, length: int, within=None, decomposition=None,
     """
     if length < H.k + 1:
         raise ValueError(f"cycle length {length} < k+1 = {H.k + 1}")
-    return _search(H, length, within, decomposition, support_cap, cyclic=True)
+    return _search(H, length, cyclic=True)
 
 
-def find_tight_path(H: KGraph, length: int, within=None, decomposition=None,
-                    support_cap: int = SUPPORT_CAP):
+def find_tight_path(H: KGraph, length: int):
     """Exhaustive search for a tight path on `length` vertices (length >= k)."""
     if length < H.k:
         raise ValueError(f"path length {length} < k = {H.k}")
-    return _search(H, length, within, decomposition, support_cap, cyclic=False)
+    return _search(H, length, cyclic=False)

@@ -100,7 +100,7 @@ def test_criterion_3_empty_intersection_suite():
         if common:
             continue
         ch = build(4, n, [("R", e) for e in family])
-        phi = empty_intersection_matching(ch.graph, family)
+        phi = empty_intersection_matching(family)
         valid, _ = validate_fractional(ch.graph, phi)
         ok &= valid and phi.weight() == Fraction(s, s - 1)
         ok &= all(w == Fraction(1, s - 1) for w in phi.weights.values())

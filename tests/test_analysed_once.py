@@ -26,13 +26,13 @@ def decompositions(monkeypatch):
     calls, graphs = Counter(), []
     original = tight._component_sets
 
-    def counting(k, edges):
+    def counting(edges):
         edges = tuple(edges)
         graph = sys._getframe(1).f_locals.get("CH")
         if graph is not None:
             graphs.append(graph)   # keeps every id distinct while counting
             calls[id(graph), edges] += 1
-        return original(k, edges)
+        return original(edges)
 
     monkeypatch.setattr(tight, "_component_sets", counting)
     return calls

@@ -60,7 +60,7 @@ def test_initial_split_goes_blue():
     decomp = bp.decomposition
     for e in out.matching:
         assert decomp.component_of[e] == out.component
-        assert is_good(ch, bp, e)
+        assert is_good(bp, e)
 
 
 def test_initial_empty_graph_stuck():
@@ -122,7 +122,7 @@ def test_augment_quarter_spread_matches_fact_construction():
     ch = all_red(4, 9)
     bp, red_id = spanning_setup(ch, eps=Fraction(1, 4))
     family = [e for e in itertools.combinations(range(1, 6), 4)]
-    phi = empty_intersection_matching(ch.graph, family)
+    phi = empty_intersection_matching(family)
     assert phi.weight() == Fraction(5, 4)
     assert all(phi.weights[e] == Fraction(1, 4) for e in family)
 
@@ -154,7 +154,7 @@ def test_augment_u_case_output_is_fact_at_s5():
     replaced = next(f for f in M
                     if out.fractional.weights.get(f) == Fraction(1, 4))
     family = [e for e in itertools.combinations(tuple(sorted(replaced + (9,))), 4)]
-    fact = empty_intersection_matching(ch.graph, family)
+    fact = empty_intersection_matching(family)
     for e in family:
         assert out.fractional.weights[e] == fact.weights[e] == Fraction(1, 4)
 
@@ -176,7 +176,7 @@ def test_augment_soundness_on_dense_random():
     comp_ids = {decomp.component_of[e] for e in step.fractional.weights}
     assert len(comp_ids) <= 1
     for e in step.fractional.weights:
-        assert is_good(ch, bp, e)
+        assert is_good(bp, e)
 
 
 def two_clique_fixture():
@@ -235,7 +235,7 @@ def test_augment_blue_case_on_split():
     comp_ids = {decomp.component_of[e] for e in out.fractional.weights}
     assert len(comp_ids) == 1
     for e in out.fractional.weights:
-        assert is_good(ch, bp, e)
+        assert is_good(bp, e)
     if out.status == "step_failed":
         assert any("claim" in entry for entry in out.trace)
 
@@ -296,7 +296,7 @@ def test_fractional_step_converts_to_blown_matching():
     decomp = monochromatic_components(ch)
     host = decomp.edges_of(0)
     family = [e for e in itertools.combinations(range(1, 6), 4)]
-    phi = empty_intersection_matching(ch.graph, family).completion(host)
+    phi = empty_intersection_matching(family).completion(host)
     from tcr.matchings import FractionalMatching
     phi = FractionalMatching(host, phi.weights, Colour.RED, 0)
     blown, bmap = blow_up(ch, 4)

@@ -39,9 +39,9 @@ def test_blow_up_k5_component_count():
 
 
 def test_blow_up_cap():
-    ch = all_red(4, 8)
+    ch = all_red(4, 8)   # 70 * 8**4 = 286,720 > 250,000 blown edges
     with pytest.raises(SizeCapExceeded):
-        blow_up(ch, 3, edge_cap=100)
+        blow_up(ch, 8)
 
 
 def test_project_edge_basic():

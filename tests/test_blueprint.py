@@ -370,7 +370,7 @@ def test_compute_bw_split_instance():
         for w in out.gamma[T]:
             edge = tuple(sorted(T + (w,)))
             assert decomp.component_of[edge] == out.component
-            assert is_good(ch, bp, edge)
+            assert is_good(bp, edge)
 
 
 def test_compute_bw_hypothesis_violation():
@@ -439,7 +439,7 @@ def test_three_vertex_extension_complete():
         span = tuple(sorted(set(T) | set(zs)))
         for e in itertools.combinations(span, 4):
             assert e in ch.graph.edges
-            assert is_good(ch, bp, e)
+            assert is_good(bp, e)
 
 
 @settings(max_examples=10, deadline=None)
@@ -455,7 +455,7 @@ def test_three_vertex_extension_dense_random(seed):
     bp = res.blueprint
     verts = sorted(bp.vertex_set)
     T1, T2 = tuple(verts[:4]), tuple(verts[4:6])
-    if T1 not in ch.graph.edges or not is_good(ch, bp, T1):
+    if T1 not in ch.graph.edges or not is_good(bp, T1):
         return
     W = [v for v in verts if v not in T1 + T2]
     zs = three_vertex_extension(ch, bp, T1, T2, W)
@@ -464,7 +464,7 @@ def test_three_vertex_extension_dense_random(seed):
     for T in (T1, T2):
         span = tuple(sorted(set(T) | set(zs)))
         for e in itertools.combinations(span, 4):
-            assert e in ch.graph.edges and is_good(ch, bp, e)
+            assert e in ch.graph.edges and is_good(bp, e)
 
 
 @settings(max_examples=8, deadline=None)
@@ -480,7 +480,7 @@ def test_good_edges_tightly_connected_in_dense_windows(seed):
     res = build_blueprint(ch, Fraction(1, 20))
     bp = res.blueprint
     W = sorted(bp.vertex_set)[:11]
-    good = [e for e in edges_within(ch.graph.edges, W, 4) if is_good(ch, bp, e)]
+    good = [e for e in edges_within(ch.graph.edges, W, 4) if is_good(bp, e)]
     if len(good) < 2:
         return
     decomp = tight_components(KGraph(4, ch.n, frozenset(good)))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import parse_reference
-from tcr import extremal, lp
+from tcr import cli, extremal, lp
 from tcr.cli import (EXIT_CAP, EXIT_CONTRACT, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE,
                      parse_coloured_hypergraph, run,
                      serialize_coloured_hypergraph)
@@ -266,6 +266,7 @@ def test_cli_mu_rejects_nonpositive_beta(tmp_path, capsys, beta):
     (["ramsey", "--k", "2", "--target", "", "--N", "6"], "--target"),
     (["ramsey", "--k", "0", "--target", "c3", "--N", "6"], "--k"),
     (["ramsey", "--k", "4", "--target", "c5", "--N", "3"], "--N"),
+    (["extremal", "parity", "--k", "4", "--n", "1", "--i", "0"], "--n"),
 ])
 def test_cli_bad_parameter_value_is_usage_error(tmp_path, capsys, argv, name):
     path = tmp_path / "split.tcg"
@@ -285,6 +286,19 @@ def test_cli_failed_certificate_is_internal_error(tmp_path, capsys, monkeypatch)
     code, out, _ = run_captured(capsys, ["match", "lp", "--in", str(path), "--component", "0"])
     assert code == EXIT_INTERNAL
     assert json.loads(out)["error"]["kind"] == "CertificateFailed"
+
+
+@pytest.mark.parametrize("exc", [ValueError("bad value"), KeyError("missing")])
+def test_cli_non_domain_exception_is_internal_error(capsys, monkeypatch, exc):
+    """An exception that is not a TcrError exits 4 with a JSON report."""
+    def broken(args):
+        raise exc
+    monkeypatch.setitem(cli.HANDLERS, "ramsey", broken)
+    code, out, err = run_captured(capsys, ["ramsey", "--k", "2", "--target", "c3", "--N", "6"])
+    assert code == EXIT_INTERNAL
+    error = json.loads(out)["error"]
+    assert error["kind"] == type(exc).__name__
+    assert err.startswith("internal error:")
 
 
 def test_cli_parse_failure_exit_code(tmp_path, capsys):

@@ -56,6 +56,16 @@ def test_parity_k4_n2_i2():
     assert len(spec.X) == 3 and len(spec.Y) == 7
 
 
+@pytest.mark.parametrize("k", [2, 3, 4, 11])
+def test_parity_i0_n1_is_rejected_before_building(k, monkeypatch):
+    """i = 0 and n = 1 give N = k - 1 vertices, too few for one edge."""
+    def no_build(*args):
+        raise AssertionError("built a colouring")
+    monkeypatch.setattr(extremal, "build", no_build)
+    with pytest.raises(ValueError, match="n >= 2"):
+        parity_coloring(k, 1, 0)
+
+
 def test_parity_i0_is_colour_swapped_split_when_x_matches():
     """At i = 0 the parity rule paints Y-internal edges red and X-meeting
     edges blue, the split rule with |X| = n - 1 reversed (both have
@@ -214,6 +224,14 @@ def test_ramsey_checks_size_before_building_seeds(monkeypatch):
     monkeypatch.setattr(extremal, "build", no_build)
     with pytest.raises(SizeCapExceeded):
         ramsey_search_tiny(4, TargetSpec("cycle", 5), 15)
+
+
+def test_ramsey_target_longer_than_N_is_not_seeded():
+    """The all-red answer to a target that does not fit is no seed colouring."""
+    for allow_seeds in (True, False):
+        res = ramsey_search_tiny(4, TargetSpec("cycle", 9), 8, allow_seeds=allow_seeds)
+        assert not res.all_coloured and not res.seeded
+        assert (res.nodes, res.prunes) == (0, 0)
 
 
 def test_ramsey_no_seed_path_matches_seeded():

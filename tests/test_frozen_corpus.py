@@ -114,7 +114,7 @@ def tight_search(name):
     if name.startswith("parity"):
         CH = parity_coloring(3, 2, 0)[0]
         decomp = monochromatic_components(CH)
-        return [_search_record(search(CH.graph, length, within=cid, decomposition=decomp))
+        return [_search_record(search(KGraph(CH.k, CH.n, decomp.edges_of(cid)), length))
                 for cid in range(len(decomp.components))]
     if name.startswith("split"):
         CH = split_coloring(4, 2)[0]

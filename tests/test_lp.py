@@ -80,8 +80,10 @@ def test_simplex_agrees_with_fraction_reference():
 
 def test_matching_lp_agrees_with_dense_reference():
     """400 seeded matching LPs with vertex caps, lower and upper bounds and
-    excluded edges: matching_lp's sparse columns give the reference
-    tableau's vertex, exactly, or the same infeasibility."""
+    excluded edges, passed to matching_lp as an upper bound of 0 and to the
+    reference as every edge whose upper bound is 0: matching_lp's sparse
+    columns give the reference tableau's vertex, exactly, or the same
+    infeasibility."""
     seen = {"caps": 0, "lower": 0, "upper": 0, "excluded": 0, "infeasible": 0, "tied": 0}
     for seed in range(400):
         rng = random.Random(seed)
@@ -96,9 +98,11 @@ def test_matching_lp_agrees_with_dense_reference():
         if upper and rng.random() < 0.15:
             upper[min(upper)] = -1
         excluded = {e for e in edges if rng.random() < 0.15}
+        upper.update((e, 0) for e in excluded)
         ties = []
-        expected = dense_matching_lp(edges, caps, lower, upper, excluded, ties)
-        assert matching_lp(edges, caps, lower, upper, excluded) == expected, seed
+        expected = dense_matching_lp(edges, caps, lower, upper,
+                                     {e for e, u in upper.items() if u == 0}, ties)
+        assert matching_lp(edges, caps, lower, upper) == expected, seed
         seen["caps"] += caps is not None
         seen["lower"] += bool(lower)
         seen["upper"] += bool(upper)

@@ -65,7 +65,7 @@ def test_max_matching_complete_k8():
 
 def test_max_matching_cap():
     with pytest.raises(SearchCapExceeded):
-        max_matching_exact(complete_kgraph(4, 8).edges, cap=10)
+        max_matching_exact(complete_kgraph(4, 25).edges)   # 12,650 > 10,000 edges
 
 
 @settings(max_examples=40, deadline=None)
@@ -137,21 +137,21 @@ def test_lp_at_least_integral_matching(seed):
 
 
 def test_fact_k5():
-    phi = empty_intersection_matching(K5, K5.edges)
+    phi = empty_intersection_matching(K5.edges)
     assert phi.weight() == Fraction(5, 4)
     assert all(w == QUARTER for w in phi.weights.values())
 
 
 def test_fact_two_disjoint_edges():
     h = build(4, 8, [("R", (1, 2, 3, 4)), ("R", (5, 6, 7, 8))]).graph
-    phi = empty_intersection_matching(h, h.edges)
+    phi = empty_intersection_matching(h.edges)
     assert phi.weight() == 2
 
 
 def test_fact_three_edge_family():
     h = build(4, 8, [("R", (1, 2, 3, 4)), ("R", (1, 2, 3, 5)),
                      ("R", (4, 5, 6, 7))]).graph
-    phi = empty_intersection_matching(h, h.edges)
+    phi = empty_intersection_matching(h.edges)
     assert phi.weight() == Fraction(3, 2)
     ok, _ = validate_fractional(h, phi)
     assert ok
@@ -160,7 +160,7 @@ def test_fact_three_edge_family():
 def test_fact_rejects_common_vertex():
     h = build(4, 6, [("R", (1, 2, 3, 4)), ("R", (1, 2, 3, 5))]).graph
     with pytest.raises(NonEmptyIntersection):
-        empty_intersection_matching(h, h.edges)
+        empty_intersection_matching(h.edges)
 
 
 @settings(max_examples=40, deadline=None)
@@ -176,9 +176,9 @@ def test_fact_weight_is_always_s_over_s_minus_1(seed):
     ch = build(4, n, [("R", e) for e in family])
     if common:
         with pytest.raises(NonEmptyIntersection):
-            empty_intersection_matching(ch.graph, family)
+            empty_intersection_matching(family)
     else:
-        phi = empty_intersection_matching(ch.graph, family)
+        phi = empty_intersection_matching(family)
         assert phi.weight() == Fraction(s, s - 1)
         ok, _ = validate_fractional(ch.graph, phi)
         assert ok

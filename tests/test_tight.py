@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import all_red, rand_coloured, split_edges
 from oracles import (bfs_tight_walk, brute_components, verify_cycle_witness,
                      verify_path_witness)
+from tcr import tight
 from tcr.blueprint import pair_shadow_masks
 from tcr.errors import SearchCapExceeded, UnknownEdge
 from tcr.hypergraph import Colour, ColouredKGraph, KGraph, build, complete_kgraph
@@ -79,7 +80,7 @@ def test_component_sets_k2_match_bfs_oracle(seed):
     rng = random.Random(seed)
     pool = list(itertools.combinations(range(1, 13), 2))
     edges = rng.sample(pool, rng.randint(0, 20))
-    groups, buckets = _component_sets(2, edges)
+    groups, buckets = _component_sets(edges)
     assert [frozenset(g) for g in groups] == brute_components(2, edges)
     assert all(g == sorted(g) for g in groups)
     assert buckets == {1 << v: cid for cid, g in enumerate(groups) for e in g for v in e}
@@ -168,11 +169,12 @@ def test_find_cycle_recovers_defining_order():
     assert set(cycle_windows(res.ordering, 4)) == set(edges)
 
 
-def test_find_cycle_cap():
+def test_find_cycle_cap(monkeypatch):
     with pytest.raises(SearchCapExceeded):
         find_tight_cycle(complete_kgraph(4, 15), 15)
-    # explicit larger cap allows it through the guard (and finds the cycle)
-    res = find_tight_cycle(complete_kgraph(4, 15), 15, support_cap=15)
+    # a larger cap lets it through the guard (and finds the cycle)
+    monkeypatch.setattr(tight, "SUPPORT_CAP", 15)
+    res = find_tight_cycle(complete_kgraph(4, 15), 15)
     assert not isinstance(res, Absent)
 
 
