@@ -12,7 +12,7 @@ failing claim instead of forcing an answer.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import Optional
@@ -65,7 +65,6 @@ class AugmentationState:
     matching: tuple           # current good matching, canonical order
     colour: Colour
     component: int
-    trace: list = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -386,7 +385,7 @@ def augment_once(CH: ColouredKGraph, bp: Blueprint, R_id: int,
     name = colour.name.lower()
     base = len(state.matching)
     need = base + params.gamma * n_scale
-    trace = list(state.trace)
+    trace = []
 
     # maximality repair: extend M greedily inside its component
     added = _greedy_good(CH, bp, decomp._sorted[cid], forbidden=support_of(state.matching))

@@ -262,20 +262,21 @@ def _cmd_components(args) -> dict:
 
 
 def _cmd_match(args) -> dict:
+    _require(args.mode != "mu" or args.component is None, "match mu takes no --component")
     CH = _load(args.infile)
+    if args.mode == "mu":
+        est = matchings_mod.mu_estimate(CH, args.s, args.beta)
+        return {"result": {"value": est.value, "exact": est.exact,
+                           "components": list(est.components)}}
     host = _host_edges(CH, args.host, args.component)
     if args.mode == "exact":
         cert = matchings_mod.max_matching_exact(host)
         return {"result": {"size": cert.size, "edges": [list(e) for e in cert.edges],
                            "optimal": cert.optimal, "nodes": cert.nodes}}
-    if args.mode == "lp":
-        phi = matchings_mod.max_fractional_lp(host)
-        return {"result": {"weight": phi.weight(),
-                           "weights": {" ".join(map(str, e)): w
-                                       for e, w in sorted(phi.weights.items())}}}
-    est = matchings_mod.mu_estimate(CH, args.s, args.beta)
-    return {"result": {"value": est.value, "exact": est.exact,
-                       "components": list(est.components)}}
+    phi = matchings_mod.max_fractional_lp(host)
+    return {"result": {"weight": phi.weight(),
+                       "weights": {" ".join(map(str, e)): w
+                                   for e, w in sorted(phi.weights.items())}}}
 
 
 def _cmd_blueprint(args) -> dict:

@@ -1,18 +1,19 @@
-"""Exact rational revised simplex for small linear programs.
+"""Exact rational revised simplex for the fractional matching LP.
 
-Solves max c.x subject to A x <= b, x >= 0 with b >= 0 (so the slack basis
-is feasible and no phase-1 is needed), where A is given by sparse columns.
-Bland's rule guarantees termination.  Each row of A and b is scaled to
-integers, and the basis inverse is kept fraction-free (Edmonds 1967;
-Bareiss 1968) as the integer adjugate M of the basis B over D = det B > 0:
-a pivot on entry p in row r replaces each other row M_i by
-(p * M_i - alpha_i * M_r) // D, an exact division, and sets D = p.  The
-duals Y = c_B M price each column from its own non-zero entries, so no
-eliminated column is ever stored.  Fractions are built only for the
-optimum.  Every optimum comes with its dual y, and `check_certificate`
-verifies (x, y) by pricing the columns with its own arithmetic before it
-is returned, as QSopt_ex does (Applegate-Cook-Dash-Espinoza 2007); a
-failed check raises CertificateFailed, an internal error.
+Solves max sum(x) subject to A x <= b, x >= 0, where A is a 0/1 matrix
+given by sparse columns, none of them empty (so the program is bounded),
+and b >= 0 (so the slack basis is feasible and no phase-1 is needed).
+Bland's rule guarantees termination.  The rhs is scaled to integers by
+one common denominator L, and the basis inverse is kept fraction-free
+(Edmonds 1967; Bareiss 1968) as the integer adjugate M of the 0/1 basis B
+over D = det B > 0: a pivot on entry p in row r replaces each other row
+M_i by (p * M_i - alpha_i * M_r) // D, an exact division, and sets D = p.
+The duals y = Y / D price each column from its own rows, so no eliminated
+column is ever stored; x and the optimum come back over D * L.  Every
+optimum comes with its dual y, and `check_certificate` verifies (x, y)
+with its own arithmetic before it is returned, as QSopt_ex does
+(Applegate-Cook-Dash-Espinoza 2007); a failed check raises
+CertificateFailed, an internal error.
 """
 from __future__ import annotations
 
@@ -31,48 +32,38 @@ def _integer_row(values):
     return [v.numerator * (d // v.denominator) for v in values], d
 
 
-def simplex_max(c, columns, rhs):
-    """Maximize c.x, A.x <= rhs, x >= 0, where column j of A is the list
-    columns[j] of its non-zero entries as (row, value) pairs.
+def simplex_max(columns, rhs):
+    """Maximize sum(x), A.x <= rhs, x >= 0, where column j of A is 1 in the
+    rows listed in columns[j] (never empty) and 0 elsewhere.
 
-    c: list of rationals (length nv); rhs: list of rationals, all >= 0, one
-    per row.  Returns (value, x, y): the optimum, a primal optimal vertex
-    and a dual optimal y (one entry per row), all Fractions, verified by
-    `check_certificate`.  Raises ValueError for a negative rhs or an
-    unbounded program.  Entering column: the first improving one, structural
-    columns before slacks; leaving row: the least ratio, ties to the smaller
-    basis index.
+    rhs: list of rationals, all >= 0, one per row.  Returns (value, x, y):
+    the optimum, a primal optimal vertex and a dual optimal y (one entry
+    per row), all Fractions, verified by `check_certificate`.  Raises
+    ValueError for a negative rhs.  Entering column: the first improving
+    one, structural columns before slacks; leaving row: the least ratio,
+    ties to the smaller basis index.
     """
     m = len(rhs)
-    nv = len(c)
+    nv = len(columns)
     if any(b < 0 for b in rhs):
         raise ValueError("simplex_max requires rhs >= 0")
-    # row i, its rhs and its slack variable are scaled by den[i], so every
-    # basis is an integer matrix; the pivot path and x are unchanged, and
-    # y_i is scaled back by den[i] at the end
-    den = [b.denominator for b in rhs]
-    for col in columns:
-        for i, a in col:
-            if a.denominator != 1:
-                den[i] = lcm(den[i], a.denominator)
-    cols = [[(i, a.numerator * (den[i] // a.denominator)) for i, a in col]
-            for col in columns]
-    cost, cost_den = _integer_row(c)
+    # one common denominator scales x and the value, not the pivot path
+    L = lcm(*[b.denominator for b in rhs])
     # rows[i] = (M_i, beta_i) with beta = M b; obj = (Y, z) with z = Y b
-    rows = [[0] * i + [1] + [0] * (m - i - 1) + [b.numerator * (d // b.denominator)]
-            for i, (b, d) in enumerate(zip(rhs, den))]
+    rows = [[0] * i + [1] + [0] * (m - i - 1) + [b.numerator * (L // b.denominator)]
+            for i, b in enumerate(rhs)]
     obj = [0] * (m + 1)
     D = 1
     basis = [nv + i for i in range(m)]
 
     while True:
-        # price: the reduced cost of column j is (cost_j * D - Y.A_j) / D
-        for enter, col in enumerate(cols):
-            g = cost[enter] * D
-            for i, a in col:
-                g -= obj[i] * a
+        # price: the reduced cost of column j is (D - Y.A_j) / D
+        for enter, col in enumerate(columns):
+            g = D
+            for i in col:
+                g -= obj[i]
             if g > 0:
-                alpha = [sum(row[i] * a for i, a in col) for row in rows]
+                alpha = [sum(row[i] for i in col) for row in rows]
                 break
         else:
             enter = next((i for i in range(m) if obj[i] < 0), -1)
@@ -82,7 +73,7 @@ def simplex_max(c, columns, rhs):
             alpha = [row[enter] for row in rows]
             enter += nv
         # least ratio beta_i / alpha_i (D cancels), ties to the smaller
-        # basis index
+        # basis index; some alpha_i > 0 because the program is bounded
         leave = -1
         for i, a in enumerate(alpha):
             if a > 0:
@@ -93,8 +84,6 @@ def simplex_max(c, columns, rhs):
                 lhs, rhs_best = b * best_a, best_b * a
                 if lhs < rhs_best or (lhs == rhs_best and basis[i] < basis[leave]):
                     leave, best_a, best_b = i, a, b
-        if leave < 0:
-            raise ValueError("unbounded linear program")
         prow = rows[leave]
         p = alpha[leave]
         for i, f in enumerate(alpha):
@@ -107,10 +96,10 @@ def simplex_max(c, columns, rhs):
     x = [ZERO] * nv
     for row, b in zip(rows, basis):
         if b < nv:
-            x[b] = Fraction(row[-1], D)
-    value = Fraction(obj[-1], D * cost_den)
-    y = [Fraction(w * d, D * cost_den) if w else ZERO for w, d in zip(obj, den)]
-    if not check_certificate(c, columns, rhs, value, x, y):
+            x[b] = Fraction(row[-1], D * L)
+    value = Fraction(obj[-1], D * L)
+    y = [Fraction(w, D) if w else ZERO for w in obj[:m]]
+    if not check_certificate(columns, rhs, value, x, y):
         raise CertificateFailed(f"simplex optimum {value} failed its dual certificate")
     return value, x, y
 
@@ -124,14 +113,14 @@ def _pivot(row, f, prow, p, D):
     return [p * u // D for u in row]
 
 
-def check_certificate(c, columns, rhs, value, x, y) -> bool:
-    """Whether x and y are optimal for max c.x, A.x <= rhs, x >= 0 (A given
-    by `columns` as in `simplex_max`) and its dual, with objective `value`:
-    x is primal feasible, y is dual feasible (y >= 0 and y.A_j >= c_j for
-    every column j) and c.x = rhs.y = value, so weak duality proves both
-    optimal.  Exact arithmetic on x and y brought to a common denominator
-    each; each column is priced from its non-zero entries."""
-    if len(x) != len(c) or len(columns) != len(c) or len(y) != len(rhs):
+def check_certificate(columns, rhs, value, x, y) -> bool:
+    """Whether x and y are optimal for max sum(x), A.x <= rhs, x >= 0 (A
+    given by `columns` as in `simplex_max`) and its dual, with objective
+    `value`: x is primal feasible, y is dual feasible (y >= 0 and
+    y.A_j >= 1 for every column j) and sum(x) = rhs.y = value, so weak
+    duality proves both optimal.  Exact arithmetic on x and y brought to a
+    common denominator each; each column is priced from its own rows."""
+    if len(x) != len(columns) or len(y) != len(rhs):
         return False
     if any(v < 0 for v in x) or any(w < 0 for w in y):
         return False
@@ -140,56 +129,53 @@ def check_certificate(c, columns, rhs, value, x, y) -> bool:
     load = [0] * len(rhs)
     for col, v in zip(columns, x):
         if v:
-            for i, a in col:
-                load[i] += a * v
+            for i in col:
+                load[i] += v
     if any(ld > b * dx for ld, b in zip(load, rhs)):
         return False
-    for col, cj in zip(columns, c):
-        if sum(y[i] * a for i, a in col) < cj * dy:
+    for col in columns:
+        if sum(y[i] for i in col) < dy:
             return False
-    return (sum(cj * v for cj, v in zip(c, x) if v) == value * dx
+    return (sum(x) == value * dx
             and sum(w * b for w, b in zip(y, rhs) if w) == value * dy)
 
 
-def matching_lp(edge_list, vertex_caps=None, lower=None, upper=None):
-    """Max total weight over edges with per-vertex load caps.
+def matching_lp(edge_list, lower=None, upper=None):
+    """Max total weight over edges with load at most 1 at every vertex.
 
-    edge_list: canonical sorted list of edges.  vertex_caps maps vertex ->
-    Fraction cap (default 1).  lower / upper map edge -> Fraction bounds on
-    that edge's weight (lower bounds are substituted out, upper bounds add a
-    row); an upper bound of 0 drops the edge, which then gets no column, no
-    bound row and no lower mass.  Returns (value, {edge: weight}) including
-    the lower-bounded mass, or (None, None) when the bounds alone are
-    infeasible.  Each edge's column has a 1 in the row of each of its
-    vertices and in its bound row.
+    edge_list: canonical sorted list of edges.  lower / upper map edge ->
+    Fraction bounds on that edge's weight (lower bounds are substituted
+    out, upper bounds add a row); an upper bound of 0 drops the edge, which
+    then gets no column, no bound row and no lower mass.  Returns (value,
+    {edge: weight}) including the lower-bounded mass, or (None, None) when
+    the bounds alone are infeasible.  Each edge's column has a 1 in the row
+    of each of its vertices and in its bound row.
     """
     lower = lower or {}
     upper = upper or {}
     active = [e for e in edge_list if upper.get(e) != 0]
     vertices = sorted({v for e in active for v in e})
     vindex = {v: i for i, v in enumerate(vertices)}
-    base = [Fraction(1)] * len(vertices) if vertex_caps is None else [
-        Fraction(vertex_caps[v]) for v in vertices]
+    rhs = [Fraction(1)] * len(vertices)
     # substitute fixed lower mass
     for e in active:
         lb = lower.get(e)
         if lb:
             for v in e:
-                base[vindex[v]] -= lb
-    if any(b < 0 for b in base):
+                rhs[vindex[v]] -= lb
+    if any(b < 0 for b in rhs):
         return None, None
     columns = []
-    rhs = base
     for e in active:
-        col = [(vindex[v], 1) for v in e]
+        col = [vindex[v] for v in e]
         if e in upper:
             residual = Fraction(upper[e]) - lower.get(e, ZERO)
             if residual < 0:
                 return None, None
-            col.append((len(rhs), 1))
+            col.append(len(rhs))
             rhs.append(residual)
         columns.append(col)
-    _, x, _ = simplex_max([1] * len(active), columns, rhs)
+    _, x, _ = simplex_max(columns, rhs)
     weights = {}
     total = ZERO
     for e, w in zip(active, x):

@@ -208,7 +208,7 @@ def max_fractional_lp(host) -> FractionalMatching:
     return FractionalMatching(frozenset(edges), weights)
 
 
-def _lp_branch_and_bound(edges, branch, incumbent, vertex_caps, bound, node_cap):
+def _lp_branch_and_bound(edges, branch, incumbent, bound, node_cap):
     """LP-based branch and bound (Land & Doig 1960) over the matching LP.
 
     A node is a pair of edge-bound maps (lower, upper); an upper bound of 0
@@ -226,8 +226,7 @@ def _lp_branch_and_bound(edges, branch, incumbent, vertex_caps, bound, node_cap)
         nodes += 1
         if nodes > node_cap:
             raise SearchCapExceeded(f"LP branch and bound exceeded {node_cap} nodes")
-        value, weights = lp.matching_lp(edges, vertex_caps=vertex_caps, lower=lower,
-                                        upper=upper)
+        value, weights = lp.matching_lp(edges, lower, upper)
         if value is None or bound(value) <= best[0]:
             return
         children = branch(weights, lower, upper)
@@ -244,32 +243,29 @@ def _lp_branch_and_bound(edges, branch, incumbent, vertex_caps, bound, node_cap)
 def max_r_fractional(host, r: int) -> FractionalMatching:
     """Maximum-weight 1/r-fractional matching (all weights multiples of 1/r).
 
-    Solved as the integer program max sum(y) over y >= 0 with vertex loads
-    at most r, by LP-based branch and bound: branch on the first edge with
-    fractional LP weight, tightening its integer bounds.  Independent of
-    the blow-up route, which makes the two usable as mutual oracles.
+    Solved by LP-based branch and bound over the matching LP: branch on the
+    first edge whose weight is not a multiple of 1/r, tightening its bounds
+    to the neighbouring multiples.  Independent of the blow-up route, which
+    makes the two usable as mutual oracles.
     """
     edges = sorted(tuple(sorted(e)) for e in host)
     if not edges:
         return FractionalMatching(frozenset(), {})
-    caps = {v: Fraction(r) for e in edges for v in e}
 
     def branch(weights, lower, upper):
-        frac = next((e for e in sorted(weights) if weights[e].denominator != 1), None)
+        frac = next((e for e in sorted(weights) if (weights[e] * r).denominator != 1), None)
         if frac is None:
             return None
-        w = weights[frac]
-        floor_w = Fraction(w.numerator // w.denominator)
-        return ((lower, {**upper, frac: floor_w}), ({**lower, frac: floor_w + 1}, upper))
+        floor_w = Fraction(math.floor(weights[frac] * r), r)
+        return ((lower, {**upper, frac: floor_w}), ({**lower, frac: floor_w + ONE / r}, upper))
 
-    # greedy warm start: integral matching, weight 1 each = r units; the
-    # objective counts 1/r units, so every integral solution below a node
-    # has value at most the floor of the node's LP value
-    warm = {e: Fraction(r) for e in greedy_matching(edges)}
+    # greedy warm start at weight 1 per edge; a 1/r-fractional solution below
+    # a node weighs at most the node's LP value rounded down to a multiple of 1/r
+    warm = {e: ONE for e in greedy_matching(edges)}
     _, best = _lp_branch_and_bound(edges, branch, (sum(warm.values(), ZERO), warm),
-                                   caps, math.floor, R_FRACTIONAL_NODE_CAP)
-    weights = {e: w / r for e, w in sorted(best.items()) if w}
-    return FractionalMatching(frozenset(edges), weights)
+                                   lambda value: Fraction(math.floor(value * r), r),
+                                   R_FRACTIONAL_NODE_CAP)
+    return FractionalMatching(frozenset(edges), best)
 
 
 def empty_intersection_matching(F) -> FractionalMatching:
@@ -313,7 +309,7 @@ def _floored_lp_exact(edges, beta):
             return None
         return (({**lower, bad: beta}, upper), (lower, {**upper, bad: ZERO}))
 
-    return _lp_branch_and_bound(edges, branch, (ZERO, {}), None, lambda value: value,
+    return _lp_branch_and_bound(edges, branch, (ZERO, {}), lambda value: value,
                                 FLOORED_NODE_CAP)
 
 

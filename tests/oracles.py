@@ -372,15 +372,13 @@ def simplex_fraction_reference(c, rows, rhs, ties=None):
     return obj[-1], x
 
 
-def dense_matching_lp(edge_list, vertex_caps=None, lower=None, upper=None,
-                      excluded=None, ties=None):
+def dense_matching_lp(edge_list, lower=None, upper=None, excluded=None, ties=None):
     """`lp.matching_lp` on dense rows, solved by the reference tableau: one
     row per vertex, then one per upper-bounded edge in edge order."""
     lower, upper, excluded = lower or {}, upper or {}, excluded or frozenset()
     active = [e for e in edge_list if e not in excluded]
     vertices = sorted({v for e in active for v in e})
-    rhs = [Fraction(1 if vertex_caps is None else vertex_caps[v])
-           - sum(lower.get(e, 0) for e in active if v in e) for v in vertices]
+    rhs = [Fraction(1) - sum(lower.get(e, 0) for e in active if v in e) for v in vertices]
     if any(b < 0 for b in rhs):
         return None, None
     rows = [[1 if v in e else 0 for e in active] for v in vertices]

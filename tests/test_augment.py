@@ -10,6 +10,7 @@ from tcr.augment import (AugmentationState, DriverParams, augment_once,
 from tcr.blowup import blow_up, fractional_to_matching
 from tcr.blueprint import build_blueprint, is_good
 from tcr.errors import HypothesisViolated
+from tcr.extremal import parity_coloring
 from tcr.hypergraph import Colour
 from tcr.matchings import (empty_intersection_matching, validate_fractional)
 from tcr.tight import monochromatic_components
@@ -257,6 +258,21 @@ def test_driver_split_consistent_with_lower_bound():
     assert rep.final_weight < 3
     ok, _ = validate_fractional(ch, rep.best)
     assert ok
+
+
+def test_driver_stops_when_matching_leaves_spanning_component():
+    """parity_coloring(4, 5, 0), seed 7: the initial matching falls back to
+    a red component other than the spanning one, so the driver stops after
+    one iteration with a validated output."""
+    ch, _ = parity_coloring(4, 5, 0)
+    rep = run_driver(ch, DriverParams(), seed=7)
+    assert rep.status == "step_failed"
+    assert rep.iterations == 1
+    assert rep.initial_kind == "red_fallback"
+    assert {"claim": "iterate",
+            "stopped": "matching outside the spanning red component"} in rep.trace
+    ok, _ = validate_fractional(ch, rep.best)
+    assert ok and rep.final_weight == rep.best.weight()
 
 
 def test_driver_rejects_sparse_input():

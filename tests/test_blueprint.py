@@ -15,7 +15,7 @@ from tcr.blueprint import (blueprint_blowup, blueprint_eps_for_density,
                            good_edges, is_good, is_suitable_pair, local_pivot,
                            make_blueprint, pair_shadow_masks, rational_sqrt_upper,
                            sample_suitable_pairs, trim_spanning_component)
-from tcr.errors import HypothesisViolated
+from tcr.errors import ContractUnmet, HypothesisViolated
 from tcr.hypergraph import Colour, build
 from tcr.tight import monochromatic_components
 
@@ -178,6 +178,36 @@ def test_trim_partial_star_spanning_blue():
     res = trim_spanning_component(ch, Fraction(1, 100))
     assert res.colour is Colour.BLUE
     assert res.vertices == tuple(range(1, 11))
+
+
+def test_trim_deletes_vertex_missed_by_every_component():
+    """Red K_19 plus blue pairs {v, 20} for v = 10..19: no component spans
+    all 20 vertices, so vertex 20, which red misses, is deleted."""
+    edges = [("R", e) for e in itertools.combinations(range(1, 20), 2)]
+    edges += [("B", (v, 20)) for v in range(10, 20)]
+    res = trim_spanning_component(build(2, 20, edges), Fraction(1, 20))
+    assert res.vertices == tuple(range(1, 20))
+    assert res.colour is Colour.RED
+    assert res.min_degree == 18
+
+
+def test_trim_deletes_low_degree_vertex():
+    """Red K_129 plus red pairs {v, 130} for v >= 80: vertex 130 has degree
+    50, below the degree target at eps = 1/100, and is deleted first."""
+    edges = [("R", e) for e in itertools.combinations(range(1, 130), 2)]
+    edges += [("R", (v, 130)) for v in range(80, 130)]
+    res = trim_spanning_component(build(2, 130, edges), Fraction(1, 100))
+    assert res.vertices == tuple(range(1, 130))
+    assert res.colour is Colour.RED
+    assert res.min_degree == 128
+
+
+def test_trim_stops_at_the_order_floor():
+    """Red K_10 at eps = 1/10000: degree 9 misses the degree target, and
+    deleting one vertex would cross the order floor."""
+    ch = build(2, 10, [("R", e) for e in itertools.combinations(range(1, 11), 2)])
+    with pytest.raises(ContractUnmet, match="order floor"):
+        trim_spanning_component(ch, Fraction(1, 10000))
 
 
 def test_trim_density_precondition():
