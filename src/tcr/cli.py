@@ -367,7 +367,7 @@ def _cmd_extremal(args) -> dict:
     else:
         _require(0 <= args.i < args.k, f"--i must be in 0..{args.k - 1}, got {args.i}")
         CH, spec = extremal_mod.parity_coloring(args.k, args.n, args.i)
-    red = len(CH.edges_of(Colour.RED))
+    red = operator.countOf(CH.colour.values(), Colour.RED)
     out = {"kind": spec.kind, "k": spec.k, "n": spec.n, "i": spec.i, "d": spec.d,
            "N": spec.N, "X": list(spec.X), "Y": list(spec.Y),
            "red_edges": red, "blue_edges": CH.graph.m - red}

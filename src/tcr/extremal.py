@@ -10,6 +10,7 @@ cross-checked by exhaustive search.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
 from math import comb, gcd
 from typing import Optional
@@ -56,7 +57,7 @@ def _parity_edges(k: int, N: int, x: int) -> list:
     """K_N^(k) with the edges meeting X = [x] in an even number of vertices
     red and the others blue."""
     red, blue = Colour.RED, Colour.BLUE
-    return [(blue if sum(1 for v in e if v <= x) % 2 else red, e)
+    return [(blue if bisect_right(e, x) % 2 else red, e)
             for e in itertools.combinations(range(1, N + 1), k)]
 
 
@@ -103,18 +104,6 @@ class AbsenceCertificate:
     witness: Optional[tuple] = None   # a monochromatic cycle when ok is False
 
 
-def _component_profile(component, xset) -> Optional[int]:
-    """|e ∩ X| when constant across the component, else None."""
-    profile = None
-    for e in sorted(component):
-        r1 = sum(1 for v in e if v in xset)
-        if profile is None:
-            profile = r1
-        elif profile != r1:
-            return None
-    return profile
-
-
 def verify_no_mono_cycle(CH: ColouredKGraph, spec: ExtremalSpec,
                          length: int) -> AbsenceCertificate:
     """Prove (or refute, with a witness) that no colour class contains a
@@ -127,8 +116,8 @@ def verify_no_mono_cycle(CH: ColouredKGraph, spec: ExtremalSpec,
         # a tight cycle on length = kn vertices contains n disjoint edges;
         # both colour classes cap monochromatic matchings at n - 1
         needed = spec.n
-        bad_red = [e for e in CH.edges_of(Colour.RED) if not xset.intersection(e)]
-        bad_blue = [e for e in CH.edges_of(Colour.BLUE) if xset.intersection(e)]
+        bad_red = list(filter(xset.isdisjoint, CH.edges_of(Colour.RED)))
+        bad_blue = list(itertools.filterfalse(xset.isdisjoint, CH.edges_of(Colour.BLUE)))
         if bad_red or bad_blue:
             raise ProfileNotConstant(
                 f"colouring disagrees with the split rule: {bad_red[:2]} {bad_blue[:2]}")
@@ -142,15 +131,18 @@ def verify_no_mono_cycle(CH: ColouredKGraph, spec: ExtremalSpec,
         return AbsenceCertificate(ok, "matching-bound", length, details)
 
     # a genuine parity colouring forces constant |e ∩ X| per component;
-    # profile mixing is a hard error only when the rule itself holds
-    rule_ok = all((CH.colour[e] is Colour.RED)
-                  == (sum(1 for v in e if v in xset) % 2 == 0)
-                  for e in CH.graph.sorted_edges)
+    # profile mixing is a hard error only when the rule itself holds.  Each
+    # component's profile is the set of its |e ∩ X| values, and every edge
+    # lies in one monochromatic component, so the rule holds iff every red
+    # profile is even and every blue one odd
     decomp = monochromatic_components(CH)
+    profiles = [set(map(len, map(xset.intersection, comp))) for comp in decomp.components]
+    rule_ok = all((decomp.colour(cid) is Colour.RED) == (r1 % 2 == 0)
+                  for cid, profile in enumerate(profiles) for r1 in profile)
     details = []
-    for cid, comp in enumerate(decomp.components):
+    for cid, (comp, profile) in enumerate(zip(decomp.components, profiles)):
         colour = decomp.colour(cid)
-        r1 = _component_profile(comp, xset)
+        r1 = next(iter(profile)) if len(profile) == 1 else None
         support = len(support_of(comp))
         record = {"component": cid, "colour": colour.value, "r1": r1,
                   "support": support}

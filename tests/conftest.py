@@ -1,10 +1,50 @@
+import functools
+import inspect
 import itertools
 import sys
+import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from tcr.hypergraph import build
+import oracles  # noqa: E402
+from tcr.hypergraph import build  # noqa: E402
+
+# Tier-1 time split: wall seconds inside the outermost calls into oracles.py
+# against the seconds of every test's setup, call and teardown.  The
+# functions are wrapped here, before any test module imports them by name;
+# a nested oracle call is not counted twice.
+ORACLE_TIME = {"seconds": 0.0, "depth": 0}
+
+
+def _timed(fn):
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        if ORACLE_TIME["depth"]:
+            return fn(*args, **kwargs)
+        ORACLE_TIME["depth"] = 1
+        start = time.perf_counter()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            ORACLE_TIME["seconds"] += time.perf_counter() - start
+            ORACLE_TIME["depth"] = 0
+    return wrapper
+
+
+for _name, _fn in inspect.getmembers(oracles, inspect.isfunction):
+    if _fn.__module__ == oracles.__name__:
+        setattr(oracles, _name, _timed(_fn))
+
+
+def pytest_terminal_summary(terminalreporter):
+    total = sum(r.duration for reports in terminalreporter.stats.values() for r in reports
+                if getattr(r, "when", None) in ("setup", "call", "teardown"))
+    oracle = ORACLE_TIME["seconds"]
+    terminalreporter.write_line(
+        f"tier-1 time split: {oracle:.1f} s in tests/oracles.py and {total - oracle:.1f} s "
+        f"in the system under test and the test bodies, of {total:.1f} s in tests "
+        f"({100 * oracle / total if total else 0:.0f}% oracle)")
 
 
 def rand_coloured(k, n, m, rng):

@@ -4,7 +4,8 @@ Nothing here imports the algorithms under test beyond plain data types:
 matchings come from bare include/exclude recursion, LP optima from basic
 solution enumeration and from a dense Fraction tableau, connectivity from
 BFS, shadow masks from subset tests over all (k-2)-sets, small Ramsey
-verdicts from every 2-colouring.  The reference tcg parser uses only
+verdicts from every 2-colouring, parity certificate records from explicit
+per-edge counts.  The reference tcg parser uses only
 `hypergraph.build` for construction.  Deliberately simple and slow.
 """
 from __future__ import annotations
@@ -213,6 +214,43 @@ def brute_ramsey(k, N, kind, length) -> bool:
                 or brute_has_tight(blue, N, k, kind, length)):
             return False
     return True
+
+
+def parity_certificate_brute(colour, X, N, k, length) -> list:
+    """The records `extremal.verify_no_mono_cycle` gives a colouring checked
+    against a parity spec, recomputed from the colouring alone.
+
+    `colour` maps each edge to "R" or "B".  Components come from
+    `brute_components`, red first; each edge's |e ∩ X| is an explicit count.
+    A component that neither its support nor its profile blocks gets
+    `blocked_by: None`: only a tight-cycle search decides it."""
+    X = set(X)
+    records = []
+    for letter in ("R", "B"):
+        for comp in brute_components(k, [e for e, c in colour.items() if c == letter]):
+            profile = set()
+            for e in comp:
+                count = 0
+                for v in e:
+                    if v in X:
+                        count += 1
+                profile.add(count)
+            r1 = min(profile) if len(profile) == 1 else None
+            support = len({v for e in comp for v in e})
+            record = {"component": len(records), "colour": letter, "r1": r1,
+                      "support": support, "blocked_by": None}
+            if support < length:
+                record["blocked_by"] = "support"
+            elif r1 is not None and r1 * length % k:
+                record["blocked_by"] = "divisibility"
+            elif r1 is not None and r1 * length // k > len(X):
+                record["blocked_by"] = "x_capacity"
+                record["x_needed"] = r1 * length // k
+            elif r1 is not None and (k - r1) * length // k > N - len(X):
+                record["blocked_by"] = "y_capacity"
+                record["y_needed"] = (k - r1) * length // k
+            records.append(record)
+    return records
 
 
 def degree_brute(edges, S) -> int:

@@ -1,13 +1,15 @@
 import itertools
-from math import comb
+import re
+from math import comb, gcd
 
 import pytest
 
-from oracles import brute_has_tight, brute_ramsey, verify_cycle_witness
+from oracles import (brute_has_tight, brute_ramsey, parity_certificate_brute,
+                     verify_cycle_witness)
 from tcr import extremal
 from tcr.errors import SizeCapExceeded
-from tcr.extremal import (TargetSpec, parity_coloring, ramsey_search_tiny,
-                          split_coloring, verify_no_mono_cycle)
+from tcr.extremal import (ProfileNotConstant, TargetSpec, parity_coloring,
+                          ramsey_search_tiny, split_coloring, verify_no_mono_cycle)
 from tcr.hypergraph import Colour, build
 from tcr.matchings import max_matching_exact
 from tcr.tight import Absent, find_tight_cycle, find_tight_path, monochromatic_components
@@ -256,3 +258,123 @@ def test_certificates_reverify_from_scratch():
             assert (record["r1"] * spec.length) % spec.k != 0
         if record["blocked_by"] == "x_capacity":
             assert record["r1"] * spec.length // spec.k > len(spec.X)
+
+
+def _meets(e, x):
+    """|e ∩ [x]|, counted vertex by vertex."""
+    return sum(1 for v in e if v <= x)
+
+
+@pytest.mark.parametrize("k,n,i", [(k, n, i) for k in (2, 3, 4) for i in range(k)
+                                   for n in (1, 2, 3) if (i, n) != (0, 1)])
+def test_parity_colours_follow_the_rule(k, n, i):
+    """Red iff an even number of vertices in X = [|X|], edge by edge."""
+    ch, spec = parity_coloring(k, n, i)
+    x = len(spec.X)
+    assert spec.X == tuple(range(1, x + 1))
+    assert ch.graph.m == comb(spec.N, k)
+    for e in ch.graph.sorted_edges:
+        assert (ch.colour[e] is Colour.RED) == (_meets(e, x) % 2 == 0), e
+
+
+@pytest.mark.parametrize("k,n", [(k, n) for k in (2, 3, 4) for n in (2, 3)])
+def test_split_colours_follow_the_rule(k, n):
+    """Red iff the edge meets X = [n - 1], edge by edge."""
+    ch, spec = split_coloring(k, n)
+    assert spec.X == tuple(range(1, n))
+    for e in ch.graph.sorted_edges:
+        assert (ch.colour[e] is Colour.RED) == (_meets(e, n - 1) > 0), e
+
+
+@pytest.mark.parametrize("k,N,kind,length", [
+    (2, 5, "cycle", 3), (2, 8, "cycle", 5), (3, 7, "cycle", 4), (3, 8, "path", 5),
+    (4, 8, "cycle", 8), (4, 8, "path", 7), (4, 10, "cycle", 6)])
+def test_ramsey_seed_colourings_follow_their_rules(k, N, kind, length):
+    """The seeds are the split rule on X = [n - 1] and the parity rule on
+    |X| = kn/gcd(k, length mod k) - 1, with n = ceil(length / k)."""
+    n = -(-length // k)
+    x_parity = k * n // gcd(k, length % k) - 1
+    red_rules = []
+    if 1 <= n - 1 < N:
+        red_rules.append(lambda e: _meets(e, n - 1) > 0)
+    if 1 <= x_parity < N:
+        red_rules.append(lambda e: _meets(e, x_parity) % 2 == 0)
+    seeds = extremal._seed_colourings(k, N, TargetSpec(kind, length))
+    assert len(seeds) == len(red_rules)
+    for seed, red_rule in zip(seeds, red_rules):
+        assert [e for _, e in seed] == list(itertools.combinations(range(1, N + 1), k))
+        for c, e in seed:
+            assert (c is Colour.RED) == red_rule(e), e
+
+
+@pytest.mark.parametrize("flip,edge", [("red", (1, 2, 3, 4)), ("blue", (2, 3, 4, 5))])
+def test_split_rule_violation_raises_and_names_the_edge(flip, edge):
+    """A red edge that meets X turned blue, or a blue edge inside Y turned
+    red, breaks the split rule."""
+    ch, spec = split_coloring(4, 2)
+    assert ch.colour[edge] is (Colour.RED if flip == "red" else Colour.BLUE)
+    colour = dict(ch.colour)
+    colour[edge] = colour[edge].opposite
+    broken = build(4, spec.N, [(c, e) for e, c in sorted(colour.items())])
+    with pytest.raises(ProfileNotConstant, match=re.escape(str(edge))):
+        verify_no_mono_cycle(broken, spec, spec.length)
+
+
+def _assert_records_match_oracle(ch, spec):
+    """Every certificate record equals the oracle's.  A record the oracle
+    leaves to the cycle search is blocked by an exhaustive search or, as
+    the last record, carries a verified witness."""
+    cert = verify_no_mono_cycle(ch, spec, spec.length)
+    letters = {e: c.value for e, c in ch.colour.items()}
+    expected = parity_certificate_brute(letters, spec.X, spec.N, spec.k, spec.length)
+    details = list(cert.details)
+    assert len(details) == len(expected) if cert.ok else len(details) <= len(expected)
+    comps = monochromatic_components(ch).components
+    for record, want in zip(details, expected):
+        record = dict(record)
+        if want["blocked_by"] is None:
+            if record.get("blocked_by") == "exhaustive":
+                assert record.pop("explored") > 0
+            else:
+                assert not cert.ok and record == details[-1]
+                assert verify_cycle_witness(comps[record["component"]], spec.k, cert.witness)
+            record["blocked_by"] = None
+        assert record == want
+    assert cert.ok == (cert.witness is None)
+    return cert
+
+
+# N = (d + 1)kn/d - 2 with d = gcd(k, i), at most 14
+PARITY_CASES = [(k, n, i) for k in (3, 4) for i in range(k) for n in (1, 2, 3)
+                if (i, n) != (0, 1) and (gcd(k, i) + 1) * k * n // gcd(k, i) <= 16]
+
+
+@pytest.mark.parametrize("k,n,i", PARITY_CASES)
+def test_parity_certificate_matches_oracle(k, n, i):
+    ch, spec = parity_coloring(k, n, i)
+    assert spec.N <= 14
+    cert = _assert_records_match_oracle(ch, spec)
+    assert cert.ok and all(r["r1"] is not None for r in cert.details)
+
+
+def test_parity_certificate_with_one_flipped_edge_matches_oracle():
+    """One edge's colour flipped breaks the rule: a component that mixes
+    profiles then gets r1 None and no error.  N <= 10 keeps the cycle
+    search that such components fall back to short."""
+    mixed = searched = witnessed = 0
+    for k, n, i in PARITY_CASES:
+        ch, spec = parity_coloring(k, n, i)
+        if spec.N > 10:
+            continue
+        es = ch.graph.sorted_edges
+        for e in {es[0], es[len(es) // 2], es[-1]}:
+            colour = dict(ch.colour)
+            colour[e] = colour[e].opposite
+            flipped = build(k, spec.N, [(c, f) for f, c in sorted(colour.items())])
+            cert = _assert_records_match_oracle(flipped, spec)
+            mixed += any(r["r1"] is None for r in cert.details)
+            searched += any(r.get("blocked_by") == "exhaustive" for r in cert.details)
+            witnessed += not cert.ok
+    # of the 31 flips, 30 leave a mixed component, 21 end a cycle search in
+    # absence and 3 in a cycle
+    assert (mixed, searched, witnessed) == (30, 21, 3)

@@ -3,10 +3,11 @@
 Each pair runs `python3 perfbench/run.py --workload W --seed S --trace 0`
 once in each checkout, at perfbench's own run length, the base first in
 even pairs and the change first in odd ones, and keeps the last two lines of each run (the
-run record, which holds the machine, and the result).  The summary gives,
-per end-to-end metric, both medians, the base's interquartile range, the
-number of pairs the change wins and a verdict against the metric's bound in
-the base's BENCHMARK.json:
+run record, which holds the machine, and the result) and the median CPU
+seconds of each job, from its `job <name> median <s> CPU s` line.  The
+summary gives, per end-to-end metric and per job, both medians, the base's
+interquartile range and the number of pairs the change wins; each bounded
+metric also gets a verdict against its bound in the base's BENCHMARK.json:
 
 - `worse`: the change's median is worse than the base median by more than
   the bound;
@@ -23,10 +24,18 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+JOB_LINE = re.compile(r"\s*job (.+?)\s+median\s+(\S+) CPU s of \d+ calls")
+
+
+def job_medians(lines) -> dict:
+    """Job name -> median CPU seconds, from perfbench's per-job lines."""
+    return {m[1]: float(m[2]) for m in map(JOB_LINE.fullmatch, lines) if m}
 
 
 def run_once(checkout: str, workload: str, seed: int) -> dict:
@@ -34,7 +43,8 @@ def run_once(checkout: str, workload: str, seed: int) -> dict:
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--trace", "0"],
         cwd=checkout, capture_output=True, text=True, check=True).stdout.splitlines()
-    return {"record": json.loads(out[-2]), "result": json.loads(out[-1])}
+    return {"record": json.loads(out[-2]), "result": json.loads(out[-1]),
+            "jobs": job_medians(out[:-2])}
 
 
 def compare(base: list, change: list) -> dict:
@@ -69,6 +79,9 @@ def summary(pairs: list, bounds: dict) -> dict:
             bound = bounds[name]["bound"]
             out[name]["bound"] = bound
             out[name]["verdict"] = verdict(out[name], base, change, bound)
+    out["jobs"] = {name: compare([p["base"]["jobs"][name] for p in pairs],
+                                 [p["change"]["jobs"][name] for p in pairs])
+                   for name in pairs[0]["base"]["jobs"]}
     out["all_correct"] = all(p[side]["result"]["correct"] and not p[side]["result"]["failed"]
                              for p in pairs for side in ("base", "change"))
     return out
