@@ -4,8 +4,8 @@ fractional matching.
 
 The driver canonicalizes colours so the blueprint's spanning component is
 red and works with exact rational weights throughout; iterated blow-ups are
-replaced by direct fractional bookkeeping (the conversions live in the
-blowup module and are cross-tested against this path).  A step that cannot
+replaced by direct fractional bookkeeping (the tests convert its weightings
+to matchings in blow-ups and back as a cross-check).  A step that cannot
 certify the required gain returns a structured trace naming the first
 failing claim instead of forcing an answer.
 """

@@ -307,26 +307,6 @@ def trim_spanning_component(F: ColouredKGraph, eps) -> TrimResult:
         kept.remove(uncovered[0])
 
 
-def blueprint_blowup(bp: Blueprint, bmap, blown_ch: ColouredKGraph) -> Blueprint:
-    """Blow up a blueprint along a BlowUpMap into the blown graph blown_ch.
-
-    Each blueprint edge's clones are assigned to the blow-up of its base
-    component; the result passes the checker at the same eps.
-    """
-    blown_decomp = monochromatic_components(blown_ch)
-    cid_map = {}
-    for cid, comp in enumerate(bp.decomposition.components):
-        f = min(comp)
-        e_star = tuple(sorted(bmap.classes[x][0] for x in f))
-        cid_map[cid] = blown_decomp.component_of[e_star]
-    assign = {}
-    for e, cid in bp.assign.items():
-        blown_cid = cid_map[cid]
-        for combo in itertools.product(*(bmap.classes[x] for x in e)):
-            assign[tuple(sorted(combo))] = blown_cid
-    return make_blueprint(blown_ch, bp.eps, assign)
-
-
 def good_flags(bp: Blueprint, f) -> tuple:
     """(g1, g2, g3): f inside V(G); blueprint complete on f; some z in f sees
     every remaining pair through its component's shadow."""
@@ -346,13 +326,6 @@ def good_flags(bp: Blueprint, f) -> tuple:
 
 def is_good(bp: Blueprint, f) -> bool:
     return all(good_flags(bp, f))
-
-
-def good_edges(CH: ColouredKGraph, bp: Blueprint, host) -> frozenset:
-    """The subset of host edges that are good for (H, G)."""
-    if CH.k != 4:
-        raise ValueError("good edges are defined for 4-graphs")
-    return frozenset(e for e in host if is_good(bp, e))
 
 
 @dataclass(frozen=True)
@@ -406,49 +379,6 @@ def is_suitable_pair(CH: ColouredKGraph, bp: Blueprint, f, W) -> SuitablePairRep
     good = good_flags(bp, f)
     flags = (sp1, sp2, sp3, sp4, sp5, sp6)
     return SuitablePairReport(f, W, flags, good, all(flags) and all(good))
-
-
-def three_vertex_extension(CH: ColouredKGraph, bp: Blueprint, T1, T2, W):
-    """Greedy choice of z1, z2, z3 in W making every edge of H on
-    T_i + {z1, z2, z3} good, for both seed sets at once.
-
-    Each z must extend all current triples to edges, stay blueprint-adjacent
-    to everything so far, and land in the shadow of every current pair's
-    component.  Returns the triple or None when the greedy choice dies.
-    """
-    T1 = tuple(sorted(T1))
-    T2 = tuple(sorted(T2))
-    for T in (T1, T2):
-        if not 2 <= len(T) <= 4:
-            raise HypothesisViolated(f"seed {T} must have 2 to 4 vertices")
-        if not bp.vertex_set.issuperset(T):
-            raise HypothesisViolated(f"seed {T} leaves V(G)")
-    edges = CH.graph.edges
-    chosen = []
-
-    def admissible(z, seeds):
-        for seed in seeds:
-            base = tuple(sorted(set(seed) | set(chosen)))
-            if z in base:
-                return False
-            for S in itertools.combinations(base, 3):
-                if tuple(sorted(S + (z,))) not in edges:
-                    return False
-            for x in base:
-                if bp.pair(x, z) not in bp.assign:
-                    return False
-            for p in itertools.combinations(base, 2):
-                if not bp.in_shadow(p, z):
-                    return False
-        return True
-
-    for _ in range(3):
-        z = next((w for w in sorted(W) if w not in chosen
-                  and admissible(w, (T1, T2))), None)
-        if z is None:
-            return None
-        chosen.append(z)
-    return tuple(chosen)
 
 
 @dataclass(frozen=True)

@@ -362,10 +362,13 @@ def _cmd_extremal(args) -> dict:
     # parity with i = 0 and n = 1 would have N = k - 1 vertices
     least_n = 1 if args.mode == "parity" and args.i != 0 else 2
     _require(args.n >= least_n, f"--n must be >= {least_n}, got {args.n}")
+    i = args.i if args.mode == "parity" else 0
+    _require(0 <= i < args.k, f"--i must be in 0..{args.k - 1}, got {i}")
+    length = args.k * args.n + i
+    _require(args.length in (None, length), f"--len must be k*n + i = {length}, got {args.length}")
     if args.mode == "split":
         CH, spec = extremal_mod.split_coloring(args.k, args.n)
     else:
-        _require(0 <= args.i < args.k, f"--i must be in 0..{args.k - 1}, got {args.i}")
         CH, spec = extremal_mod.parity_coloring(args.k, args.n, args.i)
     red = operator.countOf(CH.colour.values(), Colour.RED)
     out = {"kind": spec.kind, "k": spec.k, "n": spec.n, "i": spec.i, "d": spec.d,
@@ -376,9 +379,7 @@ def _cmd_extremal(args) -> dict:
             fh.write(serialize_coloured_hypergraph(CH))
         out["written"] = args.out
     if args.verify:
-        _require(args.length in (None, spec.length),
-                 f"--len must be k*n + i = {spec.length}, got {args.length}")
-        cert = extremal_mod.verify_no_mono_cycle(CH, spec, spec.length)
+        cert = extremal_mod.verify_no_mono_cycle(CH, spec, length)
         out["certificate"] = {"ok": cert.ok, "method": cert.method,
                               "length": cert.length,
                               "details": list(cert.details),

@@ -19,14 +19,6 @@ class ConflictingColour(TcrError):
     """The same edge was supplied with two different colours."""
 
 
-class BadArity(TcrError):
-    """A vertex-set argument has a size outside the permitted range."""
-
-
-class UnknownEdge(TcrError):
-    """An edge argument is not an edge of the hypergraph in question."""
-
-
 class SearchCapExceeded(TcrError):
     """An exhaustive search was requested on an instance above its cap.
 
@@ -45,22 +37,6 @@ class NonEmptyIntersection(TcrError):
 
 class Unsupported(TcrError):
     """Parameters outside what the operation supports (e.g. more components than exist)."""
-
-
-class NotPartite(TcrError):
-    """A blown edge uses two vertices from the same blow-up class."""
-
-
-class NotAMatching(TcrError):
-    """An edge list that must be pairwise disjoint is not."""
-
-
-class MixedComponents(TcrError):
-    """Edges that must lie in a single monochromatic tight component do not."""
-
-
-class DenominatorMismatch(TcrError):
-    """A fractional matching weight is not a multiple of the required 1/r."""
 
 
 class ContractUnmet(TcrError):

@@ -15,7 +15,7 @@ from enum import Enum
 from fractions import Fraction
 from math import comb
 
-from .errors import BadArity, ConflictingColour, MalformedEdge
+from .errors import ConflictingColour, MalformedEdge
 
 Edge = tuple  # sorted tuple of ints; alias for readability in signatures
 
@@ -64,10 +64,6 @@ class KGraph:
     @property
     def m(self) -> int:
         return len(self.edges)
-
-
-def complete_kgraph(k: int, n: int) -> KGraph:
-    return KGraph(k, n, frozenset(itertools.combinations(range(1, n + 1), k)))
 
 
 def support_of(edges) -> tuple:
@@ -141,29 +137,6 @@ def build(k: int, n: int, coloured_edges) -> ColouredKGraph:
     return ColouredKGraph(graph, colour)
 
 
-def degree_and_link(H: KGraph, S) -> tuple:
-    """d_H(S) and the link N_H(S) = { T : S ∪ T is an edge }, |S| in [1, k-1]."""
-    s = tuple(sorted(set(S)))
-    if not 1 <= len(s) <= H.k - 1:
-        raise BadArity(f"|S| = {len(s)} outside [1, {H.k - 1}]")
-    ss = set(s)
-    link = set()
-    for e in H.edges:
-        if ss.issubset(e):
-            link.add(tuple(v for v in e if v not in ss))
-    return len(link), link
-
-
-def shadow(H: KGraph) -> KGraph:
-    """The (k-1)-graph of all (k-1)-subsets contained in some edge."""
-    if H.k < 2:
-        raise BadArity(f"shadow undefined for uniformity {H.k}")
-    sh = set()
-    for e in H.edges:
-        sh.update(itertools.combinations(e, H.k - 1))
-    return KGraph(H.k - 1, H.n, frozenset(sh))
-
-
 @dataclass(frozen=True)
 class LevelReport:
     """Classification of the i-sets at one level of the density predicate."""
@@ -173,10 +146,6 @@ class LevelReport:
     meets: int       # degree >= threshold and degree > 0
     zero: int        # degree == 0
     violating: int   # 0 < degree < threshold
-
-    @property
-    def total(self) -> int:
-        return self.meets + self.zero + self.violating
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from typing import Optional
 
 from . import lp
 from .errors import NonEmptyIntersection, SearchCapExceeded, Unsupported
-from .hypergraph import Colour, ColouredKGraph, support_of
+from .hypergraph import Colour, ColouredKGraph
 from .tight import monochromatic_components
 
 ZERO = Fraction(0)
@@ -41,25 +41,6 @@ class FractionalMatching:
 
     def weight(self) -> Fraction:
         return sum(self.weights.values(), ZERO)
-
-    def support(self) -> tuple:
-        return tuple(sorted(self.weights))
-
-    def completion(self, superhost) -> "FractionalMatching":
-        """The same weighting viewed inside a larger host; weight is preserved."""
-        superhost = frozenset(superhost)
-        if not superhost.issuperset(self.weights):
-            raise Unsupported("completion host does not contain the support")
-        return FractionalMatching(superhost, dict(self.weights), self.colour, self.component)
-
-    def __add__(self, other: "FractionalMatching") -> "FractionalMatching":
-        """Sum of weightings on vertex-disjoint hosts."""
-        if support_of(self.host) and support_of(other.host):
-            if set(support_of(self.host)) & set(support_of(other.host)):
-                raise Unsupported("hosts are not vertex-disjoint")
-        merged = dict(self.weights)
-        merged.update(other.weights)
-        return FractionalMatching(self.host | other.host, merged)
 
 
 def from_matching(edges, host=None, colour=None, component=None) -> FractionalMatching:

@@ -1,4 +1,4 @@
-"""Tight walks, tight components, and exhaustive tight cycle/path search.
+"""Tight components, and exhaustive tight cycle/path search.
 
 Two edges are tightly adjacent when they share exactly k-1 vertices; tight
 components are the connected components of that relation, computed in one
@@ -14,24 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .errors import SearchCapExceeded, UnknownEdge
+from .errors import SearchCapExceeded
 from .hypergraph import Colour, ColouredKGraph, KGraph, support_of
 
 SUPPORT_CAP = 14   # largest support the exhaustive searches take
-
-
-def is_tight_walk(H: KGraph, seq) -> bool:
-    """True iff consecutive edges of the sequence overlap in exactly k-1 vertices."""
-    edges = [tuple(sorted(e)) for e in seq]
-    if not edges:
-        raise UnknownEdge("empty walk")
-    for e in edges:
-        if e not in H.edges:
-            raise UnknownEdge(f"{e} is not an edge")
-    for a, b in zip(edges, edges[1:]):
-        if len(set(a) & set(b)) != H.k - 1:
-            return False
-    return True
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).parent))
 
 import oracles  # noqa: E402
-from tcr.hypergraph import build  # noqa: E402
+from tcr.hypergraph import KGraph, build  # noqa: E402
 
 # Tier-1 time split: wall seconds inside the outermost calls into oracles.py
 # against the seconds of every test's setup, call and teardown.  The
@@ -73,6 +73,11 @@ def near_complete_coloured(k, n, rng, deletions=2):
     removed = set(removed)
     return build(k, n, [(rng.choice("RB"), e)
                         for e in sorted(pool) if e not in removed])
+
+
+def complete_kgraph(k, n):
+    """K_n^(k) as an uncoloured KGraph."""
+    return KGraph(k, n, frozenset(itertools.combinations(range(1, n + 1), k)))
 
 
 def all_red(k, n):

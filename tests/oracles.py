@@ -7,6 +7,15 @@ BFS, shadow masks from subset tests over all (k-2)-sets, small Ramsey
 verdicts from every 2-colouring, parity certificate records from explicit
 per-edge counts.  The reference tcg parser uses only
 `hypergraph.build` for construction.  Deliberately simple and slow.
+
+The blow-up references behind the round-trip and blueprint blow-up
+acceptance criteria are the exception: the edge projection and the two
+conversions between blown matchings and 1/r-fractional matchings read the
+base components from `monochromatic_components` and check weightings with
+`validate_fractional`, and the blueprint blow-up reads the blown components
+from `monochromatic_components` and builds its result with
+`make_blueprint`, which `check_blueprint` then judges.  They raise
+ValueError on input outside their contract.
 """
 from __future__ import annotations
 
@@ -258,13 +267,6 @@ def degree_brute(edges, S) -> int:
     return sum(1 for e in edges if ss.issubset(e))
 
 
-def shadow_brute(edges, k):
-    out = set()
-    for e in edges:
-        out.update(itertools.combinations(sorted(e), k - 1))
-    return out
-
-
 def edges_within_brute(edges, vertices) -> list:
     """Every member of `edges` whose vertices all lie in the set, by a full
     scan, sorted."""
@@ -429,3 +431,107 @@ def dense_matching_lp(edge_list, lower=None, upper=None, excluded=None, ties=Non
     _, x = simplex_fraction_reference([1] * len(active), rows, rhs, ties=ties)
     weights = {e: w + lower.get(e, 0) for e, w in zip(active, x) if w + lower.get(e, 0)}
     return sum(weights.values(), Fraction(0)), weights
+
+
+def project_edge(bmap, e_star):
+    """f(e*): the base edge whose classes the blown edge traverses."""
+    e_star = tuple(sorted(e_star))
+    bases = [bmap.vertex_class.get(y) for y in e_star]
+    if any(b is None for b in bases):
+        raise ValueError(f"{e_star} uses vertices outside the blow-up")
+    if len(set(bases)) != len(bases):
+        raise ValueError(f"{e_star} has two vertices in one class")
+    base_edge = tuple(sorted(bases))
+    if base_edge not in bmap.base.graph.edges:
+        raise ValueError(f"projection {base_edge} is not a base edge")
+    return base_edge
+
+
+def matching_to_fractional(bmap, m_star):
+    """A matching in one monochromatic blown component becomes a
+    1/r-fractional matching of weight |M|/r in the corresponding base
+    component, with the same colour."""
+    from tcr.matchings import FractionalMatching, validate_fractional
+    from tcr.tight import monochromatic_components
+
+    edges = [tuple(sorted(e)) for e in m_star]
+    used = set()
+    for e in edges:
+        if used.intersection(e):
+            raise ValueError(f"edges overlap at {sorted(used.intersection(e))}")
+        used.update(e)
+    decomp = monochromatic_components(bmap.base)
+    counts = {}
+    comp_ids = set()
+    for e in edges:
+        f = project_edge(bmap, e)
+        counts[f] = counts.get(f, 0) + 1
+        comp_ids.add(decomp.component_of[f])
+    if len(comp_ids) > 1:
+        raise ValueError(f"projections span components {sorted(comp_ids)}")
+    if not edges:
+        return FractionalMatching(frozenset(), {})
+    cid = comp_ids.pop()
+    host = decomp.edges_of(cid)
+    weights = {f: Fraction(c, bmap.r) for f, c in sorted(counts.items())}
+    phi = FractionalMatching(host, weights, decomp.colour(cid), cid)
+    ok, violation = validate_fractional(bmap.base, phi)
+    if not ok:
+        raise ValueError(f"converted weighting invalid: {violation}")
+    return phi
+
+
+def fractional_to_matching(bmap, phi) -> tuple:
+    """A 1/r-fractional matching in the base becomes a matching of size
+    weight*r in the blow-up.
+
+    For each base vertex x the classes are carved into disjoint runs of
+    r*phi(e) clones per incident support edge (possible because the loads
+    are at most 1), and each support edge contributes the diagonal perfect
+    matching of its runs.
+    """
+    from tcr.matchings import validate_fractional
+
+    r = bmap.r
+    for e, w in phi.weights.items():
+        if (w * r).denominator != 1:
+            raise ValueError(f"weight {w} on {e} is not a multiple of 1/{r}")
+    ok, violation = validate_fractional(bmap.base, phi)
+    if not ok:
+        raise ValueError(f"input weighting invalid: {violation}")
+    cursor = {x: 0 for x in bmap.classes}
+    matching = []
+    for e in sorted(phi.weights):
+        count = int(phi.weights[e] * r)
+        runs = []
+        for x in e:
+            start = cursor[x]
+            cursor[x] = start + count
+            runs.append(bmap.classes[x][start:start + count])
+        for i in range(count):
+            matching.append(tuple(sorted(run[i] for run in runs)))
+    matching.sort()
+    return tuple(matching)
+
+
+def blueprint_blowup(bp, bmap, blown_ch):
+    """Blow up a blueprint along a BlowUpMap into the blown graph blown_ch.
+
+    Each blueprint edge's clones are assigned to the blow-up of its base
+    component; the result passes the checker at the same eps.
+    """
+    from tcr.blueprint import make_blueprint
+    from tcr.tight import monochromatic_components
+
+    blown_decomp = monochromatic_components(blown_ch)
+    cid_map = {}
+    for cid, comp in enumerate(bp.decomposition.components):
+        f = min(comp)
+        e_star = tuple(sorted(bmap.classes[x][0] for x in f))
+        cid_map[cid] = blown_decomp.component_of[e_star]
+    assign = {}
+    for e, cid in bp.assign.items():
+        blown_cid = cid_map[cid]
+        for combo in itertools.product(*(bmap.classes[x] for x in e)):
+            assign[tuple(sorted(combo))] = blown_cid
+    return make_blueprint(blown_ch, bp.eps, assign)

@@ -13,10 +13,11 @@ from math import comb
 
 
 from conftest import complete_random_coloured, near_complete_coloured, rand_coloured
-from oracles import lp_vertex_enumeration
+from oracles import (blueprint_blowup, fractional_to_matching, lp_vertex_enumeration,
+                     matching_to_fractional)
 from tcr.augment import DriverParams, run_driver
-from tcr.blowup import blow_up, fractional_to_matching, matching_to_fractional
-from tcr.blueprint import blueprint_blowup, build_blueprint, check_blueprint
+from tcr.blowup import blow_up
+from tcr.blueprint import build_blueprint, check_blueprint
 from tcr.cli import run as cli_run, serialize_coloured_hypergraph
 from tcr.extremal import TargetSpec, ramsey_search_tiny, split_coloring
 from tcr.hypergraph import Colour, build, density_check

@@ -7,7 +7,8 @@ import pytest
 from conftest import all_red, near_complete_coloured, rand_coloured, split_edges
 from tcr.augment import (AugmentationState, DriverParams, augment_once,
                          initial_matching, run_driver, verify_case_hypotheses)
-from tcr.blowup import blow_up, fractional_to_matching
+from oracles import fractional_to_matching
+from tcr.blowup import blow_up
 from tcr.blueprint import build_blueprint, is_good
 from tcr.errors import HypothesisViolated
 from tcr.extremal import parity_coloring
@@ -312,9 +313,8 @@ def test_fractional_step_converts_to_blown_matching():
     decomp = monochromatic_components(ch)
     host = decomp.edges_of(0)
     family = [e for e in itertools.combinations(range(1, 6), 4)]
-    phi = empty_intersection_matching(family).completion(host)
     from tcr.matchings import FractionalMatching
-    phi = FractionalMatching(host, phi.weights, Colour.RED, 0)
+    phi = FractionalMatching(host, empty_intersection_matching(family).weights, Colour.RED, 0)
     blown, bmap = blow_up(ch, 4)
     m = fractional_to_matching(bmap, phi)
     assert len(m) == 5 == phi.weight() * 4

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import all_red, rand_coloured
-from tcr.blowup import blow_up, fractional_to_matching, matching_to_fractional, project_edge
-from tcr.errors import (DenominatorMismatch, MixedComponents, NotAMatching,
-                        NotPartite, SizeCapExceeded)
+from oracles import fractional_to_matching, matching_to_fractional, project_edge
+from tcr.blowup import blow_up
+from tcr.errors import SizeCapExceeded
 from tcr.hypergraph import Colour, build
 from tcr.matchings import (FractionalMatching, max_matching_exact, max_r_fractional)
 from tcr.tight import monochromatic_components, tight_components
@@ -49,7 +49,7 @@ def test_project_edge_basic():
     blown, bmap = blow_up(ch, 2)
     assert project_edge(bmap, (1, 3, 5, 7)) == (1, 2, 3, 4)
     assert project_edge(bmap, (2, 4, 6, 8)) == (1, 2, 3, 4)
-    with pytest.raises(NotPartite):
+    with pytest.raises(ValueError, match="two vertices in one class"):
         project_edge(bmap, (1, 2, 5, 7))
 
 
@@ -82,9 +82,9 @@ def test_matching_to_fractional_empty():
 def test_matching_to_fractional_rejects_overlaps_and_mixing():
     ch = build(4, 9, [("R", (1, 2, 3, 4)), ("B", (5, 6, 7, 8))])
     blown, bmap = blow_up(ch, 2)
-    with pytest.raises(NotAMatching):
+    with pytest.raises(ValueError, match="edges overlap"):
         matching_to_fractional(bmap, [(1, 3, 5, 7), (1, 4, 6, 8)])
-    with pytest.raises(MixedComponents):
+    with pytest.raises(ValueError, match="projections span components"):
         matching_to_fractional(bmap, [(1, 3, 5, 7), (9, 11, 13, 15)])
 
 
@@ -119,7 +119,7 @@ def test_fractional_to_matching_denominator_mismatch():
     blown, bmap = blow_up(ch, 2)
     host = monochromatic_components(ch).edges_of(0)
     phi = FractionalMatching(host, {(1, 2, 3, 4): Fraction(1, 3)})
-    with pytest.raises(DenominatorMismatch):
+    with pytest.raises(ValueError, match="not a multiple of 1/2"):
         fractional_to_matching(bmap, phi)
 
 

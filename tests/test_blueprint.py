@@ -8,11 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (all_red, complete_random_coloured, near_complete_coloured,
                       rand_coloured, split_edges)
-from oracles import shadow_masks_brute
+from oracles import blueprint_blowup, shadow_masks_brute
 from tcr.blowup import blow_up
-from tcr.blueprint import (blueprint_blowup, blueprint_eps_for_density,
+from tcr.blueprint import (blueprint_eps_for_density,
                            build_blueprint, check_blueprint, compute_B_W,
-                           good_edges, is_good, is_suitable_pair, local_pivot,
+                           is_good, is_suitable_pair, local_pivot,
                            make_blueprint, pair_shadow_masks, rational_sqrt_upper,
                            sample_suitable_pairs, trim_spanning_component)
 from tcr.errors import ContractUnmet, HypothesisViolated
@@ -247,14 +247,14 @@ def test_blueprint_blowup_preserves_checker(seed):
 
 def test_good_edges_all_red_k8():
     ch, bp = full_red_blueprint(8, Fraction(1, 4))
-    assert len(good_edges(ch, bp, ch.graph.edges)) == 70
+    assert sum(is_good(bp, e) for e in ch.graph.edges) == 70
 
 
 def test_good_edges_missing_pair_blocks():
     ch = all_red(4, 8)
     assign = {p: 0 for p in itertools.combinations(range(1, 9), 2) if p != (1, 2)}
     bp = make_blueprint(ch, Fraction(1, 4), assign)
-    good = good_edges(ch, bp, ch.graph.edges)
+    good = {e for e in ch.graph.edges if is_good(bp, e)}
     for e in ch.graph.sorted_edges:
         if {1, 2}.issubset(e):
             assert e not in good
@@ -266,8 +266,8 @@ def test_good_edges_vertex_outside_blueprint():
     ch = all_red(4, 8)
     assign = {p: 0 for p in itertools.combinations(range(1, 8), 2)}
     bp = make_blueprint(ch, Fraction(1, 4), assign)
-    assert (5, 6, 7, 8) not in good_edges(ch, bp, ch.graph.edges)
-    assert (1, 2, 3, 4) in good_edges(ch, bp, ch.graph.edges)
+    assert not is_good(bp, (5, 6, 7, 8))
+    assert is_good(bp, (1, 2, 3, 4))
 
 
 def test_good_monotone_under_blueprint_restriction():
@@ -275,12 +275,12 @@ def test_good_monotone_under_blueprint_restriction():
     ch = near_complete_coloured(4, 10, rng, deletions=1)
     res = build_blueprint(ch, Fraction(1, 20))
     bp = res.blueprint
-    good_full = good_edges(ch, bp, ch.graph.edges)
+    good_full = {e for e in ch.graph.edges if is_good(bp, e)}
     smaller = dict(bp.assign)
     for p in list(smaller)[:5]:
         del smaller[p]
     bp_small = make_blueprint(ch, bp.eps, smaller)
-    good_small = good_edges(ch, bp_small, ch.graph.edges)
+    good_small = {e for e in ch.graph.edges if is_good(bp_small, e)}
     assert good_small.issubset(good_full)
 
 
@@ -458,43 +458,6 @@ def test_local_pivot_empty_core_rejected():
     ch, bp = full_red_blueprint(9, Fraction(1, 4))
     with pytest.raises(HypothesisViolated):
         local_pivot(ch, bp, 0, (1, 2, 3, 4), (5, 6, 7), (5, 6))
-
-
-def test_three_vertex_extension_complete():
-    from tcr.blueprint import three_vertex_extension
-    ch, bp = full_red_blueprint(12, Fraction(1, 4))
-    zs = three_vertex_extension(ch, bp, (1, 2, 3, 4), (5, 6), range(7, 13))
-    assert zs == (7, 8, 9)
-    for T in ((1, 2, 3, 4), (5, 6)):
-        span = tuple(sorted(set(T) | set(zs)))
-        for e in itertools.combinations(span, 4):
-            assert e in ch.graph.edges
-            assert is_good(bp, e)
-
-
-@settings(max_examples=10, deadline=None)
-@given(st.integers(0, 100_000))
-def test_three_vertex_extension_dense_random(seed):
-    """On dense random instances the greedy extension succeeds and every edge
-    it spans is good (the connection mechanism of the growth engine)."""
-    from tcr.blueprint import three_vertex_extension
-    rng = random.Random(seed)
-    from conftest import complete_random_coloured
-    ch = complete_random_coloured(4, 14, rng)
-    res = build_blueprint(ch, Fraction(1, 20))
-    bp = res.blueprint
-    verts = sorted(bp.vertex_set)
-    T1, T2 = tuple(verts[:4]), tuple(verts[4:6])
-    if T1 not in ch.graph.edges or not is_good(bp, T1):
-        return
-    W = [v for v in verts if v not in T1 + T2]
-    zs = three_vertex_extension(ch, bp, T1, T2, W)
-    if zs is None:
-        return
-    for T in (T1, T2):
-        span = tuple(sorted(set(T) | set(zs)))
-        for e in itertools.combinations(span, 4):
-            assert e in ch.graph.edges and is_good(bp, e)
 
 
 @settings(max_examples=8, deadline=None)

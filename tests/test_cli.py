@@ -268,6 +268,7 @@ def test_cli_mu_rejects_nonpositive_beta(tmp_path, capsys, beta):
     (["ramsey", "--k", "4", "--target", "c5", "--N", "3"], "--N"),
     (["extremal", "parity", "--k", "4", "--n", "1", "--i", "0"], "--n"),
     (["match", "mu", "--in", "FILE", "--component", "99"], "--component"),
+    (["extremal", "split", "--k", "4", "--n", "2", "--len", "9"], "--len"),
 ])
 def test_cli_bad_parameter_value_is_usage_error(tmp_path, capsys, argv, name):
     path = tmp_path / "split.tcg"

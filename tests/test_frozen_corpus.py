@@ -13,11 +13,12 @@ from pathlib import Path
 
 import pytest
 
+from conftest import complete_kgraph
 from tcr.augment import AugmentationState, DriverParams, _greedy_good, augment_once
 from tcr.blueprint import build_blueprint
 from tcr.cli import run, serialize_coloured_hypergraph, to_jsonable
 from tcr.extremal import parity_coloring, split_coloring
-from tcr.hypergraph import Colour, KGraph, build, complete_kgraph
+from tcr.hypergraph import Colour, KGraph, build
 from tcr.tight import Absent, find_tight_cycle, find_tight_path, monochromatic_components
 
 DATA = json.loads((Path(__file__).parent / "frozen_corpus.json").read_text(encoding="utf-8"))

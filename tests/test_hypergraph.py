@@ -6,12 +6,12 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import complete_random_coloured, near_complete_coloured, rand_coloured
-from oracles import degree_brute, edges_within_brute, shadow_brute
+from conftest import (complete_kgraph, complete_random_coloured, near_complete_coloured,
+                      rand_coloured)
+from oracles import degree_brute, edges_within_brute
 from tcr.blueprint import build_blueprint
-from tcr.errors import BadArity, ConflictingColour, MalformedEdge
-from tcr.hypergraph import (Colour, build, complete_kgraph, degree_and_link,
-                            density_check, edges_within, shadow)
+from tcr.errors import ConflictingColour, MalformedEdge
+from tcr.hypergraph import Colour, build, density_check, edges_within
 from tcr.tight import monochromatic_components
 
 
@@ -50,61 +50,6 @@ def test_build_rejects_conflicting_colour():
     assert ch.graph.m == 1
 
 
-def test_degree_and_link_single_edge():
-    h = build(4, 4, [("R", (1, 2, 3, 4))]).graph
-    assert degree_and_link(h, {1, 2, 3}) == (1, {(4,)})
-    d, link = degree_and_link(h, {4})
-    assert d == 1 and link == {(1, 2, 3)}
-
-
-def test_degree_and_link_complete_pair():
-    h = complete_kgraph(4, 8)
-    d, link = degree_and_link(h, {1, 2})
-    assert d == comb(6, 2) == 15
-    assert link == set(itertools.combinations(range(3, 9), 2))
-    assert d == degree_brute(h.edges, (1, 2))
-
-
-def test_degree_and_link_disjoint_vertex():
-    h = build(4, 5, [("R", (1, 2, 3, 4))]).graph
-    assert degree_and_link(h, {5}) == (0, set())
-
-
-def test_degree_bad_arity():
-    h = complete_kgraph(4, 6)
-    with pytest.raises(BadArity):
-        degree_and_link(h, {1, 2, 3, 4})
-    with pytest.raises(BadArity):
-        degree_and_link(h, set())
-
-
-def test_shadow_single_edge():
-    h = build(4, 4, [("R", (1, 2, 3, 4))]).graph
-    assert shadow(h).edges == frozenset(itertools.combinations(range(1, 5), 3))
-
-
-def test_shadow_complete_k5():
-    h = complete_kgraph(4, 5)
-    sh = shadow(h)
-    assert sh.m == comb(5, 3) == 10
-    assert sh.edges == frozenset(shadow_brute(h.edges, 4))
-
-
-def test_shadow_empty():
-    from tcr.hypergraph import KGraph
-    assert shadow(KGraph(4, 6, frozenset())).m == 0
-
-
-def test_shadow_twice_is_two_level_shadow():
-    rng = random.Random(5)
-    ch = rand_coloured(4, 8, 20, rng)
-    twice = shadow(shadow(ch.graph))
-    direct = set()
-    for e in ch.graph.edges:
-        direct.update(itertools.combinations(e, 2))
-    assert twice.edges == frozenset(direct)
-
-
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10_000))
 def test_degree_double_counting(seed):
@@ -138,7 +83,7 @@ def test_density_report_counts_partition():
     ch = rand_coloured(4, 8, 30, rng)
     rep = density_check(ch.graph, Fraction(1, 2), Fraction(1, 10))
     for level in rep.per_level:
-        assert level.total == comb(8, level.i)
+        assert level.meets + level.zero + level.violating == comb(8, level.i)
 
 
 def test_density_near_complete_passes_small_eps():

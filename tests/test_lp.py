@@ -7,10 +7,10 @@ from math import comb
 
 import pytest
 
+from conftest import complete_kgraph
 from oracles import dense_matching_lp, simplex_fraction_reference
 from tcr import lp
 from tcr.errors import CertificateFailed, InternalError, TcrError
-from tcr.hypergraph import complete_kgraph
 from tcr.lp import matching_lp
 from tcr.matchings import max_fractional_lp, max_r_fractional
 

@@ -1,17 +1,33 @@
 """No public API goes unused.
 
-Every public function, class and method defined in `src/tcr` must be named
-somewhere other than its own definition: in `src/`, in `tests/`, or as the
-`pyproject.toml` entry point.  Methods and properties count as used when
-some file accesses them as an attribute (`.name`).  Every defaulted
-parameter of a public function must be passed by some call in the program
-(`src/`, `perfbench/` or `tools/`); one that only tests set is a constant.
+The library is what the program reaches.  Every public function, class and
+method defined in `src/tcr` must be named by an identifier somewhere in the
+program, that is in `src/`, `perfbench/` or `tools/`, or be the
+`pyproject.toml` entry point.  Identifiers are read from the syntax tree:
+a `Name`, an attribute access or an imported name.  A method counts only
+when some program file accesses it as an attribute (`.name`).  Tests do not
+count, so a name that only tests call belongs in `tests/`, and neither does
+text: a mention in a comment, a string or a docstring reaches nothing.
+Every defaulted parameter of a public function must be passed by some call
+in the program; one that only tests set is a constant.
 """
 import ast
 import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+PROGRAM = ("src", "perfbench", "tools")
+
+
+def program_sources(root: Path) -> dict:
+    """Path -> text of every Python file of the program (not of `tests/`)."""
+    return {p: p.read_text(encoding="utf-8")
+            for d in PROGRAM for p in sorted((root / d).rglob("*.py"))}
+
+
+def entry_points(root: Path) -> set:
+    """The function names of the `module:function` entry points."""
+    return set(re.findall(r'"[\w.]+:(\w+)"', (root / "pyproject.toml").read_text(encoding="utf-8")))
 
 
 def public_definitions(path: Path, text: str) -> list:
@@ -27,19 +43,37 @@ def public_definitions(path: Path, text: str) -> list:
     return out
 
 
-def unreferenced(definitions, sources: dict, entry_points: str = "") -> list:
-    """The definitions named nowhere but on their own definition line."""
-    out = []
-    for path, name, is_method, lineno in definitions:
-        pattern = re.compile((r"\." if is_method else r"\b") + re.escape(name) + r"\b")
-        used = re.search(r":" + re.escape(name) + r"\b", entry_points) is not None
-        for src_path, text in sources.items():
-            for i, line in enumerate(text.splitlines(), start=1):
-                if not (src_path == path and i == lineno) and pattern.search(line):
-                    used = True
-        if not used:
-            out.append(f"{path.name}:{lineno} {name}")
-    return out
+def identifiers(text: str) -> tuple:
+    """(names, attributes) of a module: every `Name` and imported name, and
+    every attribute accessed as `.name`."""
+    names, attributes = set(), set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            attributes.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rpartition(".")[2])
+    return names, attributes
+
+
+def unreferenced(definitions, sources: dict, entry_point_names=frozenset()) -> list:
+    """The definitions that no identifier in `sources` names."""
+    names, attributes = set(entry_point_names), set()
+    for text in sources.values():
+        module_names, module_attributes = identifiers(text)
+        names |= module_names
+        attributes |= module_attributes
+    return [f"{path.name}:{lineno} {name}" for path, name, is_method, lineno in definitions
+            if name not in attributes and (is_method or name not in names)]
+
+
+def unused_public_api(root: Path) -> list:
+    """The public definitions of `src/tcr` that the program does not reach."""
+    sources = program_sources(root)
+    definitions = [d for p in sorted((root / "src" / "tcr").glob("*.py"))
+                   for d in public_definitions(p, sources[p])]
+    return unreferenced(definitions, sources, entry_points(root))
 
 
 def defaulted_parameters(path: Path, text: str) -> list:
@@ -82,28 +116,34 @@ def unset_defaults(parameters, sources: dict) -> list:
 
 
 def test_every_public_definition_is_referenced():
-    files = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
-    sources = {p: p.read_text(encoding="utf-8") for p in files}
-    definitions = [d for p in sorted((ROOT / "src" / "tcr").glob("*.py"))
-                   for d in public_definitions(p, sources[p])]
-    entry_points = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
-    assert unreferenced(definitions, sources, entry_points) == []
+    assert unused_public_api(ROOT) == []
 
 
-def test_checker_flags_definitions_used_nowhere_else():
+def test_checker_flags_definitions_used_nowhere_else(tmp_path):
     path = Path("m.py")
     text = ("def lonely():\n    pass\n\n\ndef used():\n    pass\n\n\n"
             "class C:\n    def meth(self):\n        return used()\n\n\n"
             "def main():\n    pass\n")
     definitions = public_definitions(path, text)
     assert [d[1] for d in definitions] == ["lonely", "used", "C", "meth", "main"]
-    assert unreferenced(definitions, {path: text}, 'tool = "m:main"') == [
+    assert unreferenced(definitions, {path: text}, {"main"}) == [
         "m.py:1 lonely", "m.py:9 C", "m.py:10 meth"]
+    # a call from a test file, or a mention in a comment, string or
+    # docstring of the program, reaches nothing
+    (tmp_path / "src" / "tcr").mkdir(parents=True)
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "src" / "tcr" / "m.py").write_text(
+        '"""C.meth() and lonely() are documented here."""\n\n\n' + text)
+    (tmp_path / "src" / "tcr" / "use.py").write_text(
+        "# lonely(), C().meth()\nfrom .m import C\n\nNOTE = 'lonely'\n")
+    (tmp_path / "tests" / "test_m.py").write_text(
+        "from tcr.m import C, lonely\n\n\ndef test_it():\n    lonely()\n    C().meth()\n")
+    (tmp_path / "pyproject.toml").write_text('[project.scripts]\ntool = "tcr.m:main"\n')
+    assert unused_public_api(tmp_path) == ["m.py:4 lonely", "m.py:13 meth"]
 
 
 def test_every_default_is_passed_by_some_program_call():
-    files = [p for d in ("src", "perfbench", "tools") for p in sorted((ROOT / d).rglob("*.py"))]
-    sources = {p: p.read_text(encoding="utf-8") for p in files}
+    sources = program_sources(ROOT)
     parameters = [d for p in sorted((ROOT / "src" / "tcr").glob("*.py"))
                   for d in defaulted_parameters(p, sources[p])]
     assert unset_defaults(parameters, sources) == []

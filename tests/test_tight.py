@@ -4,15 +4,15 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import all_red, rand_coloured, split_edges
+from conftest import all_red, complete_kgraph, rand_coloured, split_edges
 from oracles import (bfs_tight_walk, brute_components, verify_cycle_witness,
                      verify_path_witness)
 from tcr import tight
 from tcr.blueprint import pair_shadow_masks
-from tcr.errors import SearchCapExceeded, UnknownEdge
-from tcr.hypergraph import Colour, ColouredKGraph, KGraph, build, complete_kgraph
+from tcr.errors import SearchCapExceeded
+from tcr.hypergraph import Colour, ColouredKGraph, KGraph, build
 from tcr.tight import (Absent, _component_sets, cycle_windows, find_tight_cycle,
-                       find_tight_path, is_tight_walk, monochromatic_components,
+                       find_tight_path, monochromatic_components,
                        tight_components)
 
 
@@ -20,23 +20,6 @@ def cycle_edge_set(n, k):
     """The edge set of the tight cycle on [n] in its natural order."""
     return [tuple(sorted((v + j - 1) % n + 1 for j in range(k)))
             for v in range(1, n + 1)]
-
-
-def test_is_tight_walk_basic():
-    h = build(4, 8, [("R", (1, 2, 3, 4)), ("R", (2, 3, 4, 5)),
-                     ("R", (5, 6, 7, 8))]).graph
-    assert is_tight_walk(h, [(1, 2, 3, 4), (2, 3, 4, 5)])
-    assert not is_tight_walk(h, [(1, 2, 3, 4), (5, 6, 7, 8)])
-    with pytest.raises(UnknownEdge):
-        is_tight_walk(h, [(1, 2, 3, 5)])
-    with pytest.raises(UnknownEdge):
-        is_tight_walk(h, [])
-
-
-def test_is_tight_walk_cycle_windows():
-    edges = cycle_edge_set(8, 4)
-    h = KGraph(4, 8, frozenset(edges))
-    assert is_tight_walk(h, edges)
 
 
 def test_components_complete_k5():
@@ -116,7 +99,8 @@ def test_walk_oracle_within_and_across_components(seed):
         same = d.component_of[e1] == d.component_of[e2]
         assert (walk is not None) == same
         if walk:
-            assert is_tight_walk(ch.graph, walk)
+            assert ch.graph.edges.issuperset(walk)
+            assert all(len(set(a) & set(b)) == 3 for a, b in zip(walk, walk[1:]))
 
 
 def test_monochromatic_components_all_red():
@@ -216,7 +200,8 @@ def test_witnesses_always_reverify(seed):
 
 
 def test_blow_up_component_compatibility():
-    from tcr.blowup import blow_up, project_edge
+    from oracles import project_edge
+    from tcr.blowup import blow_up
     rng = random.Random(99)
     ch = rand_coloured(4, 7, 14, rng)
     blown, bmap = blow_up(ch, 2)
