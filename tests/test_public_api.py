@@ -6,8 +6,8 @@ program, that is in `src/`, `perfbench/` or `tools/`, or be the
 `pyproject.toml` entry point.  Identifiers are read from the syntax tree:
 a `Name`, an attribute access or an imported name.  A method counts only
 when some program file accesses it as an attribute (`.name`).  Tests do not
-count, so a name that only tests call belongs in `tests/`, and neither does
-text: a mention in a comment, a string or a docstring reaches nothing.
+count: a name that only tests call belongs in `tests/`.  Text does not count
+either: a mention in a comment, a string or a docstring reaches nothing.
 Every defaulted parameter of a public function must be passed by some call
 in the program; one that only tests set is a constant.
 """
@@ -43,27 +43,18 @@ def public_definitions(path: Path, text: str) -> list:
     return out
 
 
-def identifiers(text: str) -> tuple:
-    """(names, attributes) of a module: every `Name` and imported name, and
-    every attribute accessed as `.name`."""
-    names, attributes = set(), set()
-    for node in ast.walk(ast.parse(text)):
-        if isinstance(node, ast.Name):
-            names.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            attributes.add(node.attr)
-        elif isinstance(node, ast.alias):
-            names.add(node.name.rpartition(".")[2])
-    return names, attributes
-
-
 def unreferenced(definitions, sources: dict, entry_point_names=frozenset()) -> list:
-    """The definitions that no identifier in `sources` names."""
+    """The definitions that no identifier in `sources` names: no `Name` or
+    imported name, and no attribute accessed as `.name`."""
     names, attributes = set(entry_point_names), set()
     for text in sources.values():
-        module_names, module_attributes = identifiers(text)
-        names |= module_names
-        attributes |= module_attributes
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                attributes.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name.rpartition(".")[2])
     return [f"{path.name}:{lineno} {name}" for path, name, is_method, lineno in definitions
             if name not in attributes and (is_method or name not in names)]
 
