@@ -105,11 +105,19 @@ def _max_bipartite(admissible: dict) -> dict:
 
 
 def _greedy_good(CH, bp, edges, forbidden=frozenset()):
-    """First-fit maximal matching among good edges avoiding forbidden vertices.
-    CH is unread; perfbench/selftest.py calls this with it."""
+    """First-fit maximal matching among good edges avoiding forbidden vertices,
+    in canonical edge order.  With vertices forbidden, `edges` must be
+    set-like: the candidates are its members among the k-subsets of CH's
+    free vertices, so the work follows the free vertices, not the size of
+    `edges`."""
+    if forbidden:
+        candidates = edges_within(edges, set(range(1, CH.n + 1)).difference(forbidden),
+                                  CH.k)
+    else:
+        candidates = sorted(edges)
     out = []
-    used = set(forbidden)
-    for e in sorted(edges):
+    used = set()
+    for e in candidates:
         if used.intersection(e):
             continue
         if is_good(bp, e):
@@ -344,7 +352,7 @@ def _partner_route(CH, bp, cid, u2, W2, rng, trace, name, inside):
     forbidden = set(support_of(m1))
     if inside:
         forbidden |= set(range(1, CH.n + 1)).difference(W2)
-    m2 = _greedy_good(CH, bp, decomp._sorted[cid], forbidden=forbidden)
+    m2 = _greedy_good(CH, bp, c_edges, forbidden=forbidden)
     entry = {"claim": f"{name}_route", "partners": len(m1)}
     entry.update({"component": cid, "inside": len(m2)} if inside else {"disjoint": len(m2)})
     trace.append(entry)
@@ -388,7 +396,7 @@ def augment_once(CH: ColouredKGraph, bp: Blueprint, R_id: int,
     trace = []
 
     # maximality repair: extend M greedily inside its component
-    added = _greedy_good(CH, bp, decomp._sorted[cid], forbidden=support_of(state.matching))
+    added = _greedy_good(CH, bp, c_edges, forbidden=support_of(state.matching))
     M = tuple(sorted([*state.matching, *added]))
     next_matchings = []
     if added:

@@ -8,13 +8,17 @@ condition).  The checker is the contract; the constructor is a heuristic
 that the checker must accept.
 
 Shadow degrees are kept as vertex bitmasks (bit v set when e + v lies in the
-shadow of the assigned component), which makes the good-edge and
-suitable-pair predicates cheap set-membership tests.
+shadow of the assigned component), next to a per-vertex bitmask of the
+blueprint neighbours.  The growth step's point queries are bit operations
+on these masks: a good edge is a handful of AND and shift tests, and the
+attachment vertices of a triple in W are the set bits of one AND of
+masks, so no query scans the vertex set or a component's edges.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import comb, isqrt
 
@@ -92,6 +96,16 @@ class Blueprint:
 
     def pair(self, a: int, b: int):
         return (a, b) if a < b else (b, a)
+
+    @cached_property
+    def neighbours(self) -> dict:
+        """vertex -> bitmask of the vertices y with pair(vertex, y) assigned."""
+        out = {}
+        for a, b in self.assign:
+            if a < b:
+                out[a] = out.get(a, 0) | 1 << b
+                out[b] = out.get(b, 0) | 1 << a
+        return out
 
     def in_shadow(self, pair, z: int) -> bool:
         """z completes the blueprint edge into the shadow of its component."""
@@ -308,20 +322,18 @@ def trim_spanning_component(F: ColouredKGraph, eps) -> TrimResult:
 
 
 def good_flags(bp: Blueprint, f) -> tuple:
-    """(g1, g2, g3): f inside V(G); blueprint complete on f; some z in f sees
-    every remaining pair through its component's shadow."""
-    f = tuple(sorted(f))
+    """(g1, g2, g3) for a 4-set f: f inside V(G); blueprint complete on f;
+    some z in f sees every remaining pair through its component's shadow,
+    that is, z's bit is set in the shadow masks of the three pairs of f - z."""
+    a, b, c, d = f = tuple(sorted(f))
+    pairs = ((a, b), (a, c), (a, d), (b, c), (b, d), (c, d))
     g1 = bp.vertex_set.issuperset(f)
-    pairs = list(itertools.combinations(f, 2))
-    g2 = all(p in bp.assign for p in pairs)
-    g3 = False
-    if g2:
-        for z in f:
-            rest = [v for v in f if v != z]
-            if all(bp.in_shadow(p, z) for p in itertools.combinations(rest, 2)):
-                g3 = True
-                break
-    return g1, g2, g3
+    if not all(map(bp.assign.__contains__, pairs)):
+        return g1, False, False
+    ab, ac, ad, bc, bd, cd = [bp.masks.get(p, 0) for p in pairs]
+    g3 = ((bc & bd & cd) >> a | (ac & ad & cd) >> b
+          | (ab & ad & bd) >> c | (ab & ac & bc) >> d) & 1
+    return g1, True, bool(g3)
 
 
 def is_good(bp: Blueprint, f) -> bool:
@@ -426,6 +438,12 @@ def compute_B_W(CH: ColouredKGraph, bp: Blueprint, R_id: int, W) -> BWResult:
     and a nonzero degree; each of their attachment vertices must complete
     them into one common blue component, which must also receive every blue
     blueprint edge inside W.  Hypotheses are checked, not assumed.
+
+    A triple's degree is nonzero when its vertex bitmask is a (k-1)-set of
+    either colour class's shadow.  Its attachment vertices are the bits of
+    W's mask that survive the shadow masks of its three pairs and the
+    neighbour masks of its three vertices, each then tested for an edge.
+    Each attachment edge is verified once, however many triples reach it.
     """
     W = tuple(sorted(set(W)))
     if not bp.vertex_set.issuperset(W):
@@ -435,57 +453,61 @@ def compute_B_W(CH: ColouredKGraph, bp: Blueprint, R_id: int, W) -> BWResult:
             raise HypothesisViolated(
                 f"red blueprint edge {e} induces component {bp.assign[e]}, not {R_id}")
     decomp = bp.decomposition
-    red_good_inside = [e for e in edges_within(decomp.edges_of(R_id), W, 4)
-                       if is_good(bp, e)]
-    if red_good_inside:
-        raise HypothesisViolated(
-            f"good red edge {red_good_inside[0]} inside W")
+    red_good = next((e for e in edges_within(decomp.edges_of(R_id), W, 4)
+                     if is_good(bp, e)), None)
+    if red_good is not None:
+        raise HypothesisViolated(f"good red edge {red_good} inside W")
 
-    edges = CH.graph.edges
+    shadows = [buckets for _, buckets in decomp._buckets]
+    nbr = bp.neighbours
+    masks = bp.masks
+    pair_colour = bp.graph.colour
+    edge_set = CH.graph.edges
+    w_mask = 0
+    for w in W:
+        w_mask |= 1 << w
+    candidates = {}
     triples = []
+    gamma = {}
+    attached = {}   # attachment edge -> None, in first-visit order
     for T in itertools.combinations(W, 3):
-        pairs = list(itertools.combinations(T, 2))
-        if not all(p in bp.assign for p in pairs):
+        a, b, c = T
+        na, nb, nc = nbr.get(a, 0), nbr.get(b, 0), nbr.get(c, 0)
+        if not (na >> b & na >> c & nb >> c & 1):
             continue
-        if not any(bp.graph.colour[p] is Colour.RED for p in pairs):
+        ab, ac, bc = (a, b), (a, c), (b, c)
+        if Colour.RED not in (pair_colour[ab], pair_colour[ac], pair_colour[bc]):
             continue
-        if not any(tuple(sorted(T + (w,))) in edges for w in range(1, CH.n + 1)
-                   if w not in T):
+        t_mask = 1 << a | 1 << b | 1 << c
+        if not any(t_mask in shadow for shadow in shadows):
             continue
         triples.append(T)
-
-    candidates = {}
-
-    def note(cid, reason):
-        candidates.setdefault(cid, reason)
-
-    gamma = {}
-    for T in triples:
-        tset = set(T)
+        # nbr[x] never holds bit x, so T's own vertices drop out
+        rest = (w_mask & masks.get(ab, 0) & masks.get(ac, 0) & masks.get(bc, 0)
+                & na & nb & nc)
         hits = []
-        for w in W:
-            if w in tset:
-                continue
-            if not all(bp.pair(x, w) in bp.assign for x in T):
-                continue
-            if not all(bp.in_shadow(p, w) for p in itertools.combinations(T, 2)):
-                continue
-            if tuple(sorted(T + (w,))) not in edges:
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            w = bit.bit_length() - 1
+            edge = tuple(sorted((a, b, c, w)))
+            if edge not in edge_set:
                 continue
             hits.append(w)
-        gamma[T] = tuple(hits)
-        if not hits:
-            raise InconsistentWitness(f"triple {T} has no attachment vertex")
-        for w in hits:
-            edge = tuple(sorted(T + (w,)))
+            if edge in attached:
+                continue
+            attached[edge] = None
             if CH.colour[edge] is Colour.RED:
                 raise HypothesisViolated(
                     f"attachment edge {edge} is red (good red edge inside W)")
-            note(decomp.component_of[edge], ("triple", T, w))
+            candidates.setdefault(decomp.component_of[edge], ("triple", T, w))
+        if not hits:
+            raise InconsistentWitness(f"triple {T} has no attachment vertex")
+        gamma[T] = tuple(hits)
 
     for p in edges_within(bp.assign, W, 2):
-        if bp.graph.colour[p] is Colour.BLUE:
-            note(bp.assign[p], ("blue_pair", p))
+        if pair_colour[p] is Colour.BLUE:
+            candidates.setdefault(bp.assign[p], ("blue_pair", p))
 
     if not candidates:
         raise InconsistentWitness("no structure inside W determines a blue component")
@@ -497,12 +519,10 @@ def compute_B_W(CH: ColouredKGraph, bp: Blueprint, R_id: int, W) -> BWResult:
     (b_id,) = candidates
     # full verification of the attachment property: every attachment edge is
     # a good edge of the attached component
-    for T, hits in gamma.items():
-        for w in hits:
-            edge = tuple(sorted(T + (w,)))
-            if decomp.component_of[edge] != b_id or not is_good(bp, edge):
-                raise InconsistentWitness(
-                    f"attachment edge {edge} not good in component {b_id}")
+    for edge in attached:
+        if decomp.component_of[edge] != b_id or not is_good(bp, edge):
+            raise InconsistentWitness(
+                f"attachment edge {edge} not good in component {b_id}")
     return BWResult(b_id, tuple(triples), gamma)
 
 

@@ -42,6 +42,15 @@ EXIT_INTERNAL = 4
 
 PARAM_NAMES = ("eps", "gamma", "delta", "eta", "c")   # DriverParams, in order
 
+# defaults of the options that some mode of their command does not read, and
+# those options per (command, mode): given another value there, they are a
+# usage error rather than silently ignored
+DEFAULTS = {"host": "all", "component": None, "s": 1, "beta": Fraction(1, 100), "i": 0}
+UNREAD = {("match", "mu"): ("component", "host"),
+          ("match", "exact"): ("s", "beta"),
+          ("match", "lp"): ("s", "beta"),
+          ("extremal", "split"): ("i",)}
+
 # (exception classes, exit code, stderr label) for a failed command; the
 # first row that matches wins
 FAILURES = (
@@ -180,6 +189,12 @@ def _host_edges(CH: ColouredKGraph, host: str, component):
     return list(CH.edges_of(colour))
 
 
+def _reject_unread(args) -> None:
+    for name in UNREAD.get((args.command, args.mode), ()):
+        _require(getattr(args, name) == DEFAULTS[name],
+                 f"{args.command} {args.mode} takes no --{name}")
+
+
 class _Parser(argparse.ArgumentParser):
     """Raises UsageError, so that a usage error still gets a JSON report."""
 
@@ -203,10 +218,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("match", help="matchings: exact, lp, or mu estimate")
     sp.add_argument("mode", choices=["exact", "lp", "mu"])
     sp.add_argument("--in", dest="infile", required=True)
-    sp.add_argument("--host", choices=["all", "red", "blue"], default="all")
+    sp.add_argument("--host", choices=["all", "red", "blue"], default=DEFAULTS["host"])
     sp.add_argument("--component", type=int)
-    sp.add_argument("--s", type=int, default=1)
-    sp.add_argument("--beta", type=_fraction_arg, default=Fraction(1, 100))
+    sp.add_argument("--s", type=int, default=DEFAULTS["s"])
+    sp.add_argument("--beta", type=_fraction_arg, default=DEFAULTS["beta"])
 
     sp = sub.add_parser("blueprint", help="build a blueprint and check it")
     sp.add_argument("mode", choices=["build", "check"])
@@ -230,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("mode", choices=["split", "parity"])
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--i", type=int, default=0)
+    sp.add_argument("--i", type=int, default=DEFAULTS["i"])
     sp.add_argument("--verify", action="store_true")
     sp.add_argument("--len", dest="length", type=int)
     sp.add_argument("--out", help="write the colouring to this tcg file")
@@ -262,7 +277,7 @@ def _cmd_components(args) -> dict:
 
 
 def _cmd_match(args) -> dict:
-    _require(args.mode != "mu" or args.component is None, "match mu takes no --component")
+    _reject_unread(args)
     CH = _load(args.infile)
     if args.mode == "mu":
         est = matchings_mod.mu_estimate(CH, args.s, args.beta)
@@ -358,13 +373,13 @@ def _cmd_driver(args) -> dict:
 
 
 def _cmd_extremal(args) -> dict:
+    _reject_unread(args)
     _require(args.k >= 2, f"--k must be >= 2, got {args.k}")
     # parity with i = 0 and n = 1 would have N = k - 1 vertices
     least_n = 1 if args.mode == "parity" and args.i != 0 else 2
     _require(args.n >= least_n, f"--n must be >= {least_n}, got {args.n}")
-    i = args.i if args.mode == "parity" else 0
-    _require(0 <= i < args.k, f"--i must be in 0..{args.k - 1}, got {i}")
-    length = args.k * args.n + i
+    _require(0 <= args.i < args.k, f"--i must be in 0..{args.k - 1}, got {args.i}")
+    length = args.k * args.n + args.i
     _require(args.length in (None, length), f"--len must be k*n + i = {length}, got {args.length}")
     if args.mode == "split":
         CH, spec = extremal_mod.split_coloring(args.k, args.n)

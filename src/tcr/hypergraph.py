@@ -75,8 +75,8 @@ def support_of(edges) -> tuple:
 
 
 def edges_within(edges, vertices, k: int) -> list:
-    """The members of `edges` (any container of k-edges) inside the vertex
-    set, in canonical order.  Enumerates the k-subsets of the set, so the
+    """The members of `edges` (a set-like container of k-edges) inside the
+    vertex set, in canonical order.  Enumerates the k-subsets of the set, so the
     cost follows the set, not the size of `edges`."""
     return [e for e in itertools.combinations(sorted(set(vertices)), k) if e in edges]
 

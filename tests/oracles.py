@@ -16,6 +16,12 @@ base components from `monochromatic_components` and check weightings with
 from `monochromatic_components` and builds its result with
 `make_blueprint`, which `check_blueprint` then judges.  They raise
 ValueError on input outside their contract.
+
+The growth step's point queries (a blueprint's good-edge flags, the
+first-fit good matching and the attached blue component `compute_B_W`) are
+kept here as the scans the library replaced with mask operations: they
+read only the blueprint's and the graph's fields, and the attached
+component raises the library's error classes with its messages.
 """
 from __future__ import annotations
 
@@ -535,3 +541,120 @@ def blueprint_blowup(bp, bmap, blown_ch):
         for combo in itertools.product(*(bmap.classes[x] for x in e)):
             assign[tuple(sorted(combo))] = blown_cid
     return make_blueprint(blown_ch, bp.eps, assign)
+
+
+def good_flags_reference(bp, f) -> tuple:
+    """(g1, g2, g3) of f by the definition: f inside V(G), every pair of f a
+    blueprint edge, and some z in f whose bit is set in the shadow mask of
+    every pair of f - z.  One membership or bit test per pair and vertex."""
+    f = tuple(sorted(f))
+    g1 = bp.vertex_set.issuperset(f)
+    pairs = list(itertools.combinations(f, 2))
+    g2 = all(p in bp.assign for p in pairs)
+    g3 = False
+    if g2:
+        for z in f:
+            rest = [v for v in f if v != z]
+            if all(bp.masks.get(p, 0) >> z & 1 for p in itertools.combinations(rest, 2)):
+                g3 = True
+                break
+    return g1, g2, g3
+
+
+def greedy_good_reference(bp, edges, forbidden=frozenset()) -> list:
+    """First-fit maximal matching among the good edges avoiding `forbidden`,
+    by a scan of every edge in sorted order."""
+    out = []
+    used = set(forbidden)
+    for e in sorted(edges):
+        if used.intersection(e):
+            continue
+        if all(good_flags_reference(bp, e)):
+            out.append(e)
+            used.update(e)
+    return out
+
+
+def compute_B_W_reference(CH, bp, R_id, W) -> tuple:
+    """(component, triples, gamma) of `blueprint.compute_B_W`, raising the
+    same error class with the same message, by its first scans: every
+    triple of W against every vertex of [n] for the degree test, every
+    vertex of W against every triple for attachment, and a goodness test at
+    each visit of an attachment edge."""
+    from tcr.errors import HypothesisViolated, InconsistentWitness
+    from tcr.hypergraph import Colour
+
+    def is_good(f):
+        return all(good_flags_reference(bp, f))
+
+    def inside(edges, size):
+        return [e for e in itertools.combinations(W, size) if e in edges]
+
+    W = tuple(sorted(set(W)))
+    if not bp.vertex_set.issuperset(W):
+        raise HypothesisViolated("W must lie inside V(G)")
+    for e in sorted(bp.graph.colour):
+        if bp.graph.colour[e] is Colour.RED and bp.assign[e] != R_id:
+            raise HypothesisViolated(
+                f"red blueprint edge {e} induces component {bp.assign[e]}, not {R_id}")
+    decomp = bp.decomposition
+    red_good_inside = [e for e in inside(decomp.edges_of(R_id), 4) if is_good(e)]
+    if red_good_inside:
+        raise HypothesisViolated(f"good red edge {red_good_inside[0]} inside W")
+
+    edges = CH.graph.edges
+    triples = []
+    for T in itertools.combinations(W, 3):
+        pairs = list(itertools.combinations(T, 2))
+        if not all(p in bp.assign for p in pairs):
+            continue
+        if not any(bp.graph.colour[p] is Colour.RED for p in pairs):
+            continue
+        if not any(tuple(sorted(T + (w,))) in edges for w in range(1, CH.n + 1)
+                   if w not in T):
+            continue
+        triples.append(T)
+
+    candidates = {}
+    gamma = {}
+    for T in triples:
+        hits = []
+        for w in W:
+            if w in T:
+                continue
+            if not all(tuple(sorted((x, w))) in bp.assign for x in T):
+                continue
+            if not all(bp.masks.get(p, 0) >> w & 1 for p in itertools.combinations(T, 2)):
+                continue
+            if tuple(sorted(T + (w,))) not in edges:
+                continue
+            hits.append(w)
+        gamma[T] = tuple(hits)
+        if not hits:
+            raise InconsistentWitness(f"triple {T} has no attachment vertex")
+        for w in hits:
+            edge = tuple(sorted(T + (w,)))
+            if CH.colour[edge] is Colour.RED:
+                raise HypothesisViolated(
+                    f"attachment edge {edge} is red (good red edge inside W)")
+            candidates.setdefault(decomp.component_of[edge], ("triple", T, w))
+
+    for p in inside(bp.assign, 2):
+        if bp.graph.colour[p] is Colour.BLUE:
+            candidates.setdefault(bp.assign[p], ("blue_pair", p))
+
+    if not candidates:
+        raise InconsistentWitness("no structure inside W determines a blue component")
+    if len(candidates) > 1:
+        items = sorted(candidates.items())
+        raise InconsistentWitness(
+            f"conflicting blue components {items[0][0]} ({items[0][1]}) "
+            f"vs {items[1][0]} ({items[1][1]})")
+    (b_id,) = candidates
+    for T, hits in gamma.items():
+        for w in hits:
+            edge = tuple(sorted(T + (w,)))
+            if decomp.component_of[edge] != b_id or not is_good(edge):
+                raise InconsistentWitness(
+                    f"attachment edge {edge} not good in component {b_id}")
+    return b_id, tuple(triples), gamma

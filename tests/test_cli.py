@@ -269,6 +269,12 @@ def test_cli_mu_rejects_nonpositive_beta(tmp_path, capsys, beta):
     (["extremal", "parity", "--k", "4", "--n", "1", "--i", "0"], "--n"),
     (["match", "mu", "--in", "FILE", "--component", "99"], "--component"),
     (["extremal", "split", "--k", "4", "--n", "2", "--len", "9"], "--len"),
+    (["extremal", "split", "--k", "4", "--n", "2", "--i", "3"], "--i"),
+    (["match", "mu", "--in", "FILE", "--host", "red"], "--host"),
+    (["match", "lp", "--in", "FILE", "--s", "3"], "--s"),
+    (["match", "lp", "--in", "FILE", "--beta", "1/2"], "--beta"),
+    (["match", "exact", "--in", "FILE", "--s", "2"], "--s"),
+    (["match", "exact", "--in", "FILE", "--beta", "1/3"], "--beta"),
 ])
 def test_cli_bad_parameter_value_is_usage_error(tmp_path, capsys, argv, name):
     path = tmp_path / "split.tcg"
