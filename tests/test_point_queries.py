@@ -11,8 +11,6 @@ import random
 import re
 from fractions import Fraction
 
-import pytest
-
 from conftest import complete_random_coloured, split_edges
 from oracles import compute_B_W_reference, good_flags_reference, greedy_good_reference
 from tcr import blueprint
@@ -201,9 +199,3 @@ def test_greedy_good_without_forbidden_vertices_takes_any_iterable():
     assert _greedy_good(CH, bp, edges) == greedy_good_reference(bp, edges)
     assert _greedy_good(CH, bp, edges)
 
-
-def test_good_flags_needs_a_four_set():
-    CH = threshold(10, 1)
-    bp = build_blueprint(CH, EPS).blueprint
-    with pytest.raises(ValueError):
-        good_flags(bp, (1, 2, 3))
