@@ -28,7 +28,6 @@ from .matchings import (FractionalMatching, empty_intersection_matching,
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-QUARTER = Fraction(1, 4)
 ITERATION_CAP = 25   # growth steps run_driver takes at most
 
 
@@ -200,7 +199,6 @@ def initial_matching(CH: ColouredKGraph, bp: Blueprint, R_id: int,
         return InitialOutcome("stuck", (), None, None, "none", tuple(trace))
     B = bw.component
     b_edges = decomp.edges_of(B)
-    triple_set = set(bw.triples)
 
     red_pairs_W = [p for p in edges_within(bp.assign, W, 2) if bp.graph.colour[p] is Colour.RED]
     pair_matching = greedy_matching(red_pairs_W)
@@ -209,27 +207,11 @@ def initial_matching(CH: ColouredKGraph, bp: Blueprint, R_id: int,
     candidates = [(len(M), M, Colour.RED, R_id, "red_greedy")]
 
     if pair_matching:
-        used = set()
-        blue_edges = []
-        for (u, v) in pair_matching:
-            if used.intersection((u, v)):
-                continue
-            done = False
-            for w in W:
-                if done or w in used or w in (u, v):
-                    continue
-                T = tuple(sorted((u, v, w)))
-                if T not in triple_set:
-                    continue
-                for w2 in bw.gamma[T]:
-                    if w2 in used or w2 in T:
-                        continue
-                    edge = tuple(sorted(T + (w2,)))
-                    if decomp.component_of.get(edge) == B and is_good(bp, edge):
-                        blue_edges.append(edge)
-                        used.update(edge)
-                        done = True
-                        break
+        # every gamma edge is a good edge of B: compute_B_W has checked it
+        blue_edges = greedy_matching(
+            tuple(sorted(T + (w2,)))
+            for T in (tuple(sorted((u, v, w))) for u, v in pair_matching for w in W)
+            for w2 in bw.gamma.get(T, ()))
         trace.append({"claim": "blue_from_triples", "size": len(blue_edges)})
         if blue_edges:
             candidates.append((len(blue_edges), tuple(sorted(blue_edges)),
@@ -258,10 +240,6 @@ def initial_matching(CH: ColouredKGraph, bp: Blueprint, R_id: int,
     return InitialOutcome(status, M_best, colour, comp, kind, tuple(trace))
 
 
-def _suitable_single(CH, bp, f, u) -> bool:
-    return is_suitable_pair(CH, bp, f, (u,)).suitable
-
-
 def _mono_k5(CH, f, u, colour) -> bool:
     edges = edges_within(CH.graph.edges, f + (u,), 4)
     return len(edges) == 5 and all(CH.colour[e] is colour for e in edges)
@@ -280,7 +258,7 @@ def _partners(CH, bp, W, M, fits) -> dict:
     W, over the pairs with (f, {u}) suitable and fits(f, u)."""
     admissible = {}
     for u in W:
-        opts = [f for f in M if _suitable_single(CH, bp, f, u) and fits(f, u)]
+        opts = [f for f in M if is_suitable_pair(CH, bp, f, (u,)).suitable and fits(f, u)]
         if opts:
             admissible[u] = opts
     return _max_bipartite(admissible)
@@ -374,12 +352,12 @@ def augment_once(CH: ColouredKGraph, bp: Blueprint, R_id: int,
     """One growth step for a good matching of either colour.
 
     Searches, in the proof order: integral extension into the uncovered
-    set; single-vertex monochromatic K5 extensions spread at weight 1/4;
-    opposite-colour partner edges (of the blue component attached to the
-    uncovered set for a red matching; of a red component for a blue one);
-    and empty-intersection replacements on sampled suitable pairs.  Every
-    candidate output is revalidated; success means a gain of at least
-    gamma * n over the incoming matching."""
+    set; single-vertex monochromatic K5 extensions at the empty-intersection
+    weight 1/4; opposite-colour partner edges (of the blue component
+    attached to the uncovered set for a red matching; of a red component
+    for a blue one); and empty-intersection replacements on sampled
+    suitable pairs.  Every candidate output is revalidated; success means a
+    gain of at least gamma * n over the incoming matching."""
     verify_case_hypotheses(bp, R_id, state)
     decomp = bp.decomposition
     n_scale = params.scale_n(CH.n)
@@ -416,11 +394,13 @@ def augment_once(CH: ColouredKGraph, bp: Blueprint, R_id: int,
         except (HypothesisViolated, InconsistentWitness) as exc:
             trace.append({"claim": "B_W", "failed": str(exc)})
 
-    # single-vertex monochromatic K5 extensions (weight-1/4 spreading)
+    # single-vertex monochromatic K5 extensions, spread by the empty-intersection
+    # weighting; the K5s are disjoint, as the u are distinct and the f disjoint
     u_match = _partners(CH, bp, W, M, lambda f, u: _mono_k5(CH, f, u, colour))
     trace.append({"claim": f"{name}_k5_extensions", "count": len(u_match)})
-    spread = {q: QUARTER for u, f in sorted(u_match.items())
-              for q in edges_within(CH.graph.edges, f + (u,), 4)}
+    spread = {q: w for u, f in sorted(u_match.items())
+              for q, w in empty_intersection_matching(
+                  edges_within(CH.graph.edges, f + (u,), 4)).weights.items()}
     spread_f = set(u_match.values())
     W1 = [u for u in W if u not in u_match]
     M1 = [f for f in M if f not in spread_f]
@@ -586,8 +566,6 @@ def run_driver(CH: ColouredKGraph, params: DriverParams, seed: int) -> DriverRep
                 break
             edges, colour, comp = max(grown, key=lambda m: (len(m[0]), m[1].value))
             state = AugmentationState(edges, colour, comp)
-        if best.weight() >= target:
-            status = "reached"
 
     ok, violation = validate_fractional(work, best)
     support_good = ok and all(is_good(bp, e) for e in best.weights)

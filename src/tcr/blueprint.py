@@ -10,9 +10,10 @@ that the checker must accept.
 Shadow degrees are kept as vertex bitmasks (bit v set when e + v lies in the
 shadow of the assigned component), next to a per-vertex bitmask of the
 blueprint neighbours.  The growth step's point queries are bit operations
-on these masks: a good edge is a handful of AND and shift tests, and the
-attachment vertices of a triple in W are the set bits of one AND of
-masks, so no query scans the vertex set or a component's edges.
+on these masks: a good edge is a handful of AND and shift tests, a
+suitable pair is a subset test of a vertex set's bits in each pair's mask,
+and the attachment vertices of a triple in W are the set bits of one AND
+of masks, so no query scans the vertex set or a component's edges.
 """
 from __future__ import annotations
 
@@ -106,11 +107,6 @@ class Blueprint:
                 out[a] = out.get(a, 0) | 1 << b
                 out[b] = out.get(b, 0) | 1 << a
         return out
-
-    def in_shadow(self, pair, z: int) -> bool:
-        """z completes the blueprint edge into the shadow of its component."""
-        mask = self.masks.get(pair)
-        return mask is not None and bool(mask >> z & 1)
 
     def min_degree(self) -> int:
         deg = {v: 0 for v in self.vertex_set}
@@ -351,7 +347,8 @@ class SuitablePairReport:
 
 def is_suitable_pair(CH: ColouredKGraph, bp: Blueprint, f, W) -> SuitablePairReport:
     """Flag-by-flag suitability of (f, W); suitable iff f is good and the
-    completeness and shadow conditions all hold."""
+    completeness and shadow conditions (sp3-sp6: subset tests on the
+    pairs' shadow masks) all hold."""
     f = tuple(sorted(f))
     W = tuple(sorted(W))
     if set(f) & set(W):
@@ -363,31 +360,17 @@ def is_suitable_pair(CH: ColouredKGraph, bp: Blueprint, f, W) -> SuitablePairRep
     union = tuple(sorted(f + W))
     sp1 = len(edges_within(CH.graph.edges, union, 4)) == comb(len(union), 4)
     sp2 = all(p in bp.assign for p in itertools.combinations(union, 2))
-    sp3 = all(bp.in_shadow(p, z)
-              for p in itertools.combinations(f, 2) for z in W
-              if p in bp.assign) and sp2
-    sp4 = all(bp.in_shadow(p, z)
-              for p in itertools.combinations(W, 2) for z in f
-              if p in bp.assign) and sp2
-    sp5 = True
-    for x in f:
-        for y, z in itertools.permutations(W, 2):
-            p = bp.pair(x, y)
-            if p not in bp.assign or not bp.in_shadow(p, z):
-                sp5 = False
-                break
-        if not sp5:
-            break
-    sp6 = True
-    for T in itertools.combinations(W, 3):
-        tset = set(T)
-        for p in itertools.combinations(T, 2):
-            (z,) = tset.difference(p)
-            if p not in bp.assign or not bp.in_shadow(p, z):
-                sp6 = False
-                break
-        if not sp6:
-            break
+    f_bits = sum(1 << x for x in f)
+    w_bits = sum(1 << w for w in W)
+
+    def holds(p, need):   # p is a blueprint edge whose mask holds need's bits
+        return p in bp.assign and bp.masks.get(p, 0) & need == need
+
+    sp3 = sp2 and all(holds(p, w_bits) for p in itertools.combinations(f, 2))
+    sp4 = sp2 and all(holds(p, f_bits) for p in itertools.combinations(W, 2))
+    sp5 = len(W) < 2 or all(holds(bp.pair(x, y), w_bits ^ 1 << y) for x in f for y in W)
+    sp6 = len(W) < 3 or all(holds(p, w_bits ^ 1 << p[0] ^ 1 << p[1])
+                            for p in itertools.combinations(W, 2))
     good = good_flags(bp, f)
     flags = (sp1, sp2, sp3, sp4, sp5, sp6)
     return SuitablePairReport(f, W, flags, good, all(flags) and all(good))

@@ -178,6 +178,7 @@ def _require(ok: bool, message: str) -> None:
 
 def _host_edges(CH: ColouredKGraph, host: str, component):
     if component is not None:
+        _require(host == DEFAULTS["host"], "--component takes no --host")
         decomp = monochromatic_components(CH)
         if not 0 <= component < len(decomp.components):
             raise Unsupported(

@@ -156,10 +156,10 @@ def max_matching_exact(host) -> MatchingCertificate:
 
 
 def greedy_matching(edges) -> list:
-    """Maximal (not maximum) matching by first-fit over canonical edge order."""
+    """Maximal (not maximum) matching by first-fit in the order given."""
     out = []
     used = set()
-    for e in sorted(edges):
+    for e in edges:
         if not used.intersection(e):
             out.append(tuple(e))
             used.update(e)

@@ -185,7 +185,6 @@ def _search(H: KGraph, length: int, cyclic: bool):
         return Absent(length, len(support), explored)
     k = H.k
     completions = _completion_map(k, edges)
-    windows = cycle_windows if cyclic else path_windows
     mirror = 1 if cyclic else 0
     ordering = []
     used = set()
@@ -196,7 +195,10 @@ def _search(H: KGraph, length: int, cyclic: bool):
         if depth == length:
             if ordering[mirror] > ordering[-1]:
                 return None
-            if all(w in edges for w in windows(ordering, k)):
+            # linear windows were tested as their last vertex left the
+            # completion map; only a cycle's k - 1 wrap-around windows remain
+            wrap = ordering[length - k + 1:] + ordering[:k - 1] if cyclic else []
+            if all(tuple(sorted(wrap[i:i + k])) in edges for i in range(len(wrap) - k + 1)):
                 return tuple(ordering)
             return None
         if depth >= k - 1:

@@ -18,10 +18,12 @@ from `monochromatic_components` and builds its result with
 ValueError on input outside their contract.
 
 The growth step's point queries (a blueprint's good-edge flags, the
-first-fit good matching and the attached blue component `compute_B_W`) are
-kept here as the scans the library replaced with mask operations: they
-read only the blueprint's and the graph's fields, and the attached
-component raises the library's error classes with its messages.
+first-fit good matching, the suitable-pair flags and the attached blue
+component `compute_B_W`) are kept here as the scans the library replaced
+with mask operations: they read only the blueprint's and the graph's
+fields, the suitable-pair flags raise the library's ValueError messages,
+and the attached component raises the library's error classes with its
+messages.
 """
 from __future__ import annotations
 
@@ -573,6 +575,46 @@ def greedy_good_reference(bp, edges, forbidden=frozenset()) -> list:
             out.append(e)
             used.update(e)
     return out
+
+
+def is_suitable_pair_reference(CH, bp, f, W) -> tuple:
+    """(sp, good, suitable) of `blueprint.is_suitable_pair`, raising the same
+    ValueError messages, by its first scans: every vertex of W against every
+    pair of f, every vertex of f against every pair of W, every ordered pair
+    of W against every vertex of f, and every triple of W."""
+    def seen(p, z):
+        return bool(bp.masks.get(p, 0) >> z & 1)
+
+    f = tuple(sorted(f))
+    W = tuple(sorted(W))
+    if set(f) & set(W):
+        raise ValueError("f and W must be disjoint")
+    if not W:
+        raise ValueError("W must be nonempty")
+    if not bp.vertex_set.issuperset(W):
+        raise ValueError("W must lie inside V(G)")
+    union = tuple(sorted(f + W))
+    sp1 = all(e in CH.graph.edges for e in itertools.combinations(union, 4))
+    sp2 = all(p in bp.assign for p in itertools.combinations(union, 2))
+    sp3 = all(seen(p, z) for p in itertools.combinations(f, 2) for z in W
+              if p in bp.assign) and sp2
+    sp4 = all(seen(p, z) for p in itertools.combinations(W, 2) for z in f
+              if p in bp.assign) and sp2
+    sp5 = True
+    for x in f:
+        for y, z in itertools.permutations(W, 2):
+            p = tuple(sorted((x, y)))
+            if p not in bp.assign or not seen(p, z):
+                sp5 = False
+    sp6 = True
+    for T in itertools.combinations(W, 3):
+        for p in itertools.combinations(T, 2):
+            (z,) = set(T).difference(p)
+            if p not in bp.assign or not seen(p, z):
+                sp6 = False
+    good = good_flags_reference(bp, f)
+    sp = (sp1, sp2, sp3, sp4, sp5, sp6)
+    return sp, good, all(sp) and all(good)
 
 
 def compute_B_W_reference(CH, bp, R_id, W) -> tuple:

@@ -275,6 +275,7 @@ def test_cli_mu_rejects_nonpositive_beta(tmp_path, capsys, beta):
     (["match", "lp", "--in", "FILE", "--beta", "1/2"], "--beta"),
     (["match", "exact", "--in", "FILE", "--s", "2"], "--s"),
     (["match", "exact", "--in", "FILE", "--beta", "1/3"], "--beta"),
+    (["match", "lp", "--in", "FILE", "--component", "1", "--host", "red"], "--host"),
 ])
 def test_cli_bad_parameter_value_is_usage_error(tmp_path, capsys, argv, name):
     path = tmp_path / "split.tcg"

@@ -343,3 +343,10 @@ def test_greedy_matching_is_maximal():
         used.update(e)
     for e in ch.graph.edges:
         assert used.intersection(e) or e in m
+
+
+def test_greedy_matching_takes_edges_in_the_order_given():
+    """First fit over the given order: (2, 3) blocks both of its neighbours,
+    where sorted order would take (1, 2) and (3, 4)."""
+    assert greedy_matching([(2, 3), (1, 2), (3, 4)]) == [(2, 3)]
+    assert greedy_matching(sorted([(2, 3), (1, 2), (3, 4)])) == [(1, 2), (3, 4)]

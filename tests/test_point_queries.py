@@ -1,9 +1,9 @@
 """The growth step's point queries against their scanning references.
 
-`compute_B_W`, `good_flags` and `_greedy_good` answer with bit operations on
-the blueprint's masks; `tests/oracles.py` keeps the scans they replaced.  On
-seeded instances both must give the same result, or raise the same error
-class with the same message.
+`compute_B_W`, `good_flags`, `is_suitable_pair` and `_greedy_good` answer
+with bit operations on the blueprint's masks; `tests/oracles.py` keeps the
+scans they replaced.  On seeded instances both must give the same result,
+or raise the same error class with the same message.
 """
 import dataclasses
 import itertools
@@ -12,11 +12,12 @@ import re
 from fractions import Fraction
 
 from conftest import complete_random_coloured, split_edges
-from oracles import compute_B_W_reference, good_flags_reference, greedy_good_reference
+from oracles import (compute_B_W_reference, good_flags_reference, greedy_good_reference,
+                     is_suitable_pair_reference)
 from tcr import blueprint
 from tcr.augment import DriverParams, _greedy_good
-from tcr.blueprint import (build_blueprint, compute_B_W, good_flags, make_blueprint,
-                           pair_shadow_masks)
+from tcr.blueprint import (build_blueprint, compute_B_W, good_flags, is_suitable_pair,
+                           make_blueprint, pair_shadow_masks)
 from tcr.extremal import parity_coloring
 from tcr.hypergraph import Colour, build
 from tcr.tight import monochromatic_components
@@ -170,6 +171,73 @@ def test_point_queries_match_their_scanning_references():
     # attachment vertex sees the triple's three pairs) and is noted as a
     # candidate, so it lies in the one remaining component
     assert reached == {None, *range(len(SITES) - 1)}
+
+
+def thinned(CH, rng):
+    """CH without a tenth of its edges, so that some 4-sets are not edges."""
+    return build(4, CH.n, [("R" if CH.colour[e] is Colour.RED else "B", e)
+                           for e in CH.graph.sorted_edges if rng.random() < 0.9])
+
+
+def suitable_library(CH, bp, f, W):
+    rep = is_suitable_pair(CH, bp, f, W)
+    return rep.sp, rep.good, rep.suitable
+
+
+def test_suitable_pairs_match_their_scanning_reference():
+    """Every blueprint variant, |W| = 1..4, f an edge and a non-edge of the
+    host, and the three precondition failures."""
+    rng = random.Random(20261019)
+    seen, checked = set(), 0
+    for name, make in COLOURINGS.items():
+        full = make(rng)
+        for CH in (full, thinned(full, rng)):
+            non_edges = [q for q in itertools.combinations(range(1, CH.n + 1), 4)
+                         if q not in CH.graph.edges]
+            fs = rng.sample(CH.graph.sorted_edges, 6) + non_edges[:3]
+            for bp in blueprints(CH, rng):
+                vs = sorted(bp.vertex_set)
+                for f in fs:
+                    rest = [v for v in vs if v not in f]
+                    Ws = [tuple(rng.sample(rest, s)) for s in (1, 2, 3, 4) * 3
+                          if s <= len(rest)]
+                    Ws += [(), (f[0],) + tuple(rest[:1]), (CH.n + 1,)]
+                    for W in Ws:
+                        got = outcome(suitable_library, CH, bp, f, W)
+                        assert got == outcome(is_suitable_pair_reference, CH, bp, f, W), \
+                            (name, f, W)
+                        if got[0] == "ValueError":
+                            seen.add(got[1])
+                        else:
+                            seen.update(("sp", i, flag) for i, flag in enumerate(got[0]))
+                            seen.add(("suitable", got[2]))
+                        checked += 1
+    assert checked > 5000
+    assert seen == {"f and W must be disjoint", "W must be nonempty",
+                    "W must lie inside V(G)", ("suitable", True), ("suitable", False),
+                    *(("sp", i, flag) for i in range(6) for flag in (True, False))}
+
+
+def test_gamma_edges_are_good_edges_of_the_attached_component():
+    """initial_matching's first-fit over compute_B_W's gamma takes these
+    edges as good edges of B without testing them again."""
+    rng = random.Random(20261020)
+    checked = 0
+    for make in COLOURINGS.values():
+        CH = make(rng)
+        for bp in blueprints(CH, rng):
+            for R_id in red_ids(bp):
+                for W in w_sets(bp, CH.n, rng):
+                    res = outcome(compute_B_W, CH, bp, R_id, W)
+                    if site(res) is not None:
+                        continue
+                    for T, hits in res.gamma.items():
+                        for w in hits:
+                            edge = tuple(sorted(T + (w,)))
+                            assert bp.decomposition.component_of[edge] == res.component
+                            assert all(good_flags_reference(bp, edge))
+                            checked += 1
+    assert checked > 1000
 
 
 def test_compute_bw_tests_each_attachment_edge_once(monkeypatch):
