@@ -25,6 +25,7 @@ from .errors import (HypothesisViolated, InconsistentWitness,
 from .hypergraph import Colour, ColouredKGraph, density_check, edges_within, support_of
 from .matchings import (FractionalMatching, empty_intersection_matching,
                         from_matching, greedy_matching, validate_fractional)
+from .tight import monochromatic_components
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -79,7 +80,7 @@ class InitialOutcome:
 @dataclass(frozen=True)
 class AugmentOutcome:
     status: str               # improved | terminal | step_failed
-    fractional: Optional[FractionalMatching]
+    fractional: FractionalMatching
     next_matchings: tuple     # (edges tuple, colour, component id) candidates
     trace: tuple
 
@@ -288,8 +289,7 @@ def _replace(CH, bp, cid, M, W, s, rng, trace, name,
     if not M or len(W) < s:
         return weights, replaced
     comp = bp.decomposition.edges_of(cid)
-    sample = sample_suitable_pairs(CH, bp, M, W, s, len(M), rng)
-    for f, wf in sample.pairs:
+    for f, wf in sample_suitable_pairs(CH, bp, M, W, s, rng):
         family = set(edges_within(comp, f + wf, 4))
         out = f
         if partners is not None:
@@ -460,6 +460,10 @@ def augment_once(CH: ColouredKGraph, bp: Blueprint, R_id: int,
 
 @dataclass(frozen=True)
 class DriverReport:
+    """What run_driver did.  On a colour-swapped run, best and the trace are in
+    the working (swapped) frame; final_colour and final_component are in the
+    input's frame (its colours and its monochromatic_components ids)."""
+
     status: str                 # reached | improved | step_failed | stuck
     n_vertices: int
     n_scale: Fraction
@@ -574,10 +578,12 @@ def run_driver(CH: ColouredKGraph, params: DriverParams, seed: int) -> DriverRep
     if not (ok and comp_ok):
         raise InconsistentWitness(f"driver output failed validation: {violation}")
     min_weight_ok = all(w >= params.c for w in best.weights.values())
-    final_colour = best.colour
-    if swapped and final_colour is not None:
+    final_colour, final_component = best.colour, best.component
+    if swapped:
+        # the swapped analysis numbers blue components first; re-read the id
         final_colour = final_colour.opposite
+        final_component = monochromatic_components(CH).component_of[min(best.weights)]
     return DriverReport(status, CH.n, n_scale, target, swapped, init.kind,
                         iterations, best.weight(), final_colour,
-                        best.component, best.weight() >= target, min_weight_ok,
+                        final_component, best.weight() >= target, min_weight_ok,
                         support_good, tuple(trace), best)

@@ -95,9 +95,6 @@ class Blueprint:
     def pairs_of_colour(self, colour: Colour) -> list:
         return [e for e in self.graph.graph.sorted_edges if self.graph.colour[e] is colour]
 
-    def pair(self, a: int, b: int):
-        return (a, b) if a < b else (b, a)
-
     @cached_property
     def neighbours(self) -> dict:
         """vertex -> bitmask of the vertices y with pair(vertex, y) assigned."""
@@ -187,9 +184,8 @@ def check_blueprint(CH: ColouredKGraph, bp: Blueprint) -> BlueprintCheck:
 @dataclass(frozen=True)
 class BlueprintBuild:
     blueprint: Blueprint
-    omitted: tuple      # pairs with no component meeting the degree condition
-    discarded: tuple    # pairs dropped by the consistency pass
-    coverage: int
+    omitted: int        # pairs with no component meeting the degree condition
+    discarded: int      # pairs dropped by the consistency pass
 
 
 def build_blueprint(CH: ColouredKGraph, eps) -> BlueprintBuild:
@@ -211,7 +207,7 @@ def build_blueprint(CH: ColouredKGraph, eps) -> BlueprintBuild:
     blue_cids = [c for c in range(len(decomp.components)) if decomp.colour(c) is Colour.BLUE]
 
     chosen = {}
-    omitted = []
+    omitted = 0
     for pair in itertools.combinations(range(1, CH.n + 1), CH.k - 2):
         best = {}
         for colour, cids in ((Colour.RED, red_cids), (Colour.BLUE, blue_cids)):
@@ -223,7 +219,7 @@ def build_blueprint(CH: ColouredKGraph, eps) -> BlueprintBuild:
             if top is not None and top[0] >= threshold:
                 best[colour] = top
         if not best:
-            omitted.append(pair)
+            omitted += 1
             continue
         if Colour.RED in best and (Colour.BLUE not in best
                                    or best[Colour.RED][0] >= best[Colour.BLUE][0]):
@@ -232,7 +228,7 @@ def build_blueprint(CH: ColouredKGraph, eps) -> BlueprintBuild:
             chosen[pair] = best[Colour.BLUE][1]
 
     # consistency pass: same-colour connected groups keep the majority component
-    discarded = []
+    discarded = 0
     keep = {}
     for colour in (Colour.RED, Colour.BLUE):
         pairs = [p for p, cid in chosen.items() if decomp.colour(cid) is colour]
@@ -246,10 +242,10 @@ def build_blueprint(CH: ColouredKGraph, eps) -> BlueprintBuild:
                 if chosen[p] == majority:
                     keep[p] = majority
                 else:
-                    discarded.append(p)
+                    discarded += 1
 
     bp = make_blueprint(CH, bp_eps, keep)
-    return BlueprintBuild(bp, tuple(sorted(omitted)), tuple(sorted(discarded)), len(keep))
+    return BlueprintBuild(bp, omitted, discarded)
 
 
 @dataclass(frozen=True)
@@ -368,7 +364,7 @@ def is_suitable_pair(CH: ColouredKGraph, bp: Blueprint, f, W) -> SuitablePairRep
 
     sp3 = sp2 and all(holds(p, w_bits) for p in itertools.combinations(f, 2))
     sp4 = sp2 and all(holds(p, f_bits) for p in itertools.combinations(W, 2))
-    sp5 = len(W) < 2 or all(holds(bp.pair(x, y), w_bits ^ 1 << y) for x in f for y in W)
+    sp5 = len(W) < 2 or all(holds((min(x, y), max(x, y)), w_bits ^ 1 << y) for x in f for y in W)
     sp6 = len(W) < 3 or all(holds(p, w_bits ^ 1 << p[0] ^ 1 << p[1])
                             for p in itertools.combinations(W, 2))
     good = good_flags(bp, f)
@@ -376,24 +372,18 @@ def is_suitable_pair(CH: ColouredKGraph, bp: Blueprint, f, W) -> SuitablePairRep
     return SuitablePairReport(f, W, flags, good, all(flags) and all(good))
 
 
-@dataclass(frozen=True)
-class SampleResult:
-    pairs: tuple       # ((f, W_f), ...) pairwise disjoint, each verified suitable
-    exhausted: bool    # fewer than `want` found within the retry budget
+SAMPLE_ATTEMPTS = 60   # retry budget of sample_suitable_pairs per edge of M
 
 
-SAMPLE_ATTEMPTS = 60   # retry budget of sample_suitable_pairs per wanted pair
-
-
-def sample_suitable_pairs(CH: ColouredKGraph, bp: Blueprint, M, W, s: int,
-                          want: int, rng) -> SampleResult:
-    """Randomized search for `want` pairwise-disjoint suitable pairs, each an
-    M-edge plus an s-subset of W, verified by is_suitable_pair."""
+def sample_suitable_pairs(CH: ColouredKGraph, bp: Blueprint, M, W, s: int, rng) -> tuple:
+    """Randomized search for one suitable pair (f, W_f) per edge f of M, W_f an
+    s-subset of W, each verified by is_suitable_pair.  The pairs found are
+    pairwise disjoint; fewer than |M| means W or the retry budget ran out."""
     m_avail = sorted(tuple(sorted(e)) for e in M)
     w_avail = sorted(set(W))
     found = []
-    budget = max(1, want) * SAMPLE_ATTEMPTS
-    while len(found) < want and budget > 0 and m_avail and len(w_avail) >= s:
+    budget = len(m_avail) * SAMPLE_ATTEMPTS
+    while budget > 0 and m_avail and len(w_avail) >= s:
         budget -= 1
         f = rng.choice(m_avail)
         wf = tuple(sorted(rng.sample(w_avail, s)))
@@ -403,14 +393,13 @@ def sample_suitable_pairs(CH: ColouredKGraph, bp: Blueprint, M, W, s: int,
             m_avail.remove(f)
             for v in wf:
                 w_avail.remove(v)
-    return SampleResult(tuple(found), len(found) < want)
+    return tuple(found)
 
 
 @dataclass(frozen=True)
 class BWResult:
     component: int      # the attached blue component
-    triples: tuple      # the witness triple family inside W
-    gamma: dict         # triple -> tuple of attachment vertices
+    gamma: dict         # witness triple inside W -> its attachment vertices
 
 
 def compute_B_W(CH: ColouredKGraph, bp: Blueprint, R_id: int, W) -> BWResult:
@@ -420,7 +409,9 @@ def compute_B_W(CH: ColouredKGraph, bp: Blueprint, R_id: int, W) -> BWResult:
     Witness triples are the blueprint triangles in W carrying a red pair
     and a nonzero degree; each of their attachment vertices must complete
     them into one common blue component, which must also receive every blue
-    blueprint edge inside W.  Hypotheses are checked, not assumed.
+    blueprint edge inside W.  Hypotheses are checked, not assumed.  The
+    result's gamma maps each witness triple, in lexicographic order, to its
+    attachment vertices, so the triple family is gamma's keys.
 
     A triple's degree is nonzero when its vertex bitmask is a (k-1)-set of
     either colour class's shadow.  Its attachment vertices are the bits of
@@ -450,7 +441,6 @@ def compute_B_W(CH: ColouredKGraph, bp: Blueprint, R_id: int, W) -> BWResult:
     for w in W:
         w_mask |= 1 << w
     candidates = {}
-    triples = []
     gamma = {}
     attached = {}   # attachment edge -> None, in first-visit order
     for T in itertools.combinations(W, 3):
@@ -464,7 +454,6 @@ def compute_B_W(CH: ColouredKGraph, bp: Blueprint, R_id: int, W) -> BWResult:
         t_mask = 1 << a | 1 << b | 1 << c
         if not any(t_mask in shadow for shadow in shadows):
             continue
-        triples.append(T)
         # nbr[x] never holds bit x, so T's own vertices drop out
         rest = (w_mask & masks.get(ab, 0) & masks.get(ac, 0) & masks.get(bc, 0)
                 & na & nb & nc)
@@ -506,7 +495,7 @@ def compute_B_W(CH: ColouredKGraph, bp: Blueprint, R_id: int, W) -> BWResult:
         if decomp.component_of[edge] != b_id or not is_good(bp, edge):
             raise InconsistentWitness(
                 f"attachment edge {edge} not good in component {b_id}")
-    return BWResult(b_id, tuple(triples), gamma)
+    return BWResult(b_id, gamma)
 
 
 def local_pivot(CH: ColouredKGraph, bp: Blueprint, R_id: int, f, W, e) -> int:

@@ -300,8 +300,8 @@ def _cmd_blueprint(args) -> dict:
     CH = _load(args.infile)
     res = blueprint_mod.build_blueprint(CH, args.eps)
     check = blueprint_mod.check_blueprint(CH, res.blueprint)
-    out = {"coverage": res.coverage, "omitted": len(res.omitted),
-           "discarded": len(res.discarded),
+    out = {"coverage": len(res.blueprint.assign), "omitted": res.omitted,
+           "discarded": res.discarded,
            "blueprint_eps": res.blueprint.eps,
            "min_degree": res.blueprint.min_degree(),
            "check_ok": check.ok, "violations": list(check.violations)}
@@ -351,8 +351,7 @@ def _cmd_augment(args) -> dict:
     if init.status == "ok":
         state = AugmentationState(init.matching, init.colour, init.component)
         step = augment_once(CH, bp, R_id, state, params, rng)
-        out["step"] = {"status": step.status,
-                       "weight": step.fractional.weight() if step.fractional else None,
+        out["step"] = {"status": step.status, "weight": step.fractional.weight(),
                        "trace": list(step.trace)}
     return {"result": out}
 
@@ -395,9 +394,8 @@ def _cmd_extremal(args) -> dict:
             fh.write(serialize_coloured_hypergraph(CH))
         out["written"] = args.out
     if args.verify:
-        cert = extremal_mod.verify_no_mono_cycle(CH, spec, length)
-        out["certificate"] = {"ok": cert.ok, "method": cert.method,
-                              "length": cert.length,
+        cert = extremal_mod.verify_no_mono_cycle(CH, spec)
+        out["certificate"] = {"ok": cert.ok, "method": cert.method, "length": length,
                               "details": list(cert.details),
                               "witness": cert.witness}
     return {"result": out}

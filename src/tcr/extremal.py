@@ -4,6 +4,7 @@ The split colouring (every edge meeting X red, the rest blue) blocks long
 monochromatic tight cycles through matching bounds; the parity colouring
 (edges with an even intersection with X red) blocks them through a
 per-component counting argument on the constant |e ∩ X| profile.  Both
+colour an edge by |e ∩ X| alone and share one construction.  Both
 certificates are re-verifiable from the colouring alone, and tiny cases are
 cross-checked by exhaustive search.
 """
@@ -46,33 +47,35 @@ class ExtremalSpec:
         return self.k * self.n + self.i
 
 
-def _split_edges(k: int, N: int, x: int) -> list:
-    """K_N^(k) with the edges meeting X = [x] red and the others blue."""
-    red, blue = Colour.RED, Colour.BLUE
-    return [(red if e[0] <= x else blue, e)
+def _profile_edges(k: int, N: int, x: int, red) -> list:
+    """K_N^(k) with each edge coloured by |e ∩ X| alone, X = [x]: red iff
+    that size is in `red`."""
+    by_size = [Colour.RED if j in red else Colour.BLUE for j in range(k + 1)]
+    return [(by_size[bisect_right(e, x)], e)
             for e in itertools.combinations(range(1, N + 1), k)]
 
 
-def _parity_edges(k: int, N: int, x: int) -> list:
-    """K_N^(k) with the edges meeting X = [x] in an even number of vertices
-    red and the others blue."""
-    red, blue = Colour.RED, Colour.BLUE
-    return [(blue if bisect_right(e, x) % 2 else red, e)
-            for e in itertools.combinations(range(1, N + 1), k)]
+def _profile_coloring(kind: str, k: int, n: int, i: int, red):
+    """The profile colouring on N = ((d+1)/d) k n - 2 vertices, d = gcd(k, i),
+    with X = [(k/d) n - 1]; split is the case i = 0, d = k."""
+    d = gcd(k, i)
+    N = (d + 1) * k * n // d - 2
+    if N < k:
+        raise ValueError(f"N = {N} < k = {k}: i = 0 needs n >= 2")
+    if comb(N, k) > DEFAULT_EDGE_CAP:
+        raise SizeCapExceeded(f"C({N},{k}) exceeds cap {DEFAULT_EDGE_CAP}")
+    x = k * n // d - 1
+    CH = build(k, N, _profile_edges(k, N, x, red))
+    spec = ExtremalSpec(kind, k, n, i, d, N,
+                        tuple(range(1, x + 1)), tuple(range(x + 1, N + 1)))
+    return CH, spec
 
 
 def split_coloring(k: int, n: int):
     """K_N minus nothing, N = (k+1)n - 2: edges meeting X = [n-1] red, others blue."""
     if k < 2 or n < 2:
         raise ValueError("need k, n >= 2")
-    N = (k + 1) * n - 2
-    if comb(N, k) > DEFAULT_EDGE_CAP:
-        raise SizeCapExceeded(f"C({N},{k}) exceeds cap {DEFAULT_EDGE_CAP}")
-    x_top = n - 1
-    CH = build(k, N, _split_edges(k, N, x_top))
-    spec = ExtremalSpec("split", k, n, 0, gcd(k, 0), N,
-                        tuple(range(1, x_top + 1)), tuple(range(x_top + 1, N + 1)))
-    return CH, spec
+    return _profile_coloring("split", k, n, 0, range(1, k + 1))
 
 
 def parity_coloring(k: int, n: int, i: int):
@@ -82,34 +85,21 @@ def parity_coloring(k: int, n: int, i: int):
         raise ValueError("need k >= 2 and n >= 1")
     if not 0 <= i <= k - 1:
         raise ValueError(f"need 0 <= i <= k-1, got i = {i}")
-    d = gcd(k, i)
-    N = (d + 1) * k * n // d - 2
-    if N < k:
-        raise ValueError(f"N = {N} < k = {k}: i = 0 needs n >= 2")
-    if comb(N, k) > DEFAULT_EDGE_CAP:
-        raise SizeCapExceeded(f"C({N},{k}) exceeds cap {DEFAULT_EDGE_CAP}")
-    x_size = k * n // d - 1
-    CH = build(k, N, _parity_edges(k, N, x_size))
-    spec = ExtremalSpec("parity", k, n, i, d, N,
-                        tuple(range(1, x_size + 1)), tuple(range(x_size + 1, N + 1)))
-    return CH, spec
+    return _profile_coloring("parity", k, n, i, range(0, k + 1, 2))
 
 
 @dataclass(frozen=True)
 class AbsenceCertificate:
     ok: bool                 # True when absence is proven
     method: str              # matching-bound | divisibility | exhaustive
-    length: int
     details: tuple           # re-verifiable records
     witness: Optional[tuple] = None   # a monochromatic cycle when ok is False
 
 
-def verify_no_mono_cycle(CH: ColouredKGraph, spec: ExtremalSpec,
-                         length: int) -> AbsenceCertificate:
+def verify_no_mono_cycle(CH: ColouredKGraph, spec: ExtremalSpec) -> AbsenceCertificate:
     """Prove (or refute, with a witness) that no colour class contains a
-    tight cycle on `length` vertices."""
-    if length != spec.length:
-        raise ValueError(f"length {length} != k*n + i = {spec.length}")
+    tight cycle on spec.length = k*n + i vertices."""
+    length = spec.length
     xset = set(spec.X)
     k = spec.k
     if spec.kind == "split":
@@ -128,7 +118,7 @@ def verify_no_mono_cycle(CH: ColouredKGraph, spec: ExtremalSpec,
              "max_matching": len(spec.Y) // k, "needed": needed},
         )
         ok = len(spec.X) < needed and len(spec.Y) // k < needed
-        return AbsenceCertificate(ok, "matching-bound", length, details)
+        return AbsenceCertificate(ok, "matching-bound", details)
 
     # a genuine parity colouring forces constant |e ∩ X| per component;
     # profile mixing is a hard error only when the rule itself holds.  Each
@@ -171,11 +161,10 @@ def verify_no_mono_cycle(CH: ColouredKGraph, spec: ExtremalSpec,
                     record["explored"] = result.explored
                 else:
                     details.append(record)
-                    return AbsenceCertificate(False, "divisibility", length,
-                                              tuple(details),
+                    return AbsenceCertificate(False, "divisibility", tuple(details),
                                               witness=result.ordering)
         details.append(record)
-    return AbsenceCertificate(True, "divisibility", length, tuple(details))
+    return AbsenceCertificate(True, "divisibility", tuple(details))
 
 
 @dataclass(frozen=True)
@@ -232,10 +221,10 @@ def _seed_colourings(k: int, N: int, target: TargetSpec):
     n = -(-ell // k)   # ceil
     seeds = []
     if 1 <= n - 1 < N:
-        seeds.append(_split_edges(k, N, n - 1))
+        seeds.append(_profile_edges(k, N, n - 1, range(1, k + 1)))
     x_size = k * n // gcd(k, ell % k) - 1
     if 1 <= x_size < N:
-        seeds.append(_parity_edges(k, N, x_size))
+        seeds.append(_profile_edges(k, N, x_size, range(0, k + 1, 2)))
     return seeds
 
 

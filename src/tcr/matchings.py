@@ -278,7 +278,6 @@ class MuEstimate:
     value: Fraction
     exact: bool
     components: tuple       # component ids realizing the value
-    per_choice: tuple       # (component ids, value, exact) per candidate choice
 
 
 def _floored_lp_exact(edges, beta):
@@ -327,5 +326,4 @@ def mu_estimate(CH: ColouredKGraph, s: int, beta) -> MuEstimate:
     best_value = best[1]
     # exact overall when every choice is exact or certifiably below the best
     overall_exact = all(ex or upper <= best_value for _, _, ex, upper in choices)
-    return MuEstimate(best_value, overall_exact, best[0],
-                      tuple((c, v, ex) for c, v, ex, _ in choices))
+    return MuEstimate(best_value, overall_exact, best[0])

@@ -135,8 +135,7 @@ def monochromatic_components(CH: ColouredKGraph) -> TightDecomposition:
 @dataclass(frozen=True)
 class TightWitness:
     ordering: tuple  # vertex sequence: cyclic for a cycle, linear for a path
-    length: int
-    explored: int = 0
+    explored: int
 
 
 @dataclass(frozen=True)
@@ -228,7 +227,7 @@ def _search(H: KGraph, length: int, cyclic: bool):
         explored += 1
         res = extend()
         if res is not None:
-            return TightWitness(res, length, explored=explored)
+            return TightWitness(res, explored)
     return Absent(length, len(support), explored)
 
 

@@ -306,6 +306,23 @@ def test_driver_swaps_to_red_spanning():
     assert rep.final_colour is Colour.BLUE
 
 
+def test_driver_swapped_run_reports_the_input_component():
+    """Red iff |e ∩ [12]| >= 3 on N = 24, seed 7: the spanning component is
+    blue, so the driver works on the swapped colouring.  The reported colour
+    and component are those of the weighting's support in the input's own
+    analysis, which numbers the red components first."""
+    from tcr.hypergraph import build
+    ch = build(4, 24, [("R" if sum(v <= 12 for v in e) >= 3 else "B", e)
+                       for e in itertools.combinations(range(1, 25), 4)])
+    rep = run_driver(ch, DriverParams(), seed=7)
+    assert rep.colour_swapped
+    decomp = monochromatic_components(ch)
+    assert rep.best.weights
+    for e in rep.best.weights:
+        assert decomp.component_of[e] == rep.final_component
+        assert ch.colour[e] is rep.final_colour
+
+
 def test_fractional_step_converts_to_blown_matching():
     """Driver-style quarter-weight output converts to an integral matching in
     the 4-blow-up of the same size ratio (the two growth routes agree)."""

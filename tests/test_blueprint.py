@@ -108,7 +108,7 @@ def test_check_colour_mismatch_guarded_by_constructor():
 def test_build_all_red_k8():
     ch = all_red(4, 8)
     res = build_blueprint(ch, Fraction(1, 20))
-    assert res.coverage == 28 and not res.omitted and not res.discarded
+    assert len(res.blueprint.assign) == 28 and res.omitted == res.discarded == 0
     assert set(res.blueprint.assign.values()) == {0}
     assert check_blueprint(ch, res.blueprint).ok
     assert res.blueprint.min_degree() == 7
@@ -144,8 +144,8 @@ def test_build_empty_graph():
     from tcr.hypergraph import ColouredKGraph, KGraph
     empty = ColouredKGraph(KGraph(4, 6, frozenset()), {})
     res = build_blueprint(empty, Fraction(1, 20))
-    assert res.coverage == 0
-    assert len(res.omitted) == 15
+    assert len(res.blueprint.assign) == 0
+    assert res.omitted == 15
     assert check_blueprint(empty, res.blueprint).ok
 
 
@@ -337,10 +337,10 @@ def test_sample_suitable_pairs_complete():
     M = [(1, 2, 3, 4), (5, 6, 7, 8), (9, 10, 11, 12)]
     W = tuple(range(13, 25))
     rng = random.Random(42)
-    res = sample_suitable_pairs(ch, bp, M, W, 3, 3, rng)
-    assert len(res.pairs) == 3 and not res.exhausted
+    pairs = sample_suitable_pairs(ch, bp, M, W, 3, rng)
+    assert len(pairs) == len(M)
     seen = set()
-    for f, wf in res.pairs:
+    for f, wf in pairs:
         assert is_suitable_pair(ch, bp, f, wf).suitable
         assert not seen.intersection(set(f) | set(wf))
         seen.update(f)
@@ -349,11 +349,10 @@ def test_sample_suitable_pairs_complete():
 
 def test_sample_suitable_pairs_want_zero_and_exhaustion():
     ch, bp = full_red_blueprint(12, Fraction(1, 4))
-    M = [(1, 2, 3, 4)]
     rng = random.Random(1)
-    assert sample_suitable_pairs(ch, bp, M, (5, 6, 7, 8), 3, 0, rng).pairs == ()
-    res = sample_suitable_pairs(ch, bp, M, (5, 6), 3, 1, rng)
-    assert res.exhausted and res.pairs == ()
+    assert sample_suitable_pairs(ch, bp, [], (5, 6, 7, 8), 3, rng) == ()
+    # |M| = 1 but W is too small for a 3-subset: exhausted, nothing found
+    assert sample_suitable_pairs(ch, bp, [(1, 2, 3, 4)], (5, 6), 3, rng) == ()
 
 
 def bw_fixture():
@@ -382,7 +381,7 @@ def test_compute_bw_no_red_pairs_inside_w():
     ch, bp, red_id, blue_id = bw_fixture()
     res = compute_B_W(ch, bp, red_id, (1, 2, 3, 4))
     assert res.component == blue_id
-    assert res.triples == ()   # no red blueprint pair inside W
+    assert res.gamma == {}   # no red blueprint pair inside W
 
 
 def test_compute_bw_split_instance():
@@ -394,10 +393,10 @@ def test_compute_bw_split_instance():
     out = compute_B_W(ch, bp, red_id, W)
     decomp = bp.decomposition
     assert decomp.colour(out.component) is Colour.BLUE
-    assert out.triples                                   # red pairs exist in W
-    for T in out.triples:
-        assert out.gamma[T]
-        for w in out.gamma[T]:
+    assert out.gamma                                     # red pairs exist in W
+    for T, hits in out.gamma.items():
+        assert hits
+        for w in hits:
             edge = tuple(sorted(T + (w,)))
             assert decomp.component_of[edge] == out.component
             assert is_good(bp, edge)

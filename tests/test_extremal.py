@@ -92,7 +92,7 @@ def test_parity_profile_constancy_all_components():
 
 def test_verify_split_k4_n2():
     ch, spec = split_coloring(4, 2)
-    cert = verify_no_mono_cycle(ch, spec, 8)
+    cert = verify_no_mono_cycle(ch, spec)
     assert cert.ok and cert.method == "matching-bound"
     # the certified bounds are re-verifiable by the exact matcher
     assert max_matching_exact(ch.edges_of(Colour.RED)).size <= len(spec.X)
@@ -101,7 +101,7 @@ def test_verify_split_k4_n2():
 
 def test_verify_parity_k3_n2_i0_details():
     ch, spec = parity_coloring(3, 2, 0)
-    cert = verify_no_mono_cycle(ch, spec, 6)
+    cert = verify_no_mono_cycle(ch, spec)
     assert cert.ok and cert.method == "divisibility"
     by_colour = {d["colour"]: d for d in cert.details}
     assert by_colour["R"]["blocked_by"] == "support" and by_colour["R"]["support"] == 5
@@ -115,16 +115,10 @@ def test_verify_detects_violation_on_complete():
     # overwrite with all-red on the same vertex count: build a fake spec view
     all_red_ch = build(4, spec.N, [("R", e) for e in
                                    itertools.combinations(range(1, spec.N + 1), 4)])
-    cert = verify_no_mono_cycle(all_red_ch, spec, spec.length)
+    cert = verify_no_mono_cycle(all_red_ch, spec)
     assert not cert.ok
     assert cert.witness is not None
     assert verify_cycle_witness(all_red_ch.graph.edges, 4, cert.witness)
-
-
-def test_verify_length_validation():
-    ch, spec = split_coloring(4, 2)
-    with pytest.raises(ValueError):
-        verify_no_mono_cycle(ch, spec, 7)
 
 
 def test_ramsey_c3_anchors():
@@ -246,7 +240,7 @@ def test_certificates_reverify_from_scratch():
     """Recomputing the cited profiles and capacities reproduces the stored
     certificate records."""
     ch, spec = parity_coloring(3, 2, 1)
-    cert = verify_no_mono_cycle(ch, spec, spec.length)
+    cert = verify_no_mono_cycle(ch, spec)
     assert cert.ok
     decomp = monochromatic_components(ch)
     xset = set(spec.X)
@@ -317,14 +311,14 @@ def test_split_rule_violation_raises_and_names_the_edge(flip, edge):
     colour[edge] = colour[edge].opposite
     broken = build(4, spec.N, [(c, e) for e, c in sorted(colour.items())])
     with pytest.raises(ProfileNotConstant, match=re.escape(str(edge))):
-        verify_no_mono_cycle(broken, spec, spec.length)
+        verify_no_mono_cycle(broken, spec)
 
 
 def _assert_records_match_oracle(ch, spec):
     """Every certificate record equals the oracle's.  A record the oracle
     leaves to the cycle search is blocked by an exhaustive search or, as
     the last record, carries a verified witness."""
-    cert = verify_no_mono_cycle(ch, spec, spec.length)
+    cert = verify_no_mono_cycle(ch, spec)
     letters = {e: c.value for e, c in ch.colour.items()}
     expected = parity_certificate_brute(letters, spec.X, spec.N, spec.k, spec.length)
     details = list(cert.details)

@@ -78,7 +78,7 @@ def site(result):
 
 def bw_library(CH, bp, R_id, W):
     res = compute_B_W(CH, bp, R_id, W)
-    return res.component, res.triples, list(res.gamma.items())
+    return res.component, tuple(res.gamma), list(res.gamma.items())
 
 
 def bw_reference(CH, bp, R_id, W):
