@@ -1,13 +1,14 @@
-"""The matching-growth engine: initial good matching, one augmentation step,
-and the outer driver producing a heavy monochromatic tightly connected
-fractional matching.
+"""The matching-growth engine: the growth set-up, initial good matching, one
+augmentation step, and the outer driver producing a heavy monochromatic
+tightly connected fractional matching.
 
-The driver canonicalizes colours so the blueprint's spanning component is
-red and works with exact rational weights throughout; iterated blow-ups are
-replaced by direct fractional bookkeeping (the tests convert its weightings
-to matchings in blow-ups and back as a cross-check).  A step that cannot
-certify the required gain returns a structured trace naming the first
-failing claim instead of forcing an answer.
+`growth_setup` fixes the frame that `run_driver` and `tcr augment` share:
+colours named so the blueprint's trimmed spanning component is red.  Weights
+are exact rationals; iterated blow-ups are replaced by direct fractional
+bookkeeping (the tests convert its weightings to matchings in blow-ups and
+back as a cross-check).  A step that cannot certify the required gain
+returns a structured trace naming the first failing claim instead of
+forcing an answer.
 """
 from __future__ import annotations
 
@@ -438,7 +439,7 @@ def augment_once(CH: ColouredKGraph, bp: Blueprint, R_id: int,
                               trace, name, pivot_R=R_id if primary else None)
     if primary:
         gain = sum(fact.values(), ZERO) - len(replaced)
-        trace.append({"claim": "red_replacements", "gain": str(gain)})
+        trace.append({"claim": "red_replacements", "gain": gain})
     kept = {e: ONE for e in M if e not in spread_f and e not in replaced}
     candidates = [(name, _assemble(c_edges, [kept, spread, fact], colour, cid))]
 
@@ -453,7 +454,7 @@ def augment_once(CH: ColouredKGraph, bp: Blueprint, R_id: int,
     if not ok:
         raise InconsistentWitness(f"constructed weighting invalid: {violation}")
     trace.append({"claim": "best_route", "route": best_name,
-                  "weight": str(best.weight()), "needed": str(need)})
+                  "weight": best.weight(), "needed": need})
     status = "improved" if best.weight() >= need else "step_failed"
     return AugmentOutcome(status, best, tuple(next_matchings), tuple(trace))
 
@@ -487,36 +488,25 @@ def _stuck(CH, params, swapped, kind, trace) -> DriverReport:
                         ZERO, None, None, False, False, False, tuple(trace), None)
 
 
-def _trimmed_blueprint(CH, params):
-    """Build the blueprint and trim its graph to a spanning monochromatic
-    component, at the blueprint's own missing-pair density if worse."""
-    bp = build_blueprint(CH, params.eps).blueprint
-    miss = 1 - Fraction(bp.graph.graph.m, comb(CH.n, 2))
-    return bp, trim_spanning_component(bp.graph, max(params.eps, miss))
-
-
-def run_driver(CH: ColouredKGraph, params: DriverParams, seed: int) -> DriverReport:
-    """Build a blueprint, trim to a spanning monochromatic component
-    (canonicalized red), seed a good matching, and grow it until the n/4
-    target is reached, the iteration cap trips, or no route certifies the
-    required gain.  Outputs are exact rationals and fully revalidated."""
-    rng = random.Random(seed)
-    trace = []
-    dens = density_check(CH.graph, 1 - params.eps, params.eps)
-    if not dens.passed:
+def growth_setup(CH: ColouredKGraph, params: DriverParams):
+    """Check density, build the blueprint, trim it to a spanning monochromatic
+    component (at its own missing-pair density if worse) and name colours so
+    that component is red.  Returns (work, swapped, bp, R_id, trace), work
+    being CH or CH.swapped(); bp and R_id are None when set-up is stuck, and
+    the trace's last claim says why."""
+    if not density_check(CH.graph, 1 - params.eps, params.eps).passed:
         raise HypothesisViolated(
             f"input is not (1-eps, eps)-dense at eps = {params.eps}")
-
-    work, swapped = CH, False
-    bp0, trim = _trimmed_blueprint(work, params)
-    if trim.colour is Colour.BLUE:
-        work, swapped = CH.swapped(), True
-        bp0, trim = _trimmed_blueprint(work, params)
-        if trim.colour is Colour.BLUE:
-            trace.append({"claim": "canonical_red_spanning", "failed": True})
-            return _stuck(CH, params, swapped, "none", trace)
-    trace.append({"claim": "trim", "kept": len(trim.vertices),
-                  "min_degree": trim.min_degree})
+    for swapped in (False, True):
+        work = CH.swapped() if swapped else CH
+        bp0 = build_blueprint(work, params.eps).blueprint
+        miss = 1 - Fraction(bp0.graph.graph.m, comb(CH.n, 2))
+        trim = trim_spanning_component(bp0.graph, max(params.eps, miss))
+        if trim.colour is Colour.RED:
+            break
+    else:
+        return work, swapped, None, None, [{"claim": "canonical_red_spanning", "failed": True}]
+    trace = [{"claim": "trim", "kept": len(trim.vertices), "min_degree": trim.min_degree}]
 
     spanning = set(trim.spanning_edges)
     kept_assign = {e: bp0.assign[e] for e in edges_within(bp0.assign, trim.vertices, 2)
@@ -525,8 +515,19 @@ def run_driver(CH: ColouredKGraph, params: DriverParams, seed: int) -> DriverRep
     red_ids = {bp.assign[e] for e in bp.pairs_of_colour(Colour.RED)}
     if len(red_ids) != 1:
         trace.append({"claim": "unique_spanning_component", "ids": sorted(red_ids)})
-        return _stuck(CH, params, swapped, "none", trace)
+        return work, swapped, None, None, trace
     (R_id,) = red_ids
+    return work, swapped, bp, R_id, trace
+
+
+def run_driver(CH: ColouredKGraph, params: DriverParams, seed: int) -> DriverReport:
+    """Set up the growth frame (growth_setup), seed a good matching and grow it
+    until the n/4 target is reached, the iteration cap trips, or no route
+    certifies the required gain.  Outputs are fully revalidated."""
+    rng = random.Random(seed)
+    work, swapped, bp, R_id, trace = growth_setup(CH, params)
+    if bp is None:
+        return _stuck(CH, params, swapped, "none", trace)
 
     n_scale = params.scale_n(CH.n)
     target = n_scale / 4
@@ -553,7 +554,7 @@ def run_driver(CH: ColouredKGraph, params: DriverParams, seed: int) -> DriverRep
                 break
             outcome = augment_once(work, bp, R_id, state, params, rng)
             trace.append({"claim": f"step_{iterations}", "status": outcome.status,
-                          "weight": str(outcome.fractional.weight())})
+                          "weight": outcome.fractional.weight()})
             if outcome.fractional.weight() > best.weight():
                 best = outcome.fractional
             if outcome.status == "terminal" or best.weight() >= target:

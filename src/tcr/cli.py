@@ -27,7 +27,8 @@ from . import blowup as blowup_mod
 from . import blueprint as blueprint_mod
 from . import extremal as extremal_mod
 from . import matchings as matchings_mod
-from .augment import AugmentationState, DriverParams, augment_once, initial_matching, run_driver
+from .augment import (AugmentationState, DriverParams, augment_once, growth_setup,
+                      initial_matching, run_driver)
 from .errors import (HypothesisViolated, MalformedEdge, ParseError, SearchCapExceeded,
                      SizeCapExceeded, TcrError, Unsupported, UsageError)
 from .extremal import TargetSpec
@@ -335,22 +336,19 @@ def _params(args) -> DriverParams:
 def _cmd_augment(args) -> dict:
     import random
     params = _params(args)
-    CH = _load(args.infile)
+    work, swapped, bp, R_id, trace = growth_setup(_load(args.infile), params)
+    if bp is None:
+        raise HypothesisViolated(f"growth set-up stuck: {trace[-1]['claim']} failed")
     rng = random.Random(args.seed)
-    res = blueprint_mod.build_blueprint(CH, params.eps)
-    bp = res.blueprint
-    red_ids = {bp.assign[e] for e in bp.pairs_of_colour(Colour.RED)}
-    if len(red_ids) != 1:
-        raise HypothesisViolated(
-            f"blueprint red edges induce {len(red_ids)} components; need exactly 1")
-    (R_id,) = red_ids
-    init = initial_matching(CH, bp, R_id, params, rng)
-    out = {"initial": {"status": init.status, "kind": init.kind,
+    init = initial_matching(work, bp, R_id, params, rng)
+    colour = init.colour.opposite if swapped and init.colour else init.colour
+    out = {"colour_swapped": swapped,
+           "initial": {"status": init.status, "kind": init.kind,
                        "size": len(init.matching),
-                       "colour": init.colour, "trace": list(init.trace)}}
+                       "colour": colour, "trace": list(init.trace)}}
     if init.status == "ok":
         state = AugmentationState(init.matching, init.colour, init.component)
-        step = augment_once(CH, bp, R_id, state, params, rng)
+        step = augment_once(work, bp, R_id, state, params, rng)
         out["step"] = {"status": step.status, "weight": step.fractional.weight(),
                        "trace": list(step.trace)}
     return {"result": out}

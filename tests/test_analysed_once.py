@@ -38,13 +38,25 @@ def decompositions(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("argv", [["blueprint", "check", "--eps", "1/20"],
-                                  ["augment", "--seed", "7"],
-                                  ["driver", "--seed", "7"]])
-def test_cli_decomposes_each_colour_class_once(tmp_path, capsys, decompositions, argv):
-    path = tmp_path / "split13.tcg"
-    path.write_text(serialize_coloured_hypergraph(split_coloring(4, 3)[0]), encoding="utf-8")
-    assert run(argv + ["--in", str(path)]) == 0
+def _swapped24():
+    """N = 24, red iff |e & [12]| >= 3: the spanning component is blue, so
+    the growth set-up works on the swapped graph."""
+    return build(4, 24, [("R" if sum(v <= 12 for v in e) >= 3 else "B", e)
+                         for e in itertools.combinations(range(1, 25), 4)])
+
+
+@pytest.mark.parametrize("argv", [["blueprint", "check", "--eps", "1/20", "--in", "split13.tcg"],
+                                  ["augment", "--seed", "7", "--in", "split13.tcg"],
+                                  ["driver", "--seed", "7", "--in", "split13.tcg"],
+                                  ["augment", "--seed", "7", "--in", "swapped24.tcg"],
+                                  ["driver", "--seed", "7", "--in", "swapped24.tcg"]])
+def test_cli_decomposes_each_colour_class_once(tmp_path, monkeypatch, capsys,
+                                               decompositions, argv):
+    make = {"split13.tcg": lambda: split_coloring(4, 3)[0], "swapped24.tcg": _swapped24}
+    name = argv[-1]
+    (tmp_path / name).write_text(serialize_coloured_hypergraph(make[name]()), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == 0
     capsys.readouterr()
     assert len(decompositions) == 2   # the red and the blue class
     assert set(decompositions.values()) == {1}
@@ -61,9 +73,7 @@ def test_run_driver_decomposes_each_colour_class_once(decompositions):
 def test_swapped_graph_reuses_the_analysis(decompositions):
     """A blue spanning component makes run_driver work on CH.swapped(),
     which carries CH's decomposition across instead of recomputing it."""
-    CH = build(4, 24, [("R" if sum(v <= 12 for v in e) >= 3 else "B", e)
-                       for e in itertools.combinations(range(1, 25), 4)])
-    rep = run_driver(CH, DriverParams(), 7)
+    rep = run_driver(_swapped24(), DriverParams(), 7)
     assert rep.colour_swapped
     assert len(decompositions) == 2
     assert set(decompositions.values()) == {1}

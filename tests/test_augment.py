@@ -433,4 +433,5 @@ def test_red_star_route_on_hand_built_blueprint(with_partner):
         {"claim": "case_split", "red_pairs": 0, "b2_pairs": 6, "case": 1},
         {"claim": "red_star_route", "component": red_id, "partners": int(with_partner),
          "inside": int(not with_partner)},
-        {"claim": "best_route", "route": "red_star", "weight": "1", "needed": "21/17"})
+        {"claim": "best_route", "route": "red_star", "weight": Fraction(1),
+         "needed": Fraction(21, 17)})

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -201,6 +202,45 @@ def test_cli_driver_and_determinism(tmp_path, capsys):
     assert report["result"]["status"] in ("reached", "improved", "step_failed")
 
 
+def _threshold(N, t):
+    """Red iff the edge has at least t vertices in [N/2]."""
+    return build(4, N, [("R" if sum(v <= N // 2 for v in e) >= t else "B", e)
+                        for e in itertools.combinations(range(1, N + 1), 4)])
+
+
+@pytest.mark.parametrize("make", [lambda: split_coloring(4, 3)[0],
+                                  lambda: _threshold(24, 1),
+                                  lambda: extremal.parity_coloring(4, 4, 2)[0],
+                                  lambda: _threshold(24, 3)],
+                         ids=["split13", "threshold24", "parity442", "threshold24_t3"])
+def test_cli_augment_and_driver_share_the_setup(tmp_path, capsys, make):
+    """`augment` starts where `driver` does: the same colour frame, the same
+    initial matching (its trace follows the driver's trim), and the same
+    first step.  On threshold24_t3 the spanning component is blue, so both
+    swap colours."""
+    path = tmp_path / "in.tcg"
+    path.write_text(serialize_coloured_hypergraph(make()), encoding="utf-8")
+    reports = {}
+    for command in ("augment", "driver"):
+        code, out, _ = run_captured(capsys, [command, "--in", str(path), "--seed", "7"])
+        assert code == EXIT_OK
+        reports[command] = json.loads(out)["result"]
+    aug, drv = reports["augment"], reports["driver"]
+    init = aug["initial"]
+    assert aug["colour_swapped"] == drv["colour_swapped"]
+    assert init["kind"] == drv["initial_kind"]
+    assert drv["trace"][0]["claim"] == "trim"
+    assert drv["trace"][1:len(init["trace"]) + 1] == init["trace"]
+    if drv["iterations"] == 0:
+        assert init["status"] == "target_reached"
+        assert init["colour"] == drv["colour"]
+        assert Fraction(drv["weight"]) == init["size"]
+    else:
+        step_1 = next(t for t in drv["trace"] if t["claim"] == "step_1")
+        assert (aug["step"]["status"], aug["step"]["weight"]) == (step_1["status"],
+                                                                 step_1["weight"])
+
+
 def test_cli_seed_required_for_driver(tmp_path, capsys):
     ch, _ = split_coloring(4, 2)
     path = tmp_path / "s.tcg"
@@ -377,12 +417,14 @@ def test_cli_ramsey_failed_self_check_is_internal_error(capsys, monkeypatch):
 
 
 def test_cli_contract_exit_code(tmp_path, capsys):
-    # sparse input violates the driver's density hypothesis
+    # sparse input violates the density hypothesis of the shared growth set-up
     path = tmp_path / "sparse.tcg"
     path.write_text("tcg 1\nk=4 n=12\nR 1 2 3 4\nB 5 6 7 8\n", encoding="utf-8")
-    code, out, err = run_captured(capsys, ["driver", "--in", str(path),
-                                           "--seed", "1"])
-    assert code == EXIT_CONTRACT
+    for command in ("driver", "augment"):
+        code, out, err = run_captured(capsys, [command, "--in", str(path), "--seed", "1"])
+        assert code == EXIT_CONTRACT
+        error = json.loads(out)["error"]
+        assert error["kind"] == "HypothesisViolated" and "eps" in error["message"]
 
 
 def test_cli_blowup_and_blueprint(tmp_path, capsys):
