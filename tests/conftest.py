@@ -90,6 +90,14 @@ def complete_random_coloured(k, n, rng):
                         for e in itertools.combinations(range(1, n + 1), k)])
 
 
+def threshold_colouring(N, t):
+    """Complete K_N^(4), red iff the edge has at least t vertices in [N/2].
+    At N = 24, t = 3 the spanning component is blue, so the growth set-up
+    swaps colours."""
+    return build(4, N, [("R" if sum(v <= N // 2 for v in e) >= t else "B", e)
+                        for e in itertools.combinations(range(1, N + 1), 4)])
+
+
 def split_edges(k, n_param, N=None):
     """Split-style colouring on N vertices: X = [n_param - 1] red rule."""
     if N is None:

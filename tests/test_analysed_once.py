@@ -6,17 +6,16 @@ of one graph is decomposed twice.  `tight._component_sets` is counted per
 (graph object, edge list): a count above 1 means some consumer recomputed
 the analysis instead of sharing it.
 """
-import itertools
 import sys
 from collections import Counter
 
 import pytest
 
+from conftest import threshold_colouring
 from tcr import tight
 from tcr.augment import DriverParams, run_driver
 from tcr.cli import run, serialize_coloured_hypergraph
 from tcr.extremal import split_coloring
-from tcr.hypergraph import build
 
 
 @pytest.fixture
@@ -38,13 +37,6 @@ def decompositions(monkeypatch):
     return calls
 
 
-def _swapped24():
-    """N = 24, red iff |e & [12]| >= 3: the spanning component is blue, so
-    the growth set-up works on the swapped graph."""
-    return build(4, 24, [("R" if sum(v <= 12 for v in e) >= 3 else "B", e)
-                         for e in itertools.combinations(range(1, 25), 4)])
-
-
 @pytest.mark.parametrize("argv", [["blueprint", "check", "--eps", "1/20", "--in", "split13.tcg"],
                                   ["augment", "--seed", "7", "--in", "split13.tcg"],
                                   ["driver", "--seed", "7", "--in", "split13.tcg"],
@@ -52,7 +44,7 @@ def _swapped24():
                                   ["driver", "--seed", "7", "--in", "swapped24.tcg"]])
 def test_cli_decomposes_each_colour_class_once(tmp_path, monkeypatch, capsys,
                                                decompositions, argv):
-    make = {"split13.tcg": lambda: split_coloring(4, 3)[0], "swapped24.tcg": _swapped24}
+    make = {"split13.tcg": lambda: split_coloring(4, 3)[0], "swapped24.tcg": lambda: threshold_colouring(24, 3)}
     name = argv[-1]
     (tmp_path / name).write_text(serialize_coloured_hypergraph(make[name]()), encoding="utf-8")
     monkeypatch.chdir(tmp_path)
@@ -73,7 +65,7 @@ def test_run_driver_decomposes_each_colour_class_once(decompositions):
 def test_swapped_graph_reuses_the_analysis(decompositions):
     """A blue spanning component makes run_driver work on CH.swapped(),
     which carries CH's decomposition across instead of recomputing it."""
-    rep = run_driver(_swapped24(), DriverParams(), 7)
+    rep = run_driver(threshold_colouring(24, 3), DriverParams(), 7)
     assert rep.colour_swapped
     assert len(decompositions) == 2
     assert set(decompositions.values()) == {1}

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import threshold_colouring
 from oracles import parse_reference
 from tcr import cli, extremal, lp
 from tcr.cli import (EXIT_CAP, EXIT_CONTRACT, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE,
@@ -202,16 +203,10 @@ def test_cli_driver_and_determinism(tmp_path, capsys):
     assert report["result"]["status"] in ("reached", "improved", "step_failed")
 
 
-def _threshold(N, t):
-    """Red iff the edge has at least t vertices in [N/2]."""
-    return build(4, N, [("R" if sum(v <= N // 2 for v in e) >= t else "B", e)
-                        for e in itertools.combinations(range(1, N + 1), 4)])
-
-
 @pytest.mark.parametrize("make", [lambda: split_coloring(4, 3)[0],
-                                  lambda: _threshold(24, 1),
+                                  lambda: threshold_colouring(24, 1),
                                   lambda: extremal.parity_coloring(4, 4, 2)[0],
-                                  lambda: _threshold(24, 3)],
+                                  lambda: threshold_colouring(24, 3)],
                          ids=["split13", "threshold24", "parity442", "threshold24_t3"])
 def test_cli_augment_and_driver_share_the_setup(tmp_path, capsys, make):
     """`augment` starts where `driver` does: the same colour frame, the same
