@@ -8,6 +8,11 @@ certificate does not verify).  Rationals are emitted as exact "p/q" strings.
 Reports for a fixed input and seed are byte-identical; wall-clock timing
 goes to stderr unless --timing asks for it in the report.
 
+The cyclic garbage collector is off while a command runs and is put back
+as the caller had it afterwards.  A command runs once per process, and its
+bulk (edge tuples, dicts of edges, integer masks) holds no reference
+cycles, so the collector's passes over it free nothing.
+
 tcg format: line 1 "tcg 1"; line 2 "k=<int> n=<int>"; then one edge per
 line "<R|B> v1 ... vk" with strictly increasing vertices; "#" starts a
 comment; UTF-8 with LF line endings.
@@ -15,6 +20,7 @@ comment; UTF-8 with LF line endings.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import operator
 import re
@@ -32,7 +38,7 @@ from .augment import (AugmentationState, DriverParams, augment_once, growth_setu
 from .errors import (HypothesisViolated, MalformedEdge, ParseError, SearchCapExceeded,
                      SizeCapExceeded, TcrError, Unsupported, UsageError)
 from .extremal import TargetSpec
-from .hypergraph import Colour, ColouredKGraph, build
+from .hypergraph import Colour, ColouredKGraph, build, canon_edge
 from .tight import monochromatic_components, tight_components
 
 EXIT_OK = 0
@@ -62,16 +68,86 @@ FAILURES = (
 )
 
 
+BLOCK_LINES = 4096   # body lines checked together; bounds the tokens held at once
+LETTERS = {"R", "B"}
+COMMENT = re.compile(r"#[^\n]*")
+FIRST_TOKEN = re.compile(r"^[^\S\n]*(\S*)", re.M)   # per line; "" on a blank line
+
+
+def _checked_block(block: list, k: int, n: int):
+    """The (letter, edge) pairs of a block of body lines, or None when some
+    line needs the per-line scan.
+
+    The block is split into tokens once.  It passes when the letter slots
+    (every (k+1)-th token) hold R or B, every other token is an integer, each
+    non-blank line starts at a slot and the columns of vertices are strictly
+    increasing within [1, n].  A line with the wrong arity puts a letter in
+    a vertex slot, a vertex in a letter slot or breaks the token count."""
+    chunk = "\n".join(block)
+    if "#" in chunk:
+        chunk = COMMENT.sub("", chunk)
+    tokens = chunk.split()
+    letters = tokens[::k + 1]
+    del tokens[::k + 1]
+    if len(tokens) != k * len(letters) or not LETTERS.issuperset(letters):
+        return None
+    # a line starts at a slot iff it starts with a letter; two counts read
+    # the plain layout that serialize writes, the pattern any other
+    lined = "\n" + chunk
+    starts = lined.count("\nR ") + lined.count("\nB ")
+    if starts != len(block):
+        firsts = FIRST_TOKEN.findall(chunk)
+        starts = len(firsts) - firsts.count("")
+        if not LETTERS.issuperset(filter(None, firsts)):
+            return None
+    if starts != len(letters):
+        return None
+    try:
+        verts = list(map(int, tokens))
+    except ValueError:
+        return None
+    cols = [verts[j::k] for j in range(k)]
+    if cols[0] and (min(cols[0]) < 1 or max(cols[-1]) > n
+                    or not all(all(map(operator.lt, a, b)) for a, b in zip(cols, cols[1:]))):
+        return None
+    return zip(letters, zip(*cols))
+
+
+def _scanned_lines(block: list, lineno: int, k: int, n: int):
+    """The (letter, edge) pairs of a block of body lines whose first line is
+    `lineno`, checked line by line; the first faulty line raises ParseError."""
+    for lineno, raw in enumerate(block, start=lineno):
+        fields = raw.split("#", 1)[0].split()
+        if not fields:
+            continue
+        if fields[0] not in LETTERS:
+            raise ParseError(f"colour must be R or B, got {fields[0]!r}", lineno)
+        try:
+            verts = tuple(map(int, fields[1:]))
+        except ValueError:
+            line = raw.split("#", 1)[0].strip()
+            raise ParseError(f"non-integer vertex in {line!r}", lineno) from None
+        if any(map(operator.ge, verts, verts[1:])):
+            raise ParseError("vertices must be strictly increasing", lineno)
+        try:
+            canon_edge(verts, k, n)
+        except MalformedEdge as exc:
+            raise ParseError(str(exc), lineno) from None
+        yield fields[0], verts
+
+
 def parse_coloured_hypergraph(text: str) -> ColouredKGraph:
     """Parse the tcg format; failures carry the offending line number.
 
-    The parser checks what `build` cannot see (the colour letter, integer
-    tokens, strictly increasing order) and streams the edges into `build`,
-    which checks arity, range and repeats once; a malformed edge is reported
-    at its line.  Faults are reported in line order."""
-    lines = enumerate(text.split("\n"), start=1)
+    The body is read in blocks of BLOCK_LINES lines.  A block is checked
+    as a whole (`_checked_block`: letters, integers, arity, order and
+    range); a block that fails is scanned line by line, which raises at the
+    first faulty line.  The edges then go to `build`, which rejects an edge
+    given in both colours.  So a line fault is reported at the first faulty
+    line, and a colour conflict only when no line before it is faulty."""
+    lines = text.split("\n")
     header = []
-    for lineno, raw in lines:
+    for lineno, raw in enumerate(lines, start=1):
         stripped = raw.split("#", 1)[0].strip()
         if stripped:
             header.append((lineno, stripped))
@@ -94,32 +170,17 @@ def parse_coloured_hypergraph(text: str) -> ColouredKGraph:
         n = int(parts[1][2:])
     except ValueError:
         raise ParseError(f"non-integer dimensions in {dims!r}", lineno) from None
-    edge_line = lineno   # the line build is checking: the dimensions, then each edge
 
     def edges():
-        nonlocal edge_line
-        colours = {"R": Colour.RED, "B": Colour.BLUE}
-        for lineno, raw in lines:
-            fields = raw.split("#", 1)[0].split()
-            if not fields:
-                continue
-            colour = colours.get(fields[0])
-            if colour is None:
-                raise ParseError(f"colour must be R or B, got {fields[0]!r}", lineno)
-            try:
-                verts = tuple(map(int, fields[1:]))
-            except ValueError:
-                line = raw.split("#", 1)[0].strip()
-                raise ParseError(f"non-integer vertex in {line!r}", lineno) from None
-            if any(map(operator.ge, verts, verts[1:])):
-                raise ParseError("vertices must be strictly increasing", lineno)
-            edge_line = lineno
-            yield colour, verts
+        for start in range(lineno, len(lines), BLOCK_LINES):
+            block = lines[start:start + BLOCK_LINES]
+            pairs = _checked_block(block, k, n)
+            yield from _scanned_lines(block, start + 1, k, n) if pairs is None else pairs
 
     try:
         return build(k, n, edges())
-    except MalformedEdge as exc:
-        raise ParseError(str(exc), edge_line) from None
+    except MalformedEdge as exc:   # only the dimensions: the edges were checked above
+        raise ParseError(str(exc), lineno) from None
 
 
 def serialize_coloured_hypergraph(CH: ColouredKGraph) -> str:
@@ -444,6 +505,8 @@ def run(argv) -> int:
     inputs = {k: v for k, v in sorted(vars(args).items())
               if k not in ("timing",) and v is not None}
     report = {"command": args.command, "inputs": inputs}
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         report.update(HANDLERS[args.command](args))
     except tuple(c for classes, _, _ in FAILURES for c in classes) as exc:
@@ -453,6 +516,9 @@ def run(argv) -> int:
         emit(report, None)
         sys.stderr.write(f"{label}: {exc}\n")
         return code
+    finally:
+        if collecting:
+            gc.enable()
     elapsed_ms = int((time.monotonic() - started) * 1000)
     emit(report, elapsed_ms if args.timing else None)
     sys.stderr.write(f"{args.command}: ok in {elapsed_ms} ms\n")

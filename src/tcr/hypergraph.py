@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import comb
+from operator import is_, lt
 
 from .errors import ConflictingColour, MalformedEdge
 
@@ -97,44 +98,101 @@ class ColouredKGraph:
         return self.graph.n
 
     def edges_of(self, colour: Colour) -> tuple:
+        """The edges of one colour in canonical order: the classes `build`
+        cached, or a scan of the sorted edges for a graph made otherwise."""
+        classes = self.__dict__.get("_classes")
+        if classes is not None:
+            return classes[colour]
         return tuple(e for e in self.graph.sorted_edges if self.colour[e] is colour)
 
     def monochromatic_subgraph(self, colour: Colour) -> KGraph:
         return KGraph(self.k, self.n, frozenset(self.edges_of(colour)))
 
     def swapped(self) -> "ColouredKGraph":
-        """The same graph with every edge colour flipped.  A monochromatic
-        decomposition already cached on this graph is carried across."""
+        """The same graph with every edge colour flipped.  The colour classes
+        and a monochromatic decomposition already cached on this graph are
+        carried across."""
         out = ColouredKGraph(self.graph, {e: c.opposite for e, c in self.colour.items()})
+        classes = self.__dict__.get("_classes")
+        if classes is not None:
+            object.__setattr__(out, "_classes", {c.opposite: es for c, es in classes.items()})
         decomp = getattr(self, "_components", None)
         if decomp is not None:
             object.__setattr__(out, "_components", decomp.swapped())
         return out
 
 
+BLOCK = 4096   # (colour, edge) pairs that build checks and adds together
+LETTER_COLOUR = {"R": Colour.RED, "B": Colour.BLUE}
+
+
+def _add_block(colour: dict, block: list, k: int, n: int) -> bool:
+    """Add a block of (colour, edge) pairs with a few whole-block checks, or
+    add nothing and return False when the per-edge loop must decide it.
+
+    The block passes when every colour is a letter (or every one a Colour),
+    every edge is a strictly increasing tuple of k ints in [1, n], and no
+    edge repeats, within the block or from an earlier one.  Colours are
+    compared by identity, so a Colour is never hashed."""
+    if set(map(type, block)) != {tuple} or set(map(len, block)) != {2}:
+        return False
+    cs, es = zip(*block)
+    if cs.count("R") + cs.count("B") == len(cs):
+        cs = map(LETTER_COLOUR.__getitem__, cs)
+    elif cs.count(Colour.RED) + cs.count(Colour.BLUE) != len(cs):
+        return False
+    if set(map(type, es)) != {tuple} or set(map(len, es)) != {k}:
+        return False
+    verts = list(itertools.chain.from_iterable(es))
+    if set(map(type, verts)) != {int}:   # bool and float vertices take the loop
+        return False
+    cols = [verts[j::k] for j in range(k)]
+    if (min(cols[0]) < 1 or max(cols[-1]) > n
+            or not all(all(map(lt, a, b)) for a, b in zip(cols, cols[1:]))):
+        return False
+    new = dict(zip(es, cs))
+    if len(new) != len(es) or not colour.keys().isdisjoint(new):
+        return False
+    colour.update(new)
+    return True
+
+
 def build(k: int, n: int, coloured_edges) -> ColouredKGraph:
-    """Validated construction from (colour, edge) pairs.
+    """Validated construction from (colour, edge) pairs; a colour is a
+    Colour or its letter.
 
     A duplicate edge is tolerated when its colour agrees and rejected
-    otherwise.
+    otherwise.  The pairs are read in blocks of BLOCK: a block of new,
+    canonical edges is checked and added as a whole (`_add_block`), and any
+    other block edge by edge, which sorts each edge and raises the first
+    fault in input order.  The two colour classes are kept for `edges_of`.
     """
     if k < 2:
         raise MalformedEdge(f"uniformity {k} < 2")
     if n < k:
         raise MalformedEdge(f"vertex count {n} < uniformity {k}")
     colour = {}
-    for c, raw in coloured_edges:
-        if isinstance(c, str):
-            c = Colour(c)
-        e = canon_edge(raw, k, n)
-        old = colour.get(e)
-        if old is not None and old is not c:
-            raise ConflictingColour(f"edge {e} given as both {old.value} and {c.value}")
-        colour[e] = c
-    graph = KGraph(k, n, frozenset(colour))
+    pairs = iter(coloured_edges)
+    while block := list(itertools.islice(pairs, BLOCK)):
+        if _add_block(colour, block, k, n):
+            continue
+        for c, raw in block:
+            if isinstance(c, str):
+                c = Colour(c)
+            e = canon_edge(raw, k, n)
+            old = colour.get(e)
+            if old is not None and old is not c:
+                raise ConflictingColour(f"edge {e} given as both {old.value} and {c.value}")
+            colour[e] = c
     # sorted from input order: linear time for a sorted input such as a tcg file
-    object.__setattr__(graph, "_sorted", tuple(sorted(colour)))
-    return ColouredKGraph(graph, colour)
+    edges = tuple(sorted(colour))
+    graph = KGraph(k, n, frozenset(colour))
+    object.__setattr__(graph, "_sorted", edges)
+    CH = ColouredKGraph(graph, colour)
+    cs = list(map(colour.__getitem__, edges))
+    object.__setattr__(CH, "_classes", {
+        c: tuple(itertools.compress(edges, map(is_, cs, itertools.repeat(c)))) for c in Colour})
+    return CH
 
 
 @dataclass(frozen=True)

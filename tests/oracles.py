@@ -6,7 +6,9 @@ solution enumeration and from a dense Fraction tableau, connectivity from
 BFS, shadow masks from subset tests over all (k-2)-sets, small Ramsey
 verdicts from every 2-colouring, parity certificate records from explicit
 per-edge counts.  The reference tcg parser uses only
-`hypergraph.build` for construction.  Deliberately simple and slow.
+`hypergraph.build` for construction, and the reference `build` is its
+per-edge loop over `canon_edge`, with no colour-class cache.  Deliberately
+simple and slow.
 
 The blow-up references behind the round-trip and blueprint blow-up
 acceptance criteria are the exception: the edge projection and the two
@@ -347,6 +349,30 @@ def parse_reference(text: str):
             raise ParseError(f"vertex outside [1, {n}]", lineno)
         coloured.append((fields[0], tuple(verts)))
     return build(k, n, coloured)
+
+
+def build_reference(k: int, n: int, coloured_edges):
+    """`hypergraph.build` as a plain per-edge loop: every edge is sorted and
+    checked by `canon_edge`, and a repeat is checked against the colour
+    already given.  The graph it returns has no cached colour classes, so
+    its `edges_of` scans the edges."""
+    from tcr.errors import ConflictingColour, MalformedEdge
+    from tcr.hypergraph import Colour, ColouredKGraph, KGraph, canon_edge
+
+    if k < 2:
+        raise MalformedEdge(f"uniformity {k} < 2")
+    if n < k:
+        raise MalformedEdge(f"vertex count {n} < uniformity {k}")
+    colour = {}
+    for c, raw in coloured_edges:
+        if isinstance(c, str):
+            c = Colour(c)
+        e = canon_edge(raw, k, n)
+        old = colour.get(e)
+        if old is not None and old is not c:
+            raise ConflictingColour(f"edge {e} given as both {old.value} and {c.value}")
+        colour[e] = c
+    return ColouredKGraph(KGraph(k, n, frozenset(colour)), colour)
 
 
 def simplex_fraction_reference(c, rows, rhs, ties=None):

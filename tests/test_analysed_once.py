@@ -16,6 +16,7 @@ from tcr import tight
 from tcr.augment import DriverParams, run_driver
 from tcr.cli import run, serialize_coloured_hypergraph
 from tcr.extremal import split_coloring
+from tcr.hypergraph import Colour, build
 
 
 @pytest.fixture
@@ -64,8 +65,15 @@ def test_run_driver_decomposes_each_colour_class_once(decompositions):
 
 def test_swapped_graph_reuses_the_analysis(decompositions):
     """A blue spanning component makes run_driver work on CH.swapped(),
-    which carries CH's decomposition across instead of recomputing it."""
-    rep = run_driver(threshold_colouring(24, 3), DriverParams(), 7)
+    which carries CH's decomposition and colour classes across instead of
+    recomputing them; the classes are those of a fresh build."""
+    CH = threshold_colouring(24, 3)
+    rep = run_driver(CH, DriverParams(), 7)
     assert rep.colour_swapped
     assert len(decompositions) == 2
     assert set(decompositions.values()) == {1}
+    swapped = CH.swapped()
+    fresh = build(CH.k, CH.n, [(c, e) for e, c in swapped.colour.items()])
+    for colour in Colour:
+        assert swapped.edges_of(colour) is CH.edges_of(colour.opposite)
+        assert swapped.edges_of(colour) == fresh.edges_of(colour)

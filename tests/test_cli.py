@@ -1,7 +1,9 @@
+import gc
 import itertools
 import json
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +14,7 @@ from tcr import cli, extremal, lp
 from tcr.cli import (EXIT_CAP, EXIT_CONTRACT, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE,
                      parse_coloured_hypergraph, run,
                      serialize_coloured_hypergraph)
-from tcr.errors import ParseError
+from tcr.errors import HypothesisViolated, ParseError
 from tcr.extremal import split_coloring
 from tcr.hypergraph import Colour, build
 
@@ -57,16 +59,19 @@ def test_round_trip_on_split_file():
 
 
 CORRUPTIONS = ("none", "letter", "arity_short", "arity_long", "non_integer",
-               "out_of_range", "unsorted", "repeated", "conflict", "header")
+               "out_of_range", "unsorted", "repeated", "split_line", "joined_lines",
+               "moved_break", "conflict", "header")
 
 
-def tcg_text(rng, corruption):
-    """A random tcg text with comments, blank lines and indentation, and
-    at most one corrupted line."""
+def tcg_text(rng, corruption, size=25):
+    """A random tcg text of at most `size` edges, most with comments, blank
+    lines and indentation, and at most one corrupted line."""
     k = rng.randint(2, 5)
     n = rng.randint(k, 9)
+    while comb(n, k) < size:
+        n += 1
     pool = list(itertools.combinations(range(1, n + 1), k))
-    edges = rng.sample(pool, rng.randint(0, min(len(pool), 25)))
+    edges = rng.sample(pool, rng.randint(0, min(len(pool), size)))
     lines = [[rng.choice("RB"), *map(str, e)] for e in edges]
     if lines and rng.random() < 0.3:   # a repeat with its own colour is accepted
         lines.append(list(rng.choice(lines)))
@@ -93,15 +98,27 @@ def tcg_text(rng, corruption):
             bad[1], bad[2] = bad[2], bad[1]
         elif corruption == "repeated":
             bad[2] = bad[1]
+        elif corruption == "split_line":   # the right token count, over two lines
+            cut = rng.randint(1, k)
+            i = lines.index(bad)
+            lines[i:i + 1] = [bad[:cut], bad[cut:]]
+        elif corruption in ("joined_lines", "moved_break") and len(lines) > 1:
+            # two edges on one line, or the break between them moved
+            i = min(lines.index(bad), len(lines) - 2)
+            fields = lines[i] + lines[i + 1]
+            cut = len(fields) if corruption == "joined_lines" else rng.choice(
+                [c for c in range(1, len(fields)) if c != len(lines[i])])
+            lines[i:i + 2] = [fields[:cut], fields[cut:]] if cut < len(fields) else [fields]
     body = [" ".join(fields) for fields in lines]
     header = ["tcg 1", f"k={k} n={n}"]
     if corruption == "header":
         header[rng.randint(0, 1)] = rng.choice(["tcg 2", f"k={k}", f"k=x n={n}", "n=4 k=4"])
+    plain = rng.random() < 0.25   # as serialize writes it: no comments, blanks or indents
     out = []
     for line in header + body:
-        while rng.random() < 0.15:
+        while not plain and rng.random() < 0.15:
             out.append(rng.choice(["", "# comment", "   ", "  # R 1 2"]))
-        if rng.random() < 0.2:
+        if not plain and rng.random() < 0.2:
             line = "  " + line + "  # note"
         out.append(line)
     return "\n".join(out) + rng.choice(["\n", "", "\n\n"])
@@ -116,12 +133,14 @@ def outcome(parse, text):
 
 
 @settings(max_examples=400, deadline=None)
-@given(st.integers(0, 10**9), st.sampled_from(CORRUPTIONS))
-def test_parser_agrees_with_reference_parser(seed, corruption):
+@given(st.integers(0, 10**9), st.sampled_from(CORRUPTIONS),
+       st.sampled_from([25, 25, 25, 2 * cli.BLOCK_LINES]))
+def test_parser_agrees_with_reference_parser(seed, corruption, size):
     """On random tcg texts with at most one corrupted line, the parser
     accepts exactly what the reference parser accepts, builds an equal
-    graph, and raises the same error class at the same line."""
-    text = tcg_text(random.Random(seed), corruption)
+    graph, and raises the same error class at the same line.  Some texts
+    run over several blocks of lines, with the corrupted line in any one."""
+    text = tcg_text(random.Random(seed), corruption, size)
     expected = outcome(parse_reference, text)
     assert outcome(parse_coloured_hypergraph, text) == expected
     if corruption not in ("none", "header", "conflict") and expected[0] is ParseError:
@@ -343,6 +362,42 @@ def test_cli_non_domain_exception_is_internal_error(capsys, monkeypatch, exc):
     error = json.loads(out)["error"]
     assert error["kind"] == type(exc).__name__
     assert err.startswith("internal error:")
+
+
+def _collector_off(args):
+    assert not gc.isenabled()
+    return {"result": {}}
+
+
+def _raises(exc):
+    def handler(args):
+        assert not gc.isenabled()
+        raise exc
+    return handler
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("argv, handler, code", [
+    (["extremal", "split", "--k", "4", "--n", "2"], None, EXIT_OK),
+    (["ramsey", "--k", "2", "--target", "c3", "--N", "6"], _collector_off, EXIT_OK),
+    (["extremal", "split", "--k", "1", "--n", "2"], None, EXIT_USAGE),
+    (["extremal", "split"], None, EXIT_USAGE),
+    (["ramsey", "--k", "2", "--target", "c3", "--N", "6"],
+     _raises(HypothesisViolated("no")), EXIT_CONTRACT),
+    (["ramsey", "--k", "2", "--target", "c3", "--N", "6"],
+     _raises(ValueError("bad value")), EXIT_INTERNAL)])
+def test_cli_restores_the_collector(capsys, monkeypatch, enabled, argv, handler, code):
+    """A command runs with the cyclic collector off and leaves it as the
+    caller had it, whatever its exit."""
+    if handler is not None:
+        monkeypatch.setitem(cli.HANDLERS, "ramsey", handler)
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        assert run_captured(capsys, argv)[0] == code
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 def test_cli_parse_failure_exit_code(tmp_path, capsys):

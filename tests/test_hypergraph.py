@@ -2,13 +2,15 @@ import itertools
 import random
 from fractions import Fraction
 from math import comb
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (complete_kgraph, complete_random_coloured, near_complete_coloured,
                       rand_coloured)
-from oracles import degree_brute, edges_within_brute
+from oracles import build_reference, degree_brute, edges_within_brute
+from tcr import hypergraph
 from tcr.blueprint import build_blueprint
 from tcr.errors import ConflictingColour, MalformedEdge
 from tcr.hypergraph import Colour, build, density_check, edges_within
@@ -48,6 +50,77 @@ def test_build_rejects_conflicting_colour():
     # agreeing duplicate is fine
     ch = build(4, 5, [("R", (1, 2, 3, 4)), ("R", (1, 2, 3, 4))])
     assert ch.graph.m == 1
+
+
+def build_mix(rng):
+    """Seeded (colour, edge) pairs for `build`: letters, Colour members or
+    both; some edges unsorted, as lists, or with a bool or float vertex;
+    repeats with their colour, and at most one fault (a conflicting repeat,
+    a wrong arity, a vertex out of range or a repeated vertex)."""
+    k = rng.randint(2, 4)
+    n = rng.randint(k, 9)
+    pool = list(itertools.combinations(range(1, n + 1), k))
+    colours = rng.choice([["R", "B"], [Colour.RED, Colour.BLUE], ["R", "B", Colour.RED, Colour.BLUE]])
+    odd = rng.choice(["none", "none", "unsorted", "bool", "float", "list"])
+    pairs = []
+    for e in rng.sample(pool, rng.randint(1, min(len(pool), 40))):
+        verts = list(e)
+        if odd == "unsorted" and rng.random() < 0.3:
+            rng.shuffle(verts)
+        elif odd == "bool" and verts[0] == 1:
+            verts[0] = True
+        elif odd == "float" and rng.random() < 0.1:
+            verts[-1] = float(verts[-1])
+        pairs.append((rng.choice(colours), verts if odd == "list" else tuple(verts)))
+    for _ in range(rng.choice([0, 0, 1, 3])):   # a repeat with its own colour is accepted
+        c, e = rng.choice(pairs)
+        pairs.insert(rng.randint(0, len(pairs)), (c, rng.choice([tuple(e), tuple(reversed(e))])))
+    fault = rng.choice(["none", "none", "conflict", "arity", "range", "repeated"])
+    c, e = rng.choice(pairs)
+    if fault == "conflict":
+        pairs.insert(rng.randint(0, len(pairs)), (Colour(c).opposite, e))
+    elif fault == "arity":
+        pairs.insert(rng.randint(0, len(pairs)), (c, tuple(e)[:-1]))
+    elif fault == "range":
+        pairs.insert(rng.randint(0, len(pairs)), (c, (*tuple(e)[:-1], n + 1)))
+    elif fault == "repeated":
+        pairs.insert(rng.randint(0, len(pairs)), (c, (*tuple(e)[:-1], e[0])))
+    return k, n, pairs
+
+
+def build_outcome(build_fn, k, n, pairs):
+    try:
+        CH = build_fn(k, n, iter(pairs))
+    except Exception as exc:   # the class and message are compared, not caught
+        return type(exc), str(exc)
+    return (CH.graph, CH.colour, CH.graph.sorted_edges,
+            CH.edges_of(Colour.RED), CH.edges_of(Colour.BLUE))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10**9), st.integers(1, 12))
+def test_build_agrees_with_per_edge_reference(seed, block):
+    """On seeded mixes read in blocks of 1 to 12 pairs, `build` gives the
+    per-edge loop's graph and colour classes, or its error class and
+    message; a conflict or fault may sit in any block."""
+    k, n, pairs = build_mix(random.Random(seed))
+    expected = build_outcome(build_reference, k, n, pairs)
+    with mock.patch.object(hypergraph, "BLOCK", block):
+        assert build_outcome(build, k, n, pairs) == expected
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_build_conflict_across_a_full_size_block_boundary(offset):
+    """A conflicting repeat in the next block of BLOCK pairs, or in the same
+    one, is found and named as the per-edge loop names it."""
+    edges = list(itertools.combinations(range(1, 21), 4))[:hypergraph.BLOCK + 10]
+    pairs = [("R" if sum(e) % 3 else "B", e) for e in edges]
+    pairs.insert(hypergraph.BLOCK + offset, ("B" if pairs[5][0] == "R" else "R", pairs[5][1]))
+    expected = build_outcome(build_reference, 4, 20, pairs)
+    assert expected[0] is ConflictingColour
+    assert build_outcome(build, 4, 20, pairs) == expected
+    clean = build_outcome(build, 4, 20, pairs[:hypergraph.BLOCK + offset])
+    assert clean == build_outcome(build_reference, 4, 20, pairs[:hypergraph.BLOCK + offset])
 
 
 @settings(max_examples=25, deadline=None)
