@@ -155,7 +155,7 @@ def verify_case_hypotheses(bp, R_id, state: AugmentationState):
         if used.intersection(e):
             raise HypothesisViolated(f"matching edges overlap at {e}")
         used.update(e)
-        if decomp.component_of.get(e) != state.component:
+        if e not in decomp.components[state.component]:
             raise HypothesisViolated(f"{e} outside component {state.component}")
         if not is_good(bp, e):
             raise HypothesisViolated(f"matching edge {e} is not good")
@@ -574,16 +574,19 @@ def run_driver(CH: ColouredKGraph, params: DriverParams, seed: int) -> DriverRep
 
     ok, violation = validate_fractional(work, best)
     support_good = ok and all(is_good(bp, e) for e in best.weights)
-    comp_ok = best.component is not None and all(
-        decomp.component_of.get(e) == best.component for e in best.weights)
+    comp_ok = best.component is not None and decomp.components[best.component].issuperset(
+        best.weights)
     if not (ok and comp_ok):
         raise InconsistentWitness(f"driver output failed validation: {violation}")
     min_weight_ok = all(w >= params.c for w in best.weights.values())
     final_colour, final_component = best.colour, best.component
     if swapped:
         # the swapped analysis numbers blue components first; re-read the id
+        # as that of the input's component holding the least support edge
         final_colour = final_colour.opposite
-        final_component = monochromatic_components(CH).component_of[min(best.weights)]
+        first = min(best.weights)
+        final_component = next(cid for cid, comp in enumerate(
+            monochromatic_components(CH).components) if first in comp)
     return DriverReport(status, CH.n, n_scale, target, swapped, init.kind,
                         iterations, best.weight(), final_colour,
                         final_component, best.weight() >= target, min_weight_ok,

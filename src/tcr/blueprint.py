@@ -492,7 +492,7 @@ def compute_B_W(CH: ColouredKGraph, bp: Blueprint, R_id: int, W) -> BWResult:
     # full verification of the attachment property: every attachment edge is
     # a good edge of the attached component
     for edge in attached:
-        if decomp.component_of[edge] != b_id or not is_good(bp, edge):
+        if edge not in decomp.components[b_id] or not is_good(bp, edge):
             raise InconsistentWitness(
                 f"attachment edge {edge} not good in component {b_id}")
     return BWResult(b_id, gamma)
@@ -513,7 +513,7 @@ def local_pivot(CH: ColouredKGraph, bp: Blueprint, R_id: int, f, W, e) -> int:
     if not report.suitable:
         raise HypothesisViolated(f"(f, W) not suitable: sp={report.sp} good={report.good}")
     decomp = bp.decomposition
-    if decomp.component_of.get(f) != R_id or not is_good(bp, f):
+    if f not in decomp.components[R_id] or not is_good(bp, f):
         raise HypothesisViolated(f"f = {f} is not a good edge of component {R_id}")
     if not set(e).issubset(W) or bp.assign.get(e) != R_id:
         raise HypothesisViolated(f"e = {e} is not a component-{R_id} blueprint edge in W")

@@ -15,7 +15,11 @@ cycles, so the collector's passes over it free nothing.
 
 tcg format: line 1 "tcg 1"; line 2 "k=<int> n=<int>"; then one edge per
 line "<R|B> v1 ... vk" with strictly increasing vertices; "#" starts a
-comment; UTF-8 with LF line endings.
+comment; UTF-8 with LF line endings.  Each rule is checked once: the parser
+checks the header, the letters, the integers and the arity of each block of
+lines, and `hypergraph.build` checks k >= 2 and n >= k, then the order and
+range of each block's vertices and the repeats; a block that fails is
+scanned line by line for the first faulty line.
 """
 from __future__ import annotations
 
@@ -38,7 +42,7 @@ from .augment import (AugmentationState, DriverParams, augment_once, growth_setu
 from .errors import (HypothesisViolated, MalformedEdge, ParseError, SearchCapExceeded,
                      SizeCapExceeded, TcrError, Unsupported, UsageError)
 from .extremal import TargetSpec
-from .hypergraph import Colour, ColouredKGraph, build, canon_edge
+from .hypergraph import LETTER_COLOUR, Colour, ColouredKGraph, _Blocks, build, canon_edge
 from .tight import monochromatic_components, tight_components
 
 EXIT_OK = 0
@@ -74,15 +78,15 @@ COMMENT = re.compile(r"#[^\n]*")
 FIRST_TOKEN = re.compile(r"^[^\S\n]*(\S*)", re.M)   # per line; "" on a blank line
 
 
-def _checked_block(block: list, k: int, n: int):
-    """The (letter, edge) pairs of a block of body lines, or None when some
-    line needs the per-line scan.
+def _block_tokens(block: list, k: int):
+    """The letters and integer vertices of a block of body lines, or None
+    when some line needs the per-line scan.
 
     The block is split into tokens once.  It passes when the letter slots
-    (every (k+1)-th token) hold R or B, every other token is an integer, each
-    non-blank line starts at a slot and the columns of vertices are strictly
-    increasing within [1, n].  A line with the wrong arity puts a letter in
-    a vertex slot, a vertex in a letter slot or breaks the token count."""
+    (every (k+1)-th token) hold R or B, every other token is an integer and
+    each non-blank line starts at a slot.  A line with the wrong arity puts
+    a letter in a vertex slot, a vertex in a letter slot or breaks the token
+    count.  Order and range are `build`'s one block check."""
     chunk = "\n".join(block)
     if "#" in chunk:
         chunk = COMMENT.sub("", chunk)
@@ -103,14 +107,9 @@ def _checked_block(block: list, k: int, n: int):
     if starts != len(letters):
         return None
     try:
-        verts = list(map(int, tokens))
+        return letters, list(map(int, tokens))
     except ValueError:
         return None
-    cols = [verts[j::k] for j in range(k)]
-    if cols[0] and (min(cols[0]) < 1 or max(cols[-1]) > n
-                    or not all(all(map(operator.lt, a, b)) for a, b in zip(cols, cols[1:]))):
-        return None
-    return zip(letters, zip(*cols))
 
 
 def _scanned_lines(block: list, lineno: int, k: int, n: int):
@@ -139,12 +138,14 @@ def _scanned_lines(block: list, lineno: int, k: int, n: int):
 def parse_coloured_hypergraph(text: str) -> ColouredKGraph:
     """Parse the tcg format; failures carry the offending line number.
 
-    The body is read in blocks of BLOCK_LINES lines.  A block is checked
-    as a whole (`_checked_block`: letters, integers, arity, order and
-    range); a block that fails is scanned line by line, which raises at the
-    first faulty line.  The edges then go to `build`, which rejects an edge
-    given in both colours.  So a line fault is reported at the first faulty
-    line, and a colour conflict only when no line before it is faulty."""
+    The body is read in blocks of BLOCK_LINES lines.  The parser checks a
+    block's tokens as a whole (`_block_tokens`: letters, integers, arity)
+    and hands the letters and integers to `build`, which checks order and
+    range once (`hypergraph._columns`) and rejects an edge given in both
+    colours.  A block that fails either check is scanned line by line,
+    which raises at the first faulty line.  So a line fault is reported at
+    the first faulty line, and a colour conflict only when no line before
+    it in its block or an earlier one is faulty."""
     lines = text.split("\n")
     header = []
     for lineno, raw in enumerate(lines, start=1):
@@ -171,14 +172,19 @@ def parse_coloured_hypergraph(text: str) -> ColouredKGraph:
     except ValueError:
         raise ParseError(f"non-integer dimensions in {dims!r}", lineno) from None
 
-    def edges():
+    def blocks():
         for start in range(lineno, len(lines), BLOCK_LINES):
             block = lines[start:start + BLOCK_LINES]
-            pairs = _checked_block(block, k, n)
-            yield from _scanned_lines(block, start + 1, k, n) if pairs is None else pairs
+            tokens = _block_tokens(block, k)
+            scan = _scanned_lines(block, start + 1, k, n)
+            if tokens is None:
+                yield None, None, None, scan
+            else:
+                letters, verts = tokens
+                yield map(LETTER_COLOUR.__getitem__, letters), None, verts, scan
 
     try:
-        return build(k, n, edges())
+        return build(k, n, _Blocks(blocks()))
     except MalformedEdge as exc:   # only the dimensions: the edges were checked above
         raise ParseError(str(exc), lineno) from None
 

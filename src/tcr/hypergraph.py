@@ -4,6 +4,12 @@ Edges are canonically sorted tuples of distinct vertices in 1..n.  All
 structures are immutable after construction.  Every threshold that enters a
 verdict is an exact Fraction; no floating point is used anywhere.
 
+`build` is where an edge is checked, for library callers and for the tcg
+parser alike: `_columns` is the one order and range check of a block of
+edges, and a block that passes needs only the two repeat tests before it is
+added.  The parser checks only what is textual (header, letters, integers,
+arity) and hands its integers to `build` through `_Blocks`.
+
 Degree thresholds for the density predicate use C(n-i, k-i), the degree a
 complete k-graph attains, so that K_n^(k) is (1, 0)-dense at every level.
 """
@@ -126,35 +132,91 @@ BLOCK = 4096   # (colour, edge) pairs that build checks and adds together
 LETTER_COLOUR = {"R": Colour.RED, "B": Colour.BLUE}
 
 
-def _add_block(colour: dict, block: list, k: int, n: int) -> bool:
-    """Add a block of (colour, edge) pairs with a few whole-block checks, or
-    add nothing and return False when the per-edge loop must decide it.
+class _Blocks:
+    """The tcg parser's hand-off to `build`: in place of (colour, edge)
+    pairs, blocks (colours, None, vertices, pairs) in `_pair_blocks`' form.
+    `build` makes the edges from the vertex columns; a block whose vertices
+    are None, or that fails a check, is added from its pairs, the parser's
+    line scan."""
 
-    The block passes when every colour is a letter (or every one a Colour),
-    every edge is a strictly increasing tuple of k ints in [1, n], and no
-    edge repeats, within the block or from an earlier one.  Colours are
-    compared by identity, so a Colour is never hashed."""
+    __slots__ = ("blocks",)
+
+    def __init__(self, blocks):
+        self.blocks = blocks
+
+
+def _columns(verts: list, k: int, n: int):
+    """The k vertex columns of a flat list of edges, k vertices each, or
+    None unless every edge is strictly increasing within [1, n].
+
+    This is the one order and range check of a block of edges: `build` runs
+    it once on each block, whether the block came from library pairs or
+    from the tcg parser's integer tokens."""
+    cols = [verts[j::k] for j in range(k)]
+    if cols[0] and (min(cols[0]) < 1 or max(cols[-1]) > n
+                    or not all(all(map(lt, a, b)) for a, b in zip(cols, cols[1:]))):
+        return None
+    return cols
+
+
+def _flattened(block: list, k: int) -> tuple:
+    """(colours, edges, vertices) of a block of library pairs: Colour members,
+    the edge tuples and their vertices in one flat list; or three Nones
+    unless every colour is a letter (or every one a Colour) and every edge a
+    tuple of k ints.  Colours are compared by identity, so a Colour is never
+    hashed; bool and float vertices take the per-edge loop."""
     if set(map(type, block)) != {tuple} or set(map(len, block)) != {2}:
-        return False
+        return None, None, None
     cs, es = zip(*block)
     if cs.count("R") + cs.count("B") == len(cs):
         cs = map(LETTER_COLOUR.__getitem__, cs)
     elif cs.count(Colour.RED) + cs.count(Colour.BLUE) != len(cs):
-        return False
+        return None, None, None
     if set(map(type, es)) != {tuple} or set(map(len, es)) != {k}:
-        return False
+        return None, None, None
     verts = list(itertools.chain.from_iterable(es))
-    if set(map(type, verts)) != {int}:   # bool and float vertices take the loop
+    if set(map(type, verts)) != {int}:
+        return None, None, None
+    return cs, es, verts
+
+
+def _pair_blocks(coloured_edges, k: int):
+    """`build`'s (colour, edge) pairs in blocks of BLOCK, each as
+    (colours, edges, vertices, pairs): the block flattened by `_flattened`,
+    and the pairs themselves for the per-edge loop."""
+    pairs = iter(coloured_edges)
+    while block := list(itertools.islice(pairs, BLOCK)):
+        yield (*_flattened(block, k), block)
+
+
+def _add_checked(colour: dict, cs, es, verts: list, k: int, n: int) -> bool:
+    """Add a flattened block after the one block check (`_columns`) and the
+    two repeat tests, within the block and against earlier blocks; or add
+    nothing and return False.  With `es` None the edges are made from the
+    vertex columns."""
+    cols = _columns(verts, k, n)
+    if cols is None:
         return False
-    cols = [verts[j::k] for j in range(k)]
-    if (min(cols[0]) < 1 or max(cols[-1]) > n
-            or not all(all(map(lt, a, b)) for a, b in zip(cols, cols[1:]))):
-        return False
-    new = dict(zip(es, cs))
-    if len(new) != len(es) or not colour.keys().isdisjoint(new):
+    new = dict(zip(zip(*cols) if es is None else es, cs))
+    if len(new) != len(cols[0]) or not colour.keys().isdisjoint(new):
         return False
     colour.update(new)
     return True
+
+
+def _add_each(colour: dict, pairs, k: int, n: int) -> None:
+    """The per-edge loop: sort and check each edge, tolerate a repeat in its
+    own colour, and raise the first fault in input order.  The pairs are
+    read in full first, so a fault that their reader raises (the tcg
+    parser's line scan) comes before a conflict in the same block."""
+    for c, raw in list(pairs):
+        if isinstance(c, str):
+            c = Colour(c)
+        e = canon_edge(raw, k, n)
+        old = colour.get(e)
+        if old is not None and old is not c:
+            raise ConflictingColour(f"edge {e} given as both {old.value} and {c.value}")
+        colour[e] = c
 
 
 def build(k: int, n: int, coloured_edges) -> ColouredKGraph:
@@ -162,34 +224,35 @@ def build(k: int, n: int, coloured_edges) -> ColouredKGraph:
     Colour or its letter.
 
     A duplicate edge is tolerated when its colour agrees and rejected
-    otherwise.  The pairs are read in blocks of BLOCK: a block of new,
-    canonical edges is checked and added as a whole (`_add_block`), and any
-    other block edge by edge, which sorts each edge and raises the first
-    fault in input order.  The two colour classes are kept for `edges_of`.
+    otherwise.  The pairs are read in blocks of BLOCK.  A block of letters
+    or Colours and tuples of ints is checked once by `_columns` (order and
+    range) and added as a whole when no edge repeats; any other block goes
+    edge by edge, which sorts each edge and raises the first fault in input
+    order.  The tcg parser hands its blocks over through `_Blocks`, so its
+    edges get the same one check.  The two colour classes are kept for
+    `edges_of`.
     """
     if k < 2:
         raise MalformedEdge(f"uniformity {k} < 2")
     if n < k:
         raise MalformedEdge(f"vertex count {n} < uniformity {k}")
+    blocks = (coloured_edges.blocks if isinstance(coloured_edges, _Blocks)
+              else _pair_blocks(coloured_edges, k))
     colour = {}
-    pairs = iter(coloured_edges)
-    while block := list(itertools.islice(pairs, BLOCK)):
-        if _add_block(colour, block, k, n):
-            continue
-        for c, raw in block:
-            if isinstance(c, str):
-                c = Colour(c)
-            e = canon_edge(raw, k, n)
-            old = colour.get(e)
-            if old is not None and old is not c:
-                raise ConflictingColour(f"edge {e} given as both {old.value} and {c.value}")
-            colour[e] = c
-    # sorted from input order: linear time for a sorted input such as a tcg file
-    edges = tuple(sorted(colour))
+    for cs, es, verts, pairs in blocks:
+        if verts is None or not _add_checked(colour, cs, es, verts, k, n):
+            _add_each(colour, pairs, k, n)
+    # a tcg file that serialize wrote, or any input in canonical order, is
+    # already sorted: its classes come from the colours in insertion order
+    edges = tuple(colour)
+    if all(map(lt, edges, edges[1:])):
+        cs = colour.values()
+    else:
+        edges = tuple(sorted(edges))
+        cs = list(map(colour.__getitem__, edges))
     graph = KGraph(k, n, frozenset(colour))
     object.__setattr__(graph, "_sorted", edges)
     CH = ColouredKGraph(graph, colour)
-    cs = list(map(colour.__getitem__, edges))
     object.__setattr__(CH, "_classes", {
         c: tuple(itertools.compress(edges, map(is_, cs, itertools.repeat(c)))) for c in Colour})
     return CH

@@ -12,6 +12,7 @@ explored-node count as certificate).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 from .errors import SearchCapExceeded
@@ -30,13 +31,20 @@ class TightDecomposition:
     come first.  _buckets holds, per colour class (one for a plain
     decomposition), the class's first component id and its map from each
     (k-1)-set of the shadow, as a vertex bitmask, to the local id of the
-    one component of the class whose edges contain it."""
+    one component of the class whose edges contain it.  The map from each
+    edge to its component id, `component_of`, is built on first use: a
+    consumer that only asks whether an edge lies in one component tests
+    `e in components[cid]`."""
 
     components: tuple  # tuple of frozensets of edges
-    component_of: dict  # Edge -> component id
     colour_of: Optional[dict] = None  # component id -> Colour
     _sorted: tuple = field(default=(), repr=False, compare=False)  # canonical edge order
     _buckets: tuple = field(default=(), repr=False, compare=False)  # ((first id, map), ...)
+
+    @cached_property
+    def component_of(self) -> dict:
+        """Edge -> component id."""
+        return {e: cid for cid, comp in enumerate(self._sorted) for e in comp}
 
     def edges_of(self, cid: int) -> frozenset:
         return self.components[cid]
@@ -49,12 +57,14 @@ class TightDecomposition:
 
     def swapped(self) -> "TightDecomposition":
         """The decomposition of the colour-swapped graph: the blue
-        components become the first ids, as a fresh analysis numbers them."""
+        components become the first ids, as a fresh analysis numbers them.
+        The component sets and edge lists are the same objects, reordered."""
         (_, red), (blues, blue) = self._buckets
-        order = list(range(blues, len(self.components))) + list(range(blues))
+        order = [*range(blues, len(self.components)), *range(blues)]
         colour_of = {new: self.colour_of[old].opposite for new, old in enumerate(order)}
-        return _decomposition([self._sorted[old] for old in order], colour_of,
-                              ((0, blue), (len(order) - blues, red)))
+        return TightDecomposition(tuple(map(self.components.__getitem__, order)), colour_of,
+                                  tuple(map(self._sorted.__getitem__, order)),
+                                  ((0, blue), (len(order) - blues, red)))
 
 
 def _component_sets(edges) -> tuple:
@@ -103,9 +113,8 @@ def _component_sets(edges) -> tuple:
 
 
 def _decomposition(comps, colour_of=None, buckets=()) -> TightDecomposition:
-    component_of = {e: cid for cid, comp in enumerate(comps) for e in comp}
-    return TightDecomposition(tuple(frozenset(c) for c in comps), component_of,
-                              colour_of, tuple(tuple(c) for c in comps), tuple(buckets))
+    return TightDecomposition(tuple(frozenset(c) for c in comps), colour_of,
+                              tuple(tuple(c) for c in comps), tuple(buckets))
 
 
 def tight_components(H: KGraph) -> TightDecomposition:

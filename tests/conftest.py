@@ -8,7 +8,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).parent))
 
 import oracles  # noqa: E402
-from tcr.hypergraph import KGraph, build  # noqa: E402
+from tcr.hypergraph import Colour, KGraph, build  # noqa: E402
 
 # Tier-1 time split: wall seconds inside the outermost calls into oracles.py
 # against the seconds of every test's setup, call and teardown.  The
@@ -45,6 +45,17 @@ def pytest_terminal_summary(terminalreporter):
         f"tier-1 time split: {oracle:.1f} s in tests/oracles.py and {total - oracle:.1f} s "
         f"in the system under test and the test bodies, of {total:.1f} s in tests "
         f"({100 * oracle / total if total else 0:.0f}% oracle)")
+
+
+def parse_outcome(parse, text):
+    """What a tcg parser makes of a text: the graph with its cached orders
+    and colour classes, or the error class and line."""
+    try:
+        CH = parse(text)
+    except Exception as exc:   # the class and line are compared, not caught
+        return type(exc), getattr(exc, "line", None)
+    return (CH.k, CH.n, CH.colour, CH.graph.sorted_edges,
+            CH.edges_of(Colour.RED), CH.edges_of(Colour.BLUE))
 
 
 def rand_coloured(k, n, m, rng):

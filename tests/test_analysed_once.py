@@ -4,17 +4,21 @@ The blueprint builder and checker, the growth engine and the CLI handlers
 share one monochromatic decomposition per graph object, so no colour class
 of one graph is decomposed twice.  `tight._component_sets` is counted per
 (graph object, edge list): a count above 1 means some consumer recomputed
-the analysis instead of sharing it.
+the analysis instead of sharing it.  Likewise each block of edges gets one
+order and range check between the tcg text and the graph, and the
+edge -> component id map is built only for a consumer that reads ids.
 """
+import itertools
+import json
 import sys
 from collections import Counter
 
 import pytest
 
 from conftest import threshold_colouring
-from tcr import tight
+from tcr import cli, hypergraph, tight
 from tcr.augment import DriverParams, run_driver
-from tcr.cli import run, serialize_coloured_hypergraph
+from tcr.cli import parse_coloured_hypergraph, run, serialize_coloured_hypergraph
 from tcr.extremal import split_coloring
 from tcr.hypergraph import Colour, build
 
@@ -77,3 +81,60 @@ def test_swapped_graph_reuses_the_analysis(decompositions):
     for colour in Colour:
         assert swapped.edges_of(colour) is CH.edges_of(colour.opposite)
         assert swapped.edges_of(colour) == fresh.edges_of(colour)
+
+
+def test_each_block_gets_one_order_and_range_check(monkeypatch):
+    """A two-block tcg text and two blocks of library pairs each run the one
+    block check (`hypergraph._columns`) once per block."""
+    checked = []
+    original = hypergraph._columns
+
+    def counting(verts, k, n):
+        checked.append(len(verts) // k)
+        return original(verts, k, n)
+
+    monkeypatch.setattr(hypergraph, "_columns", counting)
+    edges = list(itertools.combinations(range(1, 21), 4))[:cli.BLOCK_LINES + 5]
+    text = "tcg 1\nk=4 n=20\n" + "".join("R " + " ".join(map(str, e)) + "\n" for e in edges)
+    assert parse_coloured_hypergraph(text).graph.m == len(edges)
+    assert checked == [cli.BLOCK_LINES, 5]
+    checked.clear()
+    build(4, 20, [("B", e) for e in edges[:hypergraph.BLOCK + 3]])
+    assert checked == [hypergraph.BLOCK, 3]
+
+
+@pytest.fixture
+def decompositions_made(monkeypatch):
+    """Every decomposition made, by an analysis or by a colour swap."""
+    made = []
+
+    def recording(fn):
+        def wrapper(*args, **kwargs):
+            made.append(fn(*args, **kwargs))
+            return made[-1]
+        return wrapper
+
+    monkeypatch.setattr(tight, "_decomposition", recording(tight._decomposition))
+    monkeypatch.setattr(tight.TightDecomposition, "swapped",
+                        recording(tight.TightDecomposition.swapped))
+    return made
+
+
+@pytest.mark.parametrize("argv", [["driver", "--seed", "7", "--in", "swapped24.tcg"],
+                                  ["extremal", "parity", "--k", "4", "--n", "7", "--i", "2",
+                                   "--verify"]])
+def test_membership_only_runs_build_no_component_map(tmp_path, monkeypatch, capsys,
+                                                     decompositions_made, argv):
+    """A driver run that reaches its target at iteration 0 (on the swapped
+    frame) and extremal --verify test edges for membership in one component
+    at most, so no decomposition builds its edge -> id map."""
+    (tmp_path / "swapped24.tcg").write_text(
+        serialize_coloured_hypergraph(threshold_colouring(24, 3)), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    if argv[0] == "driver":
+        assert (result["status"], result["iterations"], result["colour_swapped"]) == (
+            "reached", 0, True)
+    assert len(decompositions_made) == (2 if argv[0] == "driver" else 1)
+    assert all("component_of" not in vars(d) for d in decompositions_made)

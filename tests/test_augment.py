@@ -88,6 +88,10 @@ def test_hypothesis_checks_fire_before_search():
     state = AugmentationState(((1, 2, 3, 4),), Colour.BLUE, red_id)
     with pytest.raises(HypothesisViolated):
         augment_once(ch, bp, red_id, state, SMALL_STEPS, rng)
+    # an edge outside the stated component (here outside the graph)
+    state = AugmentationState(((1, 2, 3, 17),), Colour.RED, red_id)
+    with pytest.raises(HypothesisViolated, match="outside component"):
+        augment_once(ch, bp, red_id, state, SMALL_STEPS, rng)
 
 
 def test_augment_terminal_when_at_target():

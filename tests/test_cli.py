@@ -8,13 +8,13 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import threshold_colouring
+from conftest import parse_outcome, threshold_colouring
 from oracles import parse_reference
 from tcr import cli, extremal, lp
 from tcr.cli import (EXIT_CAP, EXIT_CONTRACT, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE,
                      parse_coloured_hypergraph, run,
                      serialize_coloured_hypergraph)
-from tcr.errors import HypothesisViolated, ParseError
+from tcr.errors import ConflictingColour, HypothesisViolated, ParseError
 from tcr.extremal import split_coloring
 from tcr.hypergraph import Colour, build
 
@@ -124,14 +124,6 @@ def tcg_text(rng, corruption, size=25):
     return "\n".join(out) + rng.choice(["\n", "", "\n\n"])
 
 
-def outcome(parse, text):
-    try:
-        CH = parse(text)
-    except Exception as exc:   # the class and line are compared, not caught
-        return type(exc), getattr(exc, "line", None)
-    return CH.k, CH.n, CH.colour
-
-
 @settings(max_examples=400, deadline=None)
 @given(st.integers(0, 10**9), st.sampled_from(CORRUPTIONS),
        st.sampled_from([25, 25, 25, 2 * cli.BLOCK_LINES]))
@@ -141,10 +133,21 @@ def test_parser_agrees_with_reference_parser(seed, corruption, size):
     graph, and raises the same error class at the same line.  Some texts
     run over several blocks of lines, with the corrupted line in any one."""
     text = tcg_text(random.Random(seed), corruption, size)
-    expected = outcome(parse_reference, text)
-    assert outcome(parse_coloured_hypergraph, text) == expected
+    expected = parse_outcome(parse_reference, text)
+    assert parse_outcome(parse_coloured_hypergraph, text) == expected
     if corruption not in ("none", "header", "conflict") and expected[0] is ParseError:
         assert expected[1] is not None
+
+
+@pytest.mark.parametrize("gap, expected", [(0, (ParseError, 5)),
+                                           (cli.BLOCK_LINES, (ConflictingColour, None))])
+def test_line_fault_after_a_conflict(gap, expected):
+    """A faulty line after an edge given in both colours is reported when it
+    lies in the conflict's block of lines; a conflict in an earlier block
+    is reported first."""
+    filler = [f"R {a} {b}" for a, b in itertools.combinations(range(3, 100), 2)][:gap]
+    text = "tcg 1\nk=2 n=99\nR 1 2\nB 1 2\n" + "".join(f + "\n" for f in filler) + "R 1\n"
+    assert parse_outcome(parse_coloured_hypergraph, text) == expected
 
 
 @settings(max_examples=100, deadline=None)

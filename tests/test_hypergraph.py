@@ -8,11 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (complete_kgraph, complete_random_coloured, near_complete_coloured,
-                      rand_coloured)
-from oracles import build_reference, degree_brute, edges_within_brute
-from tcr import hypergraph
+                      parse_outcome, rand_coloured)
+from oracles import build_reference, degree_brute, edges_within_brute, parse_reference
+from tcr import cli, hypergraph
 from tcr.blueprint import build_blueprint
 from tcr.errors import ConflictingColour, MalformedEdge
+from tcr.cli import parse_coloured_hypergraph
 from tcr.hypergraph import Colour, build, density_check, edges_within
 from tcr.tight import monochromatic_components
 
@@ -54,7 +55,8 @@ def test_build_rejects_conflicting_colour():
 
 def build_mix(rng):
     """Seeded (colour, edge) pairs for `build`: letters, Colour members or
-    both; some edges unsorted, as lists, or with a bool or float vertex;
+    both; the edges in random or canonical order, some unsorted, as lists,
+    or with a bool or float vertex;
     repeats with their colour, and at most one fault (a conflicting repeat,
     a wrong arity, a vertex out of range or a repeated vertex)."""
     k = rng.randint(2, 4)
@@ -63,7 +65,10 @@ def build_mix(rng):
     colours = rng.choice([["R", "B"], [Colour.RED, Colour.BLUE], ["R", "B", Colour.RED, Colour.BLUE]])
     odd = rng.choice(["none", "none", "unsorted", "bool", "float", "list"])
     pairs = []
-    for e in rng.sample(pool, rng.randint(1, min(len(pool), 40))):
+    sample = rng.sample(pool, rng.randint(1, min(len(pool), 40)))
+    if rng.random() < 0.3:   # canonical order, as in a file that serialize wrote
+        sample.sort()
+    for e in sample:
         verts = list(e)
         if odd == "unsorted" and rng.random() < 0.3:
             rng.shuffle(verts)
@@ -110,15 +115,31 @@ def test_build_agrees_with_per_edge_reference(seed, block):
 
 
 @pytest.mark.parametrize("offset", [-1, 0, 1])
-def test_build_conflict_across_a_full_size_block_boundary(offset):
-    """A conflicting repeat in the next block of BLOCK pairs, or in the same
-    one, is found and named as the per-edge loop names it."""
+def test_build_conflict_across_a_full_size_block_boundary(tmp_path, capsys, offset):
+    """A repeat of an edge of the first block, at the end of that block of
+    BLOCK pairs or in the next one, as pairs and as the lines of a tcg file
+    (whose blocks of BLOCK_LINES lines break at the same edge): in the other
+    colour it is found and named as the per-edge loop and the reference
+    parser name it, and `tcr` exits 2; in its own colour it is tolerated."""
+    assert cli.BLOCK_LINES == hypergraph.BLOCK
     edges = list(itertools.combinations(range(1, 21), 4))[:hypergraph.BLOCK + 10]
     pairs = [("R" if sum(e) % 3 else "B", e) for e in edges]
-    pairs.insert(hypergraph.BLOCK + offset, ("B" if pairs[5][0] == "R" else "R", pairs[5][1]))
-    expected = build_outcome(build_reference, 4, 20, pairs)
-    assert expected[0] is ConflictingColour
-    assert build_outcome(build, 4, 20, pairs) == expected
+    for letter in ("B" if pairs[5][0] == "R" else "R", pairs[5][0]):
+        repeated = [*pairs]
+        repeated.insert(hypergraph.BLOCK + offset, (letter, pairs[5][1]))
+        conflict = letter != pairs[5][0]
+        expected = build_outcome(build_reference, 4, 20, repeated)
+        assert (expected[0] is ConflictingColour) is conflict
+        assert build_outcome(build, 4, 20, repeated) == expected
+        text = "tcg 1\nk=4 n=20\n" + "".join(c + " " + " ".join(map(str, e)) + "\n"
+                                            for c, e in repeated)
+        expected = parse_outcome(parse_reference, text)
+        assert (expected[0] is ConflictingColour) is conflict
+        assert parse_outcome(parse_coloured_hypergraph, text) == expected
+        (tmp_path / "repeat.tcg").write_text(text, encoding="utf-8")
+        assert cli.run(["components", "--in", str(tmp_path / "repeat.tcg")]) == (
+            cli.EXIT_CONTRACT if conflict else cli.EXIT_OK)
+        capsys.readouterr()
     clean = build_outcome(build, 4, 20, pairs[:hypergraph.BLOCK + offset])
     assert clean == build_outcome(build_reference, 4, 20, pairs[:hypergraph.BLOCK + offset])
 

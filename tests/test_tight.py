@@ -79,8 +79,11 @@ def test_swapped_graph_carries_its_decomposition():
     fresh_graph = ColouredKGraph(ch.graph, {e: c.opposite for e, c in ch.colour.items()})
     fresh = monochromatic_components(fresh_graph)
     assert carried is not fresh and carried is not original
-    assert carried == fresh   # components, component_of, colour_of
+    assert carried == fresh   # components, colour_of
+    assert carried.component_of == fresh.component_of
     assert carried._sorted == fresh._sorted
+    # the swap reorders the original's component sets instead of remaking them
+    assert sorted(map(id, carried.components)) == sorted(map(id, original.components))
     assert pair_shadow_masks(carried, 4) == pair_shadow_masks(fresh, 4)
     reds = sum(c is Colour.RED for c in original.colour_of.values())
     assert carried.edges_of(0) == original.edges_of(reds)   # the first blue one
