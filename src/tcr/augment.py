@@ -105,17 +105,19 @@ def _max_bipartite(admissible: dict) -> dict:
     return {u: f for f, u in sorted(match_f.items())}
 
 
-def _greedy_good(CH, bp, edges, forbidden=frozenset()):
+def _greedy_good(CH, bp, edges, forbidden=None):
     """First-fit maximal matching among good edges avoiding forbidden vertices,
-    in canonical edge order.  With vertices forbidden, `edges` must be
-    set-like: the candidates are its members among the k-subsets of CH's
-    free vertices, so the work follows the free vertices, not the size of
-    `edges`."""
-    if forbidden:
+    in canonical edge order.  With `forbidden` given (a vertex set, possibly
+    empty), `edges` must be set-like: the candidates are its members among
+    the k-subsets of CH's free vertices, so the work follows the free
+    vertices, not the size of `edges`.  Without it, `edges` is read in the
+    order given, which every caller passes canonical (a component's edge
+    list or an `edges_within` result), so it is not sorted again."""
+    if forbidden is not None:
         candidates = edges_within(edges, set(range(1, CH.n + 1)).difference(forbidden),
                                   CH.k)
     else:
-        candidates = sorted(edges)
+        candidates = edges
     out = []
     used = set()
     for e in candidates:
@@ -135,7 +137,7 @@ def _largest_red(CH, bp, vertices):
     by_comp = {}
     for e in good:
         if CH.colour[e] is Colour.RED:
-            by_comp.setdefault(bp.decomposition.component_of[e], []).append(e)
+            by_comp.setdefault(bp.decomposition.id_of(e, Colour.RED), []).append(e)
     if not by_comp:
         return good, None, []
     r_star = max(by_comp, key=lambda cid: (len(by_comp[cid]), -cid))

@@ -472,7 +472,7 @@ def compute_B_W(CH: ColouredKGraph, bp: Blueprint, R_id: int, W) -> BWResult:
             if CH.colour[edge] is Colour.RED:
                 raise HypothesisViolated(
                     f"attachment edge {edge} is red (good red edge inside W)")
-            candidates.setdefault(decomp.component_of[edge], ("triple", T, w))
+            candidates.setdefault(decomp.id_of(edge, Colour.BLUE), ("triple", T, w))
         if not hits:
             raise InconsistentWitness(f"triple {T} has no attachment vertex")
         gamma[T] = tuple(hits)

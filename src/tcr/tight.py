@@ -1,18 +1,25 @@
 """Tight components, and exhaustive tight cycle/path search.
 
 Two edges are tightly adjacent when they share exactly k-1 vertices; tight
-components are the connected components of that relation, computed in one
-pass by an inlined union-find over the (k-1)-subset buckets of the edge
-set, each subset keyed by its vertex bitmask.  The pass also keeps the
-bucket map ((k-1)-set -> component) that the blueprint's shadow masks are
-read from.  Cycle and path searches are exhaustive DFS with window
-pruning, so an Absent verdict is a proof of absence (with the
-explored-node count as certificate).
+components are the connected components of that relation.  They are
+grouped a run at a time: in sorted order the edges that share their first
+k-1 vertices are contiguous and tightly joined.  Each (k-1)-set is filed
+in the fiber of the (k-2)-set it keeps without its largest vertex, so each
+run adds one bitmask star to each of its k-1 fibers, and a union-find over
+the runs joins the runs whose stars meet.  The Python-level work follows
+the runs and the shadow, not the edges: dense colour classes gain, while
+sparse input, whose runs hold about one edge, costs more than a per-edge
+union-find would.  The fibers also give the bucket map ((k-1)-set bitmask
+-> component) that the blueprint's shadow masks and
+`TightDecomposition.id_of` are read from.  Cycle and path searches are
+exhaustive DFS with window pruning, so an Absent verdict is a proof of
+absence (with the explored-node count as certificate).
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import cached_property
+from operator import itemgetter
 from typing import Optional
 
 from .errors import SearchCapExceeded
@@ -31,9 +38,9 @@ class TightDecomposition:
     come first.  _buckets holds, per colour class (one for a plain
     decomposition), the class's first component id and its map from each
     (k-1)-set of the shadow, as a vertex bitmask, to the local id of the
-    one component of the class whose edges contain it.  The map from each
-    edge to its component id, `component_of`, is built on first use: a
-    consumer that only asks whether an edge lies in one component tests
+    one component of the class whose edges contain it, so `id_of` reads an
+    edge's id from it in O(k).  There is no edge -> id map: a consumer that
+    only asks whether an edge lies in one component tests
     `e in components[cid]`."""
 
     components: tuple  # tuple of frozensets of edges
@@ -41,10 +48,16 @@ class TightDecomposition:
     _sorted: tuple = field(default=(), repr=False, compare=False)  # canonical edge order
     _buckets: tuple = field(default=(), repr=False, compare=False)  # ((first id, map), ...)
 
-    @cached_property
-    def component_of(self) -> dict:
-        """Edge -> component id."""
-        return {e: cid for cid, comp in enumerate(self._sorted) for e in comp}
+    def id_of(self, e, colour: Optional[Colour]) -> int:
+        """The id of the component holding edge e, which has colour `colour`
+        in a monochromatic decomposition (None in a plain one), read in O(k)
+        from its class's bucket map: the (k-1)-set e - e[0] lies in the
+        edges of e's component only."""
+        first, buckets = self._buckets[colour is Colour.BLUE]
+        mask = 0
+        for v in e[1:]:
+            mask |= 1 << v
+        return first + buckets[mask]
 
     def edges_of(self, cid: int) -> frozenset:
         return self.components[cid]
@@ -68,48 +81,116 @@ class TightDecomposition:
 
 
 def _component_sets(edges) -> tuple:
-    """Group edges by tight connectivity in one pass.
+    """Group edges by tight connectivity, a run of edges at a time.
 
     Returns (groups, buckets): one canonically ordered edge list per
     component, the lists ordered by their smallest edge, and the map from
     each (k-1)-subset, keyed by its vertex bitmask mask ^ (1 << v), to the
     index of the group whose edges contain it.  Two edges are adjacent iff
-    they share a (k-1)-subset, so unioning every edge with the first edge
-    of each of its subsets' buckets realizes the transitive closure (for
-    k = 2: the connected components of a graph).  The union-find halves
+    they share a (k-1)-subset (for k = 2: the connected components of a
+    graph).
+
+    In sorted order the edges Q + d that share their first k - 1 vertices Q
+    form a contiguous run, tightly joined through Q; its last vertices form
+    one bitmask D.  Each (k-1)-set T is filed in the fiber of T - max(T),
+    as the vertex max(T).  The run's (k-1)-sets are Q - c + d (c in Q, d in
+    D), whose largest vertex is d, and Q, whose largest vertex is q = Q[-1].
+    So the run adds the star D to each fiber Q - c, with q added in the
+    fiber Q - q, and merges every part of the fiber that the star meets.  A
+    fiber's parts are disjoint vertex bitmasks, each labelled by a run.
+    Every run holding T files it in the same fiber, so two runs whose edges
+    share a (k-1)-set meet there, and no union across fibers is needed;
+    each fiber vertex is one bucket.  The union-find runs over runs, halves
     paths and keeps the smaller root, so every parent precedes its child
-    and a group's root is its smallest edge."""
+    and a group's root is its first run.
+
+    Python-level work follows the runs and the (k-1)-sets, not the edges:
+    k - 1 fiber updates per run and one bucket per shadow set.  A random
+    half of K_40^(4) has 45.9k edges in 8.5k runs over 9,880 shadow sets.
+    On sparse input a run holds about one edge and a fiber several parts: a
+    random 4-graph on 40 vertices with 5% of the edges takes about three
+    times as long as a per-edge union-find."""
     es = sorted(edges)
-    parent = list(range(len(es)))
-    first_of = {}
-    for i, e in enumerate(es):
-        full = 0
-        for v in e:
-            full |= 1 << v
-        root = i
-        for v in e:
-            j = first_of.setdefault(full ^ (1 << v), i)
-            if j == i:
-                continue
-            while parent[j] != j:
-                parent[j] = j = parent[parent[j]]
-            if j < root:
-                parent[root] = j
-                root = j
-            elif j > root:
-                parent[j] = root
-    # parent[i] <= i, so one pass in index order can overwrite each parent
-    # pointer with the group index of its edge
+    if not es:
+        return [], {}
+    k = len(es[0])
+    last = itemgetter(k - 1)
+    top = max(map(last, es)) + 1
+    bit = [1 << v for v in range(top)]
+    bit_of = bit.__getitem__
+    parent = []
+
+    def join(j, root):
+        """Link j's set to the root `root`; the smaller root wins."""
+        while parent[j] != j:
+            parent[j] = j = parent[parent[j]]
+        if j < root:
+            parent[root] = j
+            return j
+        if j > root:
+            parent[j] = root
+        return root
+
+    ends = []     # the end of each run in es
+    fibers = {}   # (k-2)-set mask -> [part mask, run, part mask, run, ...]
+    start, n = 0, len(es)
+    while start < n:
+        e = es[start]
+        Q = e[:-1]
+        root = len(parent)
+        parent.append(root)
+        end = start + 1
+        if end < n and es[end][:-1] == Q:
+            # a run holds at most top - 1 - e[-2] edges
+            end = bisect_left(es, Q + (top,), end + 1, min(n, start + top - e[-2]))
+            D = sum(map(bit_of, map(last, es[start:end])))
+        else:   # one edge, as most runs of a sparse input are
+            D = bit[e[-1]]
+        ends.append(end)
+        start = end
+        qmask = sum(map(bit_of, Q))
+        for c in Q:
+            F = qmask ^ bit[c]
+            star = D | bit[c] if c == e[-2] else D   # Q is filed in Q - Q[-1]
+            parts = fibers.get(F)
+            if parts is None:
+                fibers[F] = [star, root]
+            elif len(parts) == 2 and parts[0] & star:
+                parts[0] |= star
+                if parts[1] != root:
+                    parts[1] = root = join(parts[1], root)
+            else:
+                # parts are disjoint, so only parts meeting the star itself merge
+                merged = [star, root]
+                for i in range(0, len(parts), 2):
+                    if parts[i] & star:
+                        merged[0] |= parts[i]
+                        merged[1] = root = join(parts[i + 1], root)
+                    else:
+                        merged += parts[i], parts[i + 1]
+                fibers[F] = merged
+    # parent[r] <= r, so one pass in run order can overwrite each parent
+    # pointer with the group index of its run
     group_of = parent
     groups = []
-    for i, e in enumerate(es):
-        if group_of[i] == i:
-            group_of[i] = len(groups)
-            groups.append([e])
+    start = 0
+    for r, end in enumerate(ends):
+        if group_of[r] == r:
+            group_of[r] = len(groups)
+            groups.append(es[start:end])
         else:
-            group_of[i] = group_of[group_of[i]]
-            groups[group_of[i]].append(e)
-    return groups, {key: group_of[i] for key, i in first_of.items()}
+            group_of[r] = group_of[group_of[r]]
+            groups[group_of[r]] += es[start:end]
+        start = end
+    buckets = {}
+    for F, parts in fibers.items():
+        for i in range(0, len(parts), 2):
+            m, gid = parts[i], group_of[parts[i + 1]]
+            while m:
+                b = m & -m
+                m ^= b
+                buckets[F | b] = gid
+    return groups, buckets
 
 
 def _decomposition(comps, colour_of=None, buckets=()) -> TightDecomposition:

@@ -166,6 +166,12 @@ def bfs_tight_walk(k, edges, start, goal):
     return None
 
 
+def component_of(decomp) -> dict:
+    """Edge -> component id of a tight decomposition, read off its
+    component sets."""
+    return {e: cid for cid, comp in enumerate(decomp.components) for e in comp}
+
+
 def brute_components(k, edges):
     """Edge partition into tight components via repeated BFS."""
     edges = sorted(tuple(sorted(e)) for e in edges)
@@ -495,12 +501,13 @@ def matching_to_fractional(bmap, m_star):
             raise ValueError(f"edges overlap at {sorted(used.intersection(e))}")
         used.update(e)
     decomp = monochromatic_components(bmap.base)
+    ids = component_of(decomp)
     counts = {}
     comp_ids = set()
     for e in edges:
         f = project_edge(bmap, e)
         counts[f] = counts.get(f, 0) + 1
-        comp_ids.add(decomp.component_of[f])
+        comp_ids.add(ids[f])
     if len(comp_ids) > 1:
         raise ValueError(f"projections span components {sorted(comp_ids)}")
     if not edges:
@@ -557,12 +564,12 @@ def blueprint_blowup(bp, bmap, blown_ch):
     from tcr.blueprint import make_blueprint
     from tcr.tight import monochromatic_components
 
-    blown_decomp = monochromatic_components(blown_ch)
+    ids = component_of(monochromatic_components(blown_ch))
     cid_map = {}
     for cid, comp in enumerate(bp.decomposition.components):
         f = min(comp)
         e_star = tuple(sorted(bmap.classes[x][0] for x in f))
-        cid_map[cid] = blown_decomp.component_of[e_star]
+        cid_map[cid] = ids[e_star]
     assign = {}
     for e, cid in bp.assign.items():
         blown_cid = cid_map[cid]
@@ -666,6 +673,7 @@ def compute_B_W_reference(CH, bp, R_id, W) -> tuple:
             raise HypothesisViolated(
                 f"red blueprint edge {e} induces component {bp.assign[e]}, not {R_id}")
     decomp = bp.decomposition
+    ids = component_of(decomp)
     red_good_inside = [e for e in inside(decomp.edges_of(R_id), 4) if is_good(e)]
     if red_good_inside:
         raise HypothesisViolated(f"good red edge {red_good_inside[0]} inside W")
@@ -705,7 +713,7 @@ def compute_B_W_reference(CH, bp, R_id, W) -> tuple:
             if CH.colour[edge] is Colour.RED:
                 raise HypothesisViolated(
                     f"attachment edge {edge} is red (good red edge inside W)")
-            candidates.setdefault(decomp.component_of[edge], ("triple", T, w))
+            candidates.setdefault(ids[edge], ("triple", T, w))
 
     for p in inside(bp.assign, 2):
         if bp.graph.colour[p] is Colour.BLUE:
@@ -722,7 +730,7 @@ def compute_B_W_reference(CH, bp, R_id, W) -> tuple:
     for T, hits in gamma.items():
         for w in hits:
             edge = tuple(sorted(T + (w,)))
-            if decomp.component_of[edge] != b_id or not is_good(edge):
+            if ids[edge] != b_id or not is_good(edge):
                 raise InconsistentWitness(
                     f"attachment edge {edge} not good in component {b_id}")
     return b_id, tuple(triples), gamma

@@ -13,8 +13,8 @@ from math import comb
 
 
 from conftest import complete_random_coloured, near_complete_coloured, rand_coloured
-from oracles import (blueprint_blowup, fractional_to_matching, lp_vertex_enumeration,
-                     matching_to_fractional)
+from oracles import (blueprint_blowup, component_of, fractional_to_matching,
+                     lp_vertex_enumeration, matching_to_fractional)
 from tcr.augment import DriverParams, run_driver
 from tcr.blowup import blow_up
 from tcr.blueprint import build_blueprint, check_blueprint
@@ -136,10 +136,11 @@ def test_criterion_4_blow_up_round_trips():
         base = monochromatic_components(ch)
         star = monochromatic_components(blown)
         ok &= len(base.components) == len(star.components)
+        ids = component_of(star)
         for cid, comp in enumerate(base.components):
             f = min(comp)
             star_edge = tuple(sorted(bmap.classes[x][0] for x in f))
-            star_comp = star.edges_of(star.component_of[star_edge])
+            star_comp = star.edges_of(ids[star_edge])
             size = max_matching_exact(star_comp).size
             phi = max_r_fractional(comp, r)
             ok &= Fraction(size) == r * phi.weight()
@@ -238,7 +239,8 @@ def _validate_driver_output(ch, rep):
     if not valid:
         return False, f"invalid: {violation}"
     decomp = monochromatic_components(target_graph)
-    comp_ids = {decomp.component_of[e] for e in rep.best.weights}
+    ids = component_of(decomp)
+    comp_ids = {ids[e] for e in rep.best.weights}
     if len(comp_ids) > 1:
         return False, "support spans components"
     if not rep.support_good:

@@ -5,13 +5,15 @@ share one monochromatic decomposition per graph object, so no colour class
 of one graph is decomposed twice.  `tight._component_sets` is counted per
 (graph object, edge list): a count above 1 means some consumer recomputed
 the analysis instead of sharing it.  Likewise each block of edges gets one
-order and range check between the tcg text and the graph, and the
-edge -> component id map is built only for a consumer that reads ids.
+order and range check between the tcg text and the graph, and no
+decomposition caches a map over its edges: a consumer reads a few edges'
+ids from the bucket maps or tests membership in one component.
 """
 import itertools
 import json
 import sys
 from collections import Counter
+from dataclasses import fields
 
 import pytest
 
@@ -122,19 +124,26 @@ def decompositions_made(monkeypatch):
 
 @pytest.mark.parametrize("argv", [["driver", "--seed", "7", "--in", "swapped24.tcg"],
                                   ["extremal", "parity", "--k", "4", "--n", "7", "--i", "2",
-                                   "--verify"]])
+                                   "--verify"],
+                                  ["driver", "--seed", "7", "--in", "split13.tcg"]])
 def test_membership_only_runs_build_no_component_map(tmp_path, monkeypatch, capsys,
                                                      decompositions_made, argv):
-    """A driver run that reaches its target at iteration 0 (on the swapped
-    frame) and extremal --verify test edges for membership in one component
-    at most, so no decomposition builds its edge -> id map."""
-    (tmp_path / "swapped24.tcg").write_text(
-        serialize_coloured_hypergraph(threshold_colouring(24, 3)), encoding="utf-8")
+    """Driver runs that reach their target at iteration 0 (one on the
+    swapped frame; on the split colouring through `compute_B_W` in the
+    initial matching's blue case) and extremal --verify read component ids
+    from the bucket maps or test edges for membership in one component, so
+    no decomposition caches anything beyond its fields and the pair shadow
+    masks: no edge -> id map (`component_of`) in particular."""
+    for name, CH in (("swapped24.tcg", threshold_colouring(24, 3)),
+                     ("split13.tcg", split_coloring(4, 3)[0])):
+        (tmp_path / name).write_text(serialize_coloured_hypergraph(CH), encoding="utf-8")
     monkeypatch.chdir(tmp_path)
     assert run(argv) == 0
     result = json.loads(capsys.readouterr().out)["result"]
+    swapped = "swapped24.tcg" in argv
     if argv[0] == "driver":
         assert (result["status"], result["iterations"], result["colour_swapped"]) == (
-            "reached", 0, True)
-    assert len(decompositions_made) == (2 if argv[0] == "driver" else 1)
-    assert all("component_of" not in vars(d) for d in decompositions_made)
+            "reached", 0, swapped)
+    assert len(decompositions_made) == (2 if swapped else 1)
+    for d in decompositions_made:
+        assert set(vars(d)) <= {f.name for f in fields(d)} | {"_masks"}

@@ -7,7 +7,7 @@ import pytest
 from conftest import all_red, near_complete_coloured, rand_coloured, split_edges
 from tcr.augment import (AugmentationState, DriverParams, augment_once,
                          initial_matching, run_driver, verify_case_hypotheses)
-from oracles import fractional_to_matching
+from oracles import component_of, fractional_to_matching
 from tcr.blowup import blow_up
 from tcr.blueprint import build_blueprint, is_good
 from tcr.errors import HypothesisViolated
@@ -59,9 +59,9 @@ def test_initial_split_goes_blue():
     out = initial_matching(ch, bp, red_id, DriverParams(), rng)
     assert out.colour is Colour.BLUE
     assert len(out.matching) >= 2
-    decomp = bp.decomposition
+    ids = component_of(bp.decomposition)
     for e in out.matching:
-        assert decomp.component_of[e] == out.component
+        assert ids[e] == out.component
         assert is_good(bp, e)
 
 
@@ -148,7 +148,7 @@ def test_augment_u_case_output_is_fact_at_s5():
             edges.append(("B", e))
     ch = build(4, 17, edges)
     decomp = monochromatic_components(ch)
-    r0 = decomp.component_of[(1, 2, 3, 4)]
+    r0 = component_of(decomp)[(1, 2, 3, 4)]
     assign = {p: r0 for p in itertools.combinations(range(1, 10), 2)}
     bp = make_blueprint(ch, Fraction(1, 2), assign)
     M = ((1, 2, 3, 4), (5, 6, 7, 8))
@@ -179,7 +179,8 @@ def test_augment_soundness_on_dense_random():
     ok, violation = validate_fractional(ch, step.fractional)
     assert ok, violation
     decomp = bp.decomposition
-    comp_ids = {decomp.component_of[e] for e in step.fractional.weights}
+    ids = component_of(decomp)
+    comp_ids = {ids[e] for e in step.fractional.weights}
     assert len(comp_ids) <= 1
     for e in step.fractional.weights:
         assert is_good(bp, e)
@@ -238,7 +239,8 @@ def test_augment_blue_case_on_split():
     assert out.fractional is not None
     ok, violation = validate_fractional(ch, out.fractional)
     assert ok, violation
-    comp_ids = {decomp.component_of[e] for e in out.fractional.weights}
+    ids = component_of(decomp)
+    comp_ids = {ids[e] for e in out.fractional.weights}
     assert len(comp_ids) == 1
     for e in out.fractional.weights:
         assert is_good(bp, e)
@@ -320,10 +322,10 @@ def test_driver_swapped_run_reports_the_input_component():
                        for e in itertools.combinations(range(1, 25), 4)])
     rep = run_driver(ch, DriverParams(), seed=7)
     assert rep.colour_swapped
-    decomp = monochromatic_components(ch)
+    ids = component_of(monochromatic_components(ch))
     assert rep.best.weights
     for e in rep.best.weights:
-        assert decomp.component_of[e] == rep.final_component
+        assert ids[e] == rep.final_component
         assert ch.colour[e] is rep.final_colour
 
 
@@ -340,7 +342,8 @@ def test_fractional_step_converts_to_blown_matching():
     m = fractional_to_matching(bmap, phi)
     assert len(m) == 5 == phi.weight() * 4
     blown_decomp = monochromatic_components(blown)
-    assert len({blown_decomp.component_of[e] for e in m}) == 1
+    ids = component_of(blown_decomp)
+    assert len({ids[e] for e in m}) == 1
 
 
 def star_fixture(N):
@@ -351,8 +354,8 @@ def star_fixture(N):
     ch = build(4, N, [("R" if e[0] == 1 else "B", e)
                       for e in itertools.combinations(range(1, N + 1), 4)])
     decomp = monochromatic_components(ch)
-    red_id = decomp.component_of[(1, 2, 3, 4)]
-    blue_id = decomp.component_of[(2, 3, 4, 5)]
+    ids = component_of(decomp)
+    red_id, blue_id = ids[(1, 2, 3, 4)], ids[(2, 3, 4, 5)]
     assign = {p: red_id for p in itertools.combinations(range(1, N + 1), 2)}
     return ch, make_blueprint(ch, Fraction(1, 2), assign), red_id, blue_id
 
@@ -422,7 +425,8 @@ def test_red_star_route_on_hand_built_blueprint(with_partner):
     red = [(1, 2, 3, 4), (2, 3, 4, 6), (3, 4, 6, 7), (4, 6, 7, 8)]
     ch = build(4, 8, [("B", e) for e in blue] + [("R", e) for e in red])
     decomp = monochromatic_components(ch)
-    blue_id, red_id = decomp.component_of[(5, 6, 7, 8)], decomp.component_of[(1, 2, 3, 4)]
+    ids = component_of(decomp)
+    blue_id, red_id = ids[(5, 6, 7, 8)], ids[(1, 2, 3, 4)]
     assign = {p: blue_id for p in itertools.combinations(range(1, 9), 2)}
     bp = make_blueprint(ch, Fraction(1, 2), assign)
     state = AugmentationState(((5, 6, 7, 8),), Colour.BLUE, blue_id)

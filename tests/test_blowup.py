@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import all_red, rand_coloured
-from oracles import fractional_to_matching, matching_to_fractional, project_edge
+from oracles import component_of, fractional_to_matching, matching_to_fractional, project_edge
 from tcr.blowup import blow_up
 from tcr.errors import SizeCapExceeded
 from tcr.hypergraph import Colour, build
@@ -183,10 +183,11 @@ def test_blown_matching_equals_r_times_fractional(seed):
     r = rng.choice((2, 3))
     blown, bmap = blow_up(ch, r)
     blown_decomp = monochromatic_components(blown)
+    ids = component_of(blown_decomp)
     for cid, comp in enumerate(decomp.components):
         f = min(comp)
         star = tuple(sorted(bmap.classes[x][0] for x in f))
-        blown_comp = blown_decomp.edges_of(blown_decomp.component_of[star])
+        blown_comp = blown_decomp.edges_of(ids[star])
         size = max_matching_exact(blown_comp).size
         frac = max_r_fractional(comp, r).weight()
         assert Fraction(size) == r * frac

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (all_red, complete_random_coloured, near_complete_coloured,
                       rand_coloured, split_edges)
-from oracles import blueprint_blowup, shadow_masks_brute
+from oracles import blueprint_blowup, component_of, shadow_masks_brute
 from tcr.blowup import blow_up
 from tcr.blueprint import (blueprint_eps_for_density,
                            build_blueprint, check_blueprint, compute_B_W,
@@ -392,13 +392,14 @@ def test_compute_bw_split_instance():
     W = tuple(range(3, 13))   # inside Y, no good red edge
     out = compute_B_W(ch, bp, red_id, W)
     decomp = bp.decomposition
+    ids = component_of(decomp)
     assert decomp.colour(out.component) is Colour.BLUE
     assert out.gamma                                     # red pairs exist in W
     for T, hits in out.gamma.items():
         assert hits
         for w in hits:
             edge = tuple(sorted(T + (w,)))
-            assert decomp.component_of[edge] == out.component
+            assert ids[edge] == out.component
             assert is_good(bp, edge)
 
 

@@ -89,7 +89,7 @@ def augment_outcome(instance, cid, size):
     bp = build_blueprint(CH, params.eps).blueprint
     (R_id,) = {bp.assign[e] for e in bp.pairs_of_colour(Colour.RED)}
     decomp = bp.decomposition
-    M = tuple(sorted(_greedy_good(CH, bp, decomp.edges_of(cid))[:size]))
+    M = tuple(sorted(_greedy_good(CH, bp, decomp._sorted[cid])[:size]))
     state = AugmentationState(M, decomp.colour(cid), cid)
     out = augment_once(CH, bp, R_id, state, params, random.Random(7))
     phi = out.fractional

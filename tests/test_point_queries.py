@@ -12,8 +12,8 @@ import re
 from fractions import Fraction
 
 from conftest import complete_random_coloured, split_edges
-from oracles import (compute_B_W_reference, good_flags_reference, greedy_good_reference,
-                     is_suitable_pair_reference)
+from oracles import (component_of, compute_B_W_reference, good_flags_reference,
+                     greedy_good_reference, is_suitable_pair_reference)
 from tcr import blueprint
 from tcr.augment import DriverParams, _greedy_good
 from tcr.blueprint import (build_blueprint, compute_B_W, good_flags, is_suitable_pair,
@@ -131,8 +131,9 @@ def hand_built():
     CH = build(4, 8, [("R" if e in ((1, 2, 3, 4), (5, 6, 7, 8)) else "B", e)
                       for e in itertools.combinations(range(1, 9), 4)])
     decomp = monochromatic_components(CH)
-    R_id = decomp.component_of[(5, 6, 7, 8)]
-    assign = {p: decomp.component_of[(1, 2, 3, 5)] for p in itertools.combinations(range(1, 5), 2)}
+    ids = component_of(decomp)
+    R_id = ids[(5, 6, 7, 8)]
+    assign = {p: ids[(1, 2, 3, 5)] for p in itertools.combinations(range(1, 5), 2)}
     assign[(1, 2)] = R_id
     bp = make_blueprint(CH, Fraction(1, 2), assign)
     forged = dataclasses.replace(bp, masks={p: (1 << 9) - 2 for p in bp.masks})
@@ -226,6 +227,7 @@ def test_gamma_edges_are_good_edges_of_the_attached_component():
     for make in COLOURINGS.values():
         CH = make(rng)
         for bp in blueprints(CH, rng):
+            ids = component_of(bp.decomposition)
             for R_id in red_ids(bp):
                 for W in w_sets(bp, CH.n, rng):
                     res = outcome(compute_B_W, CH, bp, R_id, W)
@@ -234,7 +236,7 @@ def test_gamma_edges_are_good_edges_of_the_attached_component():
                     for T, hits in res.gamma.items():
                         for w in hits:
                             edge = tuple(sorted(T + (w,)))
-                            assert bp.decomposition.component_of[edge] == res.component
+                            assert ids[edge] == res.component
                             assert all(good_flags_reference(bp, edge))
                             checked += 1
     assert checked > 1000
@@ -254,16 +256,26 @@ def test_compute_bw_tests_each_attachment_edge_once(monkeypatch):
     attached = {tuple(sorted(T + (w,))) for T, hits in res.gamma.items() for w in hits}
     visits = sum(len(hits) for hits in res.gamma.values())
     red_inside = [e for e in itertools.combinations(W, 4)
-                  if bp.decomposition.component_of.get(e) == R_id]
+                  if e in bp.decomposition.components[R_id]]
     assert visits > len(attached) > 0
     assert len(calls) == len(attached) + len(red_inside)
     assert bw_library(CH, bp, R_id, W) == bw_reference(CH, bp, R_id, W)
 
 
-def test_greedy_good_without_forbidden_vertices_takes_any_iterable():
+def test_greedy_good_without_forbidden_vertices_reads_the_given_order():
+    """Without `forbidden`, `_greedy_good` first-fits over the edges in the
+    order given (its callers pass canonical order); with it, even empty, it
+    takes any set-like container."""
     CH = threshold(10, 1)
     bp = build_blueprint(CH, EPS).blueprint
-    edges = sorted(CH.graph.edges, reverse=True)[:40]
+    edges = sorted(CH.graph.edges)[-40:]
     assert _greedy_good(CH, bp, edges) == greedy_good_reference(bp, edges)
     assert _greedy_good(CH, bp, edges)
+    assert _greedy_good(CH, bp, frozenset(edges), frozenset()) == greedy_good_reference(bp, edges)
+    first_fit, used = [], set()
+    for e in reversed(edges):
+        if not used.intersection(e) and all(good_flags_reference(bp, e)):
+            first_fit.append(e)
+            used.update(e)
+    assert _greedy_good(CH, bp, edges[::-1]) == first_fit != greedy_good_reference(bp, edges)
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import all_red, complete_kgraph, rand_coloured, split_edges
-from oracles import (bfs_tight_walk, brute_components, verify_cycle_witness,
+from oracles import (bfs_tight_walk, brute_components, component_of, verify_cycle_witness,
                      verify_path_witness)
 from tcr import tight
 from tcr.blueprint import pair_shadow_masks
@@ -55,18 +55,48 @@ def test_components_match_bfs_oracle_and_are_order_independent(seed):
     assert d2.components == d.components
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.integers(0, 10_000))
-def test_component_sets_k2_match_bfs_oracle(seed):
-    """With k = 2 the int-keyed routine gives the connected components of a
-    graph, and its bucket map sends each vertex to its component."""
-    rng = random.Random(seed)
-    pool = list(itertools.combinations(range(1, 13), 2))
-    edges = rng.sample(pool, rng.randint(0, 20))
+def assert_component_sets(k, edges):
+    """`_component_sets` gives the tight components of `edges`, each in
+    canonical order, and a bucket map sending every (k-1)-subset of every
+    edge, keyed by its vertex bitmask, to its group; returns the groups."""
     groups, buckets = _component_sets(edges)
-    assert [frozenset(g) for g in groups] == brute_components(2, edges)
+    assert [frozenset(g) for g in groups] == brute_components(k, edges)
     assert all(g == sorted(g) for g in groups)
-    assert buckets == {1 << v: cid for cid, g in enumerate(groups) for e in g for v in e}
+    masks = {e: sum(1 << v for v in e) for e in edges}
+    assert buckets == {masks[e] ^ (1 << v): gid for gid, g in enumerate(groups)
+                       for e in g for v in e}
+    return groups
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000))
+def test_component_sets_match_bfs_oracle(seed):
+    """For k = 2..5, on samples from a single edge to the complete k-graph,
+    the run-and-fiber grouping agrees with the BFS oracle (for k = 2: the
+    connected components of a graph, each vertex bucketed to its own)."""
+    rng = random.Random(seed)
+    k = rng.randint(2, 5)
+    pool = list(itertools.combinations(range(1, rng.randint(k + 1, 10) + 1), k))
+    density = rng.choice((0.05, 0.2, 0.5, 0.8, 1.0))
+    edges = [e for e in pool if rng.random() < density] or [rng.choice(pool)]
+    rng.shuffle(edges)
+    assert_component_sets(k, edges)
+
+
+def test_component_sets_join_two_parts_of_a_fiber():
+    """The runs (1,2)[5] and (1,3)[6] leave two parts, {2,5} and {3,6}, in
+    the fiber of {1}; the later run (1,4)[5,6] meets both and joins them."""
+    edges = [(1, 2, 5), (1, 3, 6), (1, 4, 5), (1, 4, 6)]
+    assert assert_component_sets(3, edges) == [sorted(edges)]
+    assert assert_component_sets(3, edges[:2]) == [[(1, 2, 5)], [(1, 3, 6)]]
+
+
+def test_component_sets_of_single_edge_runs():
+    """A tight path, each of whose edges is its own run, joined only through
+    the shared (k-1)-sets filed by each run's largest first vertex, beside
+    one disjoint edge."""
+    path = [tuple(range(v, v + 4)) for v in range(1, 6)]
+    assert assert_component_sets(4, path + [(9, 10, 11, 12)]) == [path, [(9, 10, 11, 12)]]
 
 
 def test_swapped_graph_carries_its_decomposition():
@@ -80,7 +110,7 @@ def test_swapped_graph_carries_its_decomposition():
     fresh = monochromatic_components(fresh_graph)
     assert carried is not fresh and carried is not original
     assert carried == fresh   # components, colour_of
-    assert carried.component_of == fresh.component_of
+    assert component_of(carried) == component_of(fresh)
     assert carried._sorted == fresh._sorted
     # the swap reorders the original's component sets instead of remaking them
     assert sorted(map(id, carried.components)) == sorted(map(id, original.components))
@@ -90,6 +120,21 @@ def test_swapped_graph_carries_its_decomposition():
     assert carried.colour(0) is Colour.RED
 
 
+def test_id_of_reads_the_edge_id_from_the_bucket_maps():
+    """`id_of` agrees with the edge -> id map in a monochromatic
+    decomposition, in its colour-swapped carry-over and in a plain one."""
+    ch = rand_coloured(4, 10, 24, random.Random(11))
+    mono = monochromatic_components(ch)
+    swapped = monochromatic_components(ch.swapped())
+    plain = tight_components(ch.graph)
+    mono_ids, swapped_ids, plain_ids = map(component_of, (mono, swapped, plain))
+    for e, colour in ch.colour.items():
+        assert mono.id_of(e, colour) == mono_ids[e]
+        assert swapped.id_of(e, colour.opposite) == swapped_ids[e]
+        assert plain.id_of(e, None) == plain_ids[e]
+    assert len(mono.components) == 9   # three red, six blue
+
+
 @settings(max_examples=15, deadline=None)
 @given(st.integers(0, 10_000))
 def test_walk_oracle_within_and_across_components(seed):
@@ -97,9 +142,10 @@ def test_walk_oracle_within_and_across_components(seed):
     ch = rand_coloured(4, 8, rng.randint(2, 18), rng)
     d = tight_components(ch.graph)
     edges = sorted(ch.graph.edges)
+    ids = component_of(d)
     for e1, e2 in itertools.combinations(edges[:8], 2):
         walk = bfs_tight_walk(4, edges, e1, e2)
-        same = d.component_of[e1] == d.component_of[e2]
+        same = ids[e1] == ids[e2]
         assert (walk is not None) == same
         if walk:
             assert ch.graph.edges.issuperset(walk)
@@ -211,6 +257,7 @@ def test_blow_up_component_compatibility():
     base = monochromatic_components(ch)
     star = monochromatic_components(blown)
     assert len(base.components) == len(star.components)
+    ids = component_of(base)
     for comp in star.components:
-        base_ids = {base.component_of[project_edge(bmap, e)] for e in comp}
+        base_ids = {ids[project_edge(bmap, e)] for e in comp}
         assert len(base_ids) == 1
