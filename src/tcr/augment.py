@@ -13,6 +13,7 @@ forcing an answer.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -105,27 +106,28 @@ def _max_bipartite(admissible: dict) -> dict:
     return {u: f for f, u in sorted(match_f.items())}
 
 
-def _greedy_good(CH, bp, edges, forbidden=None):
-    """First-fit maximal matching among good edges avoiding forbidden vertices,
-    in canonical edge order.  With `forbidden` given (a vertex set, possibly
-    empty), `edges` must be set-like: the candidates are its members among
-    the k-subsets of CH's free vertices, so the work follows the free
-    vertices, not the size of `edges`.  Without it, `edges` is read in the
-    order given, which every caller passes canonical (a component's edge
-    list or an `edges_within` result), so it is not sorted again."""
-    if forbidden is not None:
-        candidates = edges_within(edges, set(range(1, CH.n + 1)).difference(forbidden),
-                                  CH.k)
-    else:
-        candidates = edges
+def _greedy_good(CH, bp, edges, forbidden=()):
+    """First-fit maximal matching among the good edges of `edges`, a
+    sequence in canonical order, that avoid the `forbidden` vertices.
+
+    When an edge's j-th vertex is used, every later edge that shares its
+    first j + 1 vertices is used too, and these form one run of `edges`:
+    the scan bisects past the run instead of reading it.  CH is unread;
+    perfbench/selftest.py calls this with it."""
     out = []
-    used = set()
-    for e in candidates:
-        if used.intersection(e):
-            continue
-        if is_good(bp, e):
-            out.append(e)
-            used.update(e)
+    used = set(forbidden)
+    i, end = 0, len(edges)
+    while i < end:
+        e = edges[i]
+        for j, v in enumerate(e):
+            if v in used:
+                i = bisect_left(edges, e[:j] + (v + 1,), i + 1)
+                break
+        else:
+            if is_good(bp, e):
+                out.append(e)
+                used.update(e)
+            i += 1
     return out
 
 
@@ -333,7 +335,7 @@ def _partner_route(CH, bp, cid, u2, W2, rng, trace, name, inside):
     forbidden = set(support_of(m1))
     if inside:
         forbidden |= set(range(1, CH.n + 1)).difference(W2)
-    m2 = _greedy_good(CH, bp, c_edges, forbidden=forbidden)
+    m2 = _greedy_good(CH, bp, decomp._sorted[cid], forbidden=forbidden)
     entry = {"claim": f"{name}_route", "partners": len(m1)}
     entry.update({"component": cid, "inside": len(m2)} if inside else {"disjoint": len(m2)})
     trace.append(entry)
@@ -377,7 +379,7 @@ def augment_once(CH: ColouredKGraph, bp: Blueprint, R_id: int,
     trace = []
 
     # maximality repair: extend M greedily inside its component
-    added = _greedy_good(CH, bp, c_edges, forbidden=support_of(state.matching))
+    added = _greedy_good(CH, bp, decomp._sorted[cid], forbidden=support_of(state.matching))
     M = tuple(sorted([*state.matching, *added]))
     next_matchings = []
     if added:

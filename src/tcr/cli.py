@@ -18,8 +18,9 @@ line "<R|B> v1 ... vk" with strictly increasing vertices; "#" starts a
 comment; UTF-8 with LF line endings.  Each rule is checked once: the parser
 checks the header, the letters, the integers and the arity of each block of
 lines, and `hypergraph.build` checks k >= 2 and n >= k, then the order and
-range of each block's vertices and the repeats; a block that fails is
-scanned line by line for the first faulty line.
+range of each block's vertices and, once the input leaves canonical order,
+the repeats; a block that fails is scanned line by line for the first
+faulty line.
 """
 from __future__ import annotations
 
@@ -78,7 +79,7 @@ COMMENT = re.compile(r"#[^\n]*")
 FIRST_TOKEN = re.compile(r"^[^\S\n]*(\S*)", re.M)   # per line; "" on a blank line
 
 
-def _block_tokens(block: list, k: int):
+def _block_tokens(block: list, k: int, table: dict):
     """The letters and integer vertices of a block of body lines, or None
     when some line needs the per-line scan.
 
@@ -86,7 +87,12 @@ def _block_tokens(block: list, k: int):
     (every (k+1)-th token) hold R or B, every other token is an integer and
     each non-blank line starts at a slot.  A line with the wrong arity puts
     a letter in a vertex slot, a vertex in a letter slot or breaks the token
-    count.  Order and range are `build`'s one block check."""
+    count.  Order and range are `build`'s one block check.
+
+    Vertices are read through `table`, the parse's str -> int map of the
+    plain decimal vertices; a block with any other token ("07", "+7", a
+    vertex beyond the table) is converted by `int` instead, so every value
+    and every error is `int`'s."""
     chunk = "\n".join(block)
     if "#" in chunk:
         chunk = COMMENT.sub("", chunk)
@@ -106,6 +112,10 @@ def _block_tokens(block: list, k: int):
             return None
     if starts != len(letters):
         return None
+    try:
+        return letters, list(map(table.__getitem__, tokens))
+    except KeyError:
+        pass
     try:
         return letters, list(map(int, tokens))
     except ValueError:
@@ -142,10 +152,13 @@ def parse_coloured_hypergraph(text: str) -> ColouredKGraph:
     block's tokens as a whole (`_block_tokens`: letters, integers, arity)
     and hands the letters and integers to `build`, which checks order and
     range once (`hypergraph._columns`) and rejects an edge given in both
-    colours.  A block that fails either check is scanned line by line,
-    which raises at the first faulty line.  So a line fault is reported at
-    the first faulty line, and a colour conflict only when no line before
-    it in its block or an earlier one is faulty."""
+    colours.  Vertex tokens are read through one str -> int table of the
+    plain decimals up to min(n, body lines), so its size follows the input;
+    a block with any other token is read by `int`.  A block that fails
+    either check is scanned line by line, which raises at the first faulty
+    line.  So a line fault is reported at the first faulty line, and a
+    colour conflict only when no line before it in its block or an earlier
+    one is faulty."""
     lines = text.split("\n")
     header = []
     for lineno, raw in enumerate(lines, start=1):
@@ -172,10 +185,12 @@ def parse_coloured_hypergraph(text: str) -> ColouredKGraph:
     except ValueError:
         raise ParseError(f"non-integer dimensions in {dims!r}", lineno) from None
 
+    table = {str(v): v for v in range(1, min(n, len(lines) - lineno) + 1)}
+
     def blocks():
         for start in range(lineno, len(lines), BLOCK_LINES):
             block = lines[start:start + BLOCK_LINES]
-            tokens = _block_tokens(block, k)
+            tokens = _block_tokens(block, k, table)
             scan = _scanned_lines(block, start + 1, k, n)
             if tokens is None:
                 yield None, None, None, scan

@@ -6,7 +6,9 @@ verdict is an exact Fraction; no floating point is used anywhere.
 
 `build` is where an edge is checked, for library callers and for the tcg
 parser alike: `_columns` is the one order and range check of a block of
-edges, and a block that passes needs only the two repeat tests before it is
+edges.  While the input comes in canonical order, as serialize writes it, a
+block that passes and continues that order cannot repeat an edge and is
+added as it is; any other block needs the two repeat tests before it is
 added.  The parser checks only what is textual (header, letters, integers,
 arity) and hands its integers to `build` through `_Blocks`.
 
@@ -189,19 +191,32 @@ def _pair_blocks(coloured_edges, k: int):
         yield (*_flattened(block, k), block)
 
 
-def _add_checked(colour: dict, cs, es, verts: list, k: int, n: int) -> bool:
-    """Add a flattened block after the one block check (`_columns`) and the
-    two repeat tests, within the block and against earlier blocks; or add
-    nothing and return False.  With `es` None the edges are made from the
-    vertex columns."""
+def _add_checked(colour: dict, cs, es, verts: list, k: int, n: int, last):
+    """Add a flattened block after the one block check (`_columns`), and
+    return the last edge of the canonical prefix after it; or add nothing
+    and return False.  With `es` None the edges are made from the vertex
+    columns.
+
+    `last` is the last edge added while every block so far came strictly
+    increasing, each after the one before (() before the first block), or
+    None once the input has left canonical order.  A block that is strictly
+    increasing and starts after `last` cannot repeat an edge, so it is added
+    as it is.  Any other block needs the two repeat tests, within the block
+    and against earlier blocks, and ends the canonical prefix."""
     cols = _columns(verts, k, n)
     if cols is None:
         return False
-    new = dict(zip(zip(*cols) if es is None else es, cs))
-    if len(new) != len(cols[0]) or not colour.keys().isdisjoint(new):
+    edges = list(zip(*cols)) if es is None else es
+    if not edges:
+        return last
+    if last is not None and last < edges[0] and all(map(lt, edges, edges[1:])):
+        colour.update(zip(edges, cs))
+        return edges[-1]
+    new = dict(zip(edges, cs))
+    if len(new) != len(edges) or not colour.keys().isdisjoint(new):
         return False
     colour.update(new)
-    return True
+    return None
 
 
 def _add_each(colour: dict, pairs, k: int, n: int) -> None:
@@ -226,11 +241,13 @@ def build(k: int, n: int, coloured_edges) -> ColouredKGraph:
     A duplicate edge is tolerated when its colour agrees and rejected
     otherwise.  The pairs are read in blocks of BLOCK.  A block of letters
     or Colours and tuples of ints is checked once by `_columns` (order and
-    range) and added as a whole when no edge repeats; any other block goes
-    edge by edge, which sorts each edge and raises the first fault in input
-    order.  The tcg parser hands its blocks over through `_Blocks`, so its
-    edges get the same one check.  The two colour classes are kept for
-    `edges_of`.
+    range) and added as a whole: with no repeat test while the input is in
+    canonical order (`_add_checked`), else when no edge repeats.  Any other
+    block goes edge by edge, which sorts each edge and raises the first
+    fault in input order.  The tcg parser hands its blocks over through
+    `_Blocks`, so its edges get the same one check.  The two colour classes
+    are kept for `edges_of`; when every block kept canonical order they are
+    read in insertion order, else from the sorted edges.
     """
     if k < 2:
         raise MalformedEdge(f"uniformity {k} < 2")
@@ -239,16 +256,19 @@ def build(k: int, n: int, coloured_edges) -> ColouredKGraph:
     blocks = (coloured_edges.blocks if isinstance(coloured_edges, _Blocks)
               else _pair_blocks(coloured_edges, k))
     colour = {}
+    last = ()
     for cs, es, verts, pairs in blocks:
-        if verts is None or not _add_checked(colour, cs, es, verts, k, n):
+        last = False if verts is None else _add_checked(colour, cs, es, verts, k, n, last)
+        if last is False:
             _add_each(colour, pairs, k, n)
-    # a tcg file that serialize wrote, or any input in canonical order, is
-    # already sorted: its classes come from the colours in insertion order
-    edges = tuple(colour)
-    if all(map(lt, edges, edges[1:])):
+            last = None
+    # input in canonical order, as serialize writes it, gets its classes from
+    # the colours in insertion order
+    if last is not None:
+        edges = tuple(colour)
         cs = colour.values()
     else:
-        edges = tuple(sorted(edges))
+        edges = tuple(sorted(colour))
         cs = list(map(colour.__getitem__, edges))
     graph = KGraph(k, n, frozenset(colour))
     object.__setattr__(graph, "_sorted", edges)

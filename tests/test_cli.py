@@ -2,8 +2,10 @@ import gc
 import itertools
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 from math import comb
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -165,6 +167,45 @@ def test_parse_serialize_round_trip(seed):
     assert serialize_coloured_hypergraph(again) == canonical
     direct = build(ch.k, ch.n, [(c, e) for e, c in ch.colour.items()])
     assert serialize_coloured_hypergraph(direct) == canonical
+
+
+@pytest.mark.parametrize("plain, token", [("7", "07"), ("7", "+7"), ("10", "1_0"),
+                                          ("3", "\u0663"), ("1", "0"), ("12", "13")])
+def test_tokens_outside_the_table_are_read_by_int(plain, token):
+    """The parser reads plain decimal vertices through a table and any
+    other token through `int`, in whichever block it sits: "07", "+7",
+    "1_0" and an Arabic-Indic 3 give the graph of the plain text, and 0 or
+    n + 1 the reference parser's ParseError at its line."""
+    lines = [c + " " + " ".join(map(str, e)) for c, e in (
+        ("R" if sum(e) % 3 else "B", e) for e in itertools.combinations(range(1, 13), 4))][:40]
+    at = next(i for i in range(8, 40) if plain in lines[i].split())
+    odd = [*lines]
+    odd[at] = " ".join(token if f == plain else f for f in lines[at].split())
+    text, plain_text = ("tcg 1\nk=4 n=12\n" + "\n".join(body) + "\n" for body in (odd, lines))
+    expected = parse_outcome(parse_reference, text)
+    assert expected == (parse_outcome(parse_reference, plain_text) if token not in ("0", "13")
+                        else (ParseError, at + 3))
+    for block in (8, cli.BLOCK_LINES):
+        with mock.patch.object(cli, "BLOCK_LINES", block):
+            assert parse_outcome(parse_coloured_hypergraph, text) == expected
+
+
+def test_huge_vertex_count_over_a_short_body():
+    """A header with n = 10^9 over three lines parses in under a megabyte:
+    the vertex table is bounded by the body, and a vertex beyond it is read
+    by `int`."""
+    top = 10**9
+    text = (f"tcg 1\nk=4 n={top}\nR 1 2 3 4\nB 1 2 3 {top}\n"
+            f"R {top - 3} {top - 2} {top - 1} {top}\n")
+    tracemalloc.start()
+    try:
+        got = parse_outcome(parse_coloured_hypergraph, text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == parse_outcome(parse_reference, text)
+    assert got[:2] == (4, top) and len(got[3]) == 3
+    assert peak < 1 << 20
 
 
 def test_cli_extremal_split_verify(capsys):

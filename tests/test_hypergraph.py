@@ -144,6 +144,52 @@ def test_build_conflict_across_a_full_size_block_boundary(tmp_path, capsys, offs
     assert clean == build_outcome(build_reference, 4, 20, pairs[:hypergraph.BLOCK + offset])
 
 
+CANON = [("R" if sum(e) % 3 else "B", e) for e in itertools.combinations(range(1, 9), 4)][:12]
+
+# CANON's edges in the order given, read in blocks of four, and the position
+# of the repeat that may take the other colour; each second block is
+# strictly increasing and starts after the first block's last edge
+CHAIN_CASES = {
+    # a repeat of the first block's last edge
+    "boundary": ([0, 1, 2, 3, 3, *range(4, 12)], 4),
+    # of a middle edge, though it comes after the first block's first edge
+    "middle": ([0, 1, 2, 3, 1, *range(4, 12)], 4),
+    # of an edge of a first block that is out of order but repeats nothing
+    "after_dict_block": ([5, 0, 1, 2, 3, 4, 5, *range(6, 12)], 6),
+    # of an edge of a first block that repeats an edge in its own colour
+    "after_scanned_block": ([0, 5, 1, 1, 2, 3, 4, 5, *range(6, 12)], 7),
+}
+
+
+@pytest.mark.parametrize("same", [True, False])
+@pytest.mark.parametrize("case", sorted(CHAIN_CASES))
+def test_repeats_that_end_the_canonical_prefix(case, same):
+    """A block that is strictly increasing and starts after the last edge
+    of the canonical prefix is added without repeat tests; every other
+    block ends the prefix.  So a repeat is caught wherever it sits: as the
+    first edge after a block boundary, of the previous block's last or a
+    middle edge, or of an edge of an earlier block that was out of order or
+    held a repeat.  In its own colour it is tolerated and the graph is
+    CANON's; in the other colour `build` and the parser raise
+    ConflictingColour, as the per-edge loop and the reference parser do."""
+    order, flipped = CHAIN_CASES[case]
+    pairs = [CANON[i] for i in order]
+    if not same:
+        c, e = pairs[flipped]
+        pairs[flipped] = (Colour(c).opposite.value, e)
+    text = "tcg 1\nk=4 n=8\n" + "".join(c + " " + " ".join(map(str, e)) + "\n"
+                                        for c, e in pairs)
+    expected = build_outcome(build_reference, 4, 8, pairs)
+    expected_text = parse_outcome(parse_reference, text)
+    if same:
+        assert expected == build_outcome(build_reference, 4, 8, CANON)
+    else:
+        assert expected[0] is expected_text[0] is ConflictingColour
+    with mock.patch.object(hypergraph, "BLOCK", 4), mock.patch.object(cli, "BLOCK_LINES", 4):
+        assert build_outcome(build, 4, 8, pairs) == expected
+        assert parse_outcome(parse_coloured_hypergraph, text) == expected_text
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10_000))
 def test_degree_double_counting(seed):

@@ -152,7 +152,7 @@ def test_point_queries_match_their_scanning_references():
                 assert good_flags(bp, f) == good_flags_reference(bp, f), (name, f)
             decomp = bp.decomposition
             for cid in range(len(decomp.components)):
-                edges = decomp.edges_of(cid)
+                edges = decomp._sorted[cid]
                 for size in (0, 2, 5, CH.n // 2, CH.n - 4):
                     forbidden = frozenset(rng.sample(range(1, CH.n + 1), size))
                     assert (_greedy_good(CH, bp, edges, forbidden)
@@ -262,20 +262,28 @@ def test_compute_bw_tests_each_attachment_edge_once(monkeypatch):
     assert bw_library(CH, bp, R_id, W) == bw_reference(CH, bp, R_id, W)
 
 
-def test_greedy_good_without_forbidden_vertices_reads_the_given_order():
-    """Without `forbidden`, `_greedy_good` first-fits over the edges in the
-    order given (its callers pass canonical order); with it, even empty, it
-    takes any set-like container."""
-    CH = threshold(10, 1)
-    bp = build_blueprint(CH, EPS).blueprint
-    edges = sorted(CH.graph.edges)[-40:]
-    assert _greedy_good(CH, bp, edges) == greedy_good_reference(bp, edges)
-    assert _greedy_good(CH, bp, edges)
-    assert _greedy_good(CH, bp, frozenset(edges), frozenset()) == greedy_good_reference(bp, edges)
-    first_fit, used = [], set()
-    for e in reversed(edges):
-        if not used.intersection(e) and all(good_flags_reference(bp, e)):
-            first_fit.append(e)
-            used.update(e)
-    assert _greedy_good(CH, bp, edges[::-1]) == first_fit != greedy_good_reference(bp, edges)
+class CountedReads(list):
+    """A list that counts its item reads, the scan's and bisect's alike."""
 
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+def test_greedy_good_bisects_past_used_prefix_runs():
+    """On the canonical edge list of K_14^(4) (1,001 edges), `_greedy_good`
+    first-fits as the full scan does, with or without forbidden vertices,
+    but reads under an eighth of the list: each run of edges sharing a
+    prefix that ends in a used vertex costs one bisection, not a read per
+    edge.  Forbidding 1-3 puts 671 edges in three such runs at the front;
+    forbidding 4 or 2 and 5 makes runs at every prefix length."""
+    CH = threshold(14, 1)
+    bp = build_blueprint(CH, EPS).blueprint
+    edges = CH.graph.sorted_edges
+    for forbidden in ((), {1, 2, 3}, {4}, {2, 5}, set(range(1, 7))):
+        counted = CountedReads(edges)
+        got = _greedy_good(CH, bp, counted, forbidden)
+        assert got == greedy_good_reference(bp, edges, forbidden), forbidden
+        assert got and counted.reads < len(edges) // 8, (forbidden, counted.reads)
