@@ -155,7 +155,7 @@ def check_blueprint(CH: ColouredKGraph, bp: Blueprint) -> BlueprintCheck:
     violations = []
     threshold = (1 - Fraction(bp.eps)) * CH.n
     for e, cid in bp.assign.items():
-        if cid >= len(decomp.components):
+        if not 0 <= cid < len(decomp.components):
             violations.append({"kind": "unknown_component", "edge": e, "component": cid})
             continue
         col = decomp.colour(cid)
@@ -417,7 +417,11 @@ def compute_B_W(CH: ColouredKGraph, bp: Blueprint, R_id: int, W) -> BWResult:
     either colour class's shadow.  Its attachment vertices are the bits of
     W's mask that survive the shadow masks of its three pairs and the
     neighbour masks of its three vertices, each then tested for an edge.
-    Each attachment edge is verified once, however many triples reach it.
+    Each attachment edge's colour and component are read once, however many
+    triples reach it.  An attachment edge is then a good edge of the
+    attached component with no further test: its six pairs are assigned,
+    its fourth vertex sees the triple's three pairs, and its component is
+    the one candidate.
     """
     W = tuple(sorted(set(W)))
     if not bp.vertex_set.issuperset(W):
@@ -442,7 +446,7 @@ def compute_B_W(CH: ColouredKGraph, bp: Blueprint, R_id: int, W) -> BWResult:
         w_mask |= 1 << w
     candidates = {}
     gamma = {}
-    attached = {}   # attachment edge -> None, in first-visit order
+    attached = set()
     for T in itertools.combinations(W, 3):
         a, b, c = T
         na, nb, nc = nbr.get(a, 0), nbr.get(b, 0), nbr.get(c, 0)
@@ -468,7 +472,7 @@ def compute_B_W(CH: ColouredKGraph, bp: Blueprint, R_id: int, W) -> BWResult:
             hits.append(w)
             if edge in attached:
                 continue
-            attached[edge] = None
+            attached.add(edge)
             if CH.colour[edge] is Colour.RED:
                 raise HypothesisViolated(
                     f"attachment edge {edge} is red (good red edge inside W)")
@@ -489,12 +493,6 @@ def compute_B_W(CH: ColouredKGraph, bp: Blueprint, R_id: int, W) -> BWResult:
             f"conflicting blue components {items[0][0]} ({items[0][1]}) "
             f"vs {items[1][0]} ({items[1][1]})")
     (b_id,) = candidates
-    # full verification of the attachment property: every attachment edge is
-    # a good edge of the attached component
-    for edge in attached:
-        if edge not in decomp.components[b_id] or not is_good(bp, edge):
-            raise InconsistentWitness(
-                f"attachment edge {edge} not good in component {b_id}")
     return BWResult(b_id, gamma)
 
 

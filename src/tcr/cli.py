@@ -18,9 +18,9 @@ line "<R|B> v1 ... vk" with strictly increasing vertices; "#" starts a
 comment; UTF-8 with LF line endings.  Each rule is checked once: the parser
 checks the header, the letters, the integers and the arity of each block of
 lines, and `hypergraph.build` checks k >= 2 and n >= k, then the order and
-range of each block's vertices and, once the input leaves canonical order,
-the repeats; a block that fails is scanned line by line for the first
-faulty line.
+range of each block's vertices; a block that fails, and every block after
+one out of canonical order, is scanned line by line and built edge by
+edge, which finds the first faulty line.
 """
 from __future__ import annotations
 
@@ -37,6 +37,7 @@ from fractions import Fraction
 from . import blowup as blowup_mod
 from . import blueprint as blueprint_mod
 from . import extremal as extremal_mod
+from . import hypergraph as hypergraph_mod
 from . import matchings as matchings_mod
 from .augment import (AugmentationState, DriverParams, augment_once, growth_setup,
                       initial_matching, run_driver)
@@ -73,21 +74,19 @@ FAILURES = (
 )
 
 
-BLOCK_LINES = 4096   # body lines checked together; bounds the tokens held at once
 LETTERS = {"R", "B"}
-COMMENT = re.compile(r"#[^\n]*")
-FIRST_TOKEN = re.compile(r"^[^\S\n]*(\S*)", re.M)   # per line; "" on a blank line
 
 
 def _block_tokens(block: list, k: int, table: dict):
-    """The letters and integer vertices of a block of body lines, or None
-    when some line needs the per-line scan.
+    """The letters and integer vertices of a block of body lines in the
+    plain layout that serialize writes, or None when some line needs the
+    per-line scan.
 
-    The block is split into tokens once.  It passes when the letter slots
-    (every (k+1)-th token) hold R or B, every other token is an integer and
-    each non-blank line starts at a slot.  A line with the wrong arity puts
-    a letter in a vertex slot, a vertex in a letter slot or breaks the token
-    count.  Order and range are `build`'s one block check.
+    The block passes when it holds no "#", every non-empty line starts
+    "R " or "B ", the letter slots (every (k+1)-th token) are the line
+    starts and every other token is an integer.  A line with the wrong
+    arity moves a letter out of its slot or breaks the token count.  Order
+    and range are `build`'s one block check.
 
     Vertices are read through `table`, the parse's str -> int map of the
     plain decimal vertices; a block with any other token ("07", "+7", a
@@ -95,22 +94,18 @@ def _block_tokens(block: list, k: int, table: dict):
     and every error is `int`'s."""
     chunk = "\n".join(block)
     if "#" in chunk:
-        chunk = COMMENT.sub("", chunk)
+        return None
+    # a line starts at a slot iff it starts with a letter; the empty lines
+    # (the file's last line among them) start none
+    lined = "\n" + chunk
+    starts = lined.count("\nR ") + lined.count("\nB ")
+    if starts != len(block) - block.count(""):
+        return None
     tokens = chunk.split()
     letters = tokens[::k + 1]
     del tokens[::k + 1]
-    if len(tokens) != k * len(letters) or not LETTERS.issuperset(letters):
-        return None
-    # a line starts at a slot iff it starts with a letter; two counts read
-    # the plain layout that serialize writes, the pattern any other
-    lined = "\n" + chunk
-    starts = lined.count("\nR ") + lined.count("\nB ")
-    if starts != len(block):
-        firsts = FIRST_TOKEN.findall(chunk)
-        starts = len(firsts) - firsts.count("")
-        if not LETTERS.issuperset(filter(None, firsts)):
-            return None
-    if starts != len(letters):
+    if (len(tokens) != k * len(letters) or len(letters) != starts
+            or not LETTERS.issuperset(letters)):
         return None
     try:
         return letters, list(map(table.__getitem__, tokens))
@@ -148,17 +143,18 @@ def _scanned_lines(block: list, lineno: int, k: int, n: int):
 def parse_coloured_hypergraph(text: str) -> ColouredKGraph:
     """Parse the tcg format; failures carry the offending line number.
 
-    The body is read in blocks of BLOCK_LINES lines.  The parser checks a
-    block's tokens as a whole (`_block_tokens`: letters, integers, arity)
-    and hands the letters and integers to `build`, which checks order and
-    range once (`hypergraph._columns`) and rejects an edge given in both
-    colours.  Vertex tokens are read through one str -> int table of the
-    plain decimals up to min(n, body lines), so its size follows the input;
-    a block with any other token is read by `int`.  A block that fails
-    either check is scanned line by line, which raises at the first faulty
-    line.  So a line fault is reported at the first faulty line, and a
-    colour conflict only when no line before it in its block or an earlier
-    one is faulty."""
+    The body is read in blocks of `hypergraph.BLOCK` lines.  The parser
+    checks a block's tokens as a whole (`_block_tokens`: layout, letters,
+    integers, arity) and hands the letters and integers to `build`, which
+    checks order and range once (`hypergraph._columns`) and rejects an edge
+    given in both colours.  Vertex tokens are read through one str -> int
+    table of the plain decimals up to min(n, body lines), so its size
+    follows the input; a block with any other token is read by `int`.  A
+    block that fails either check, and every block after one out of
+    canonical order, is scanned line by line, which raises at the first
+    faulty line.  So a line fault is reported at the first faulty line, and
+    a colour conflict only when no line before it in its block or an
+    earlier one is faulty."""
     lines = text.split("\n")
     header = []
     for lineno, raw in enumerate(lines, start=1):
@@ -188,8 +184,9 @@ def parse_coloured_hypergraph(text: str) -> ColouredKGraph:
     table = {str(v): v for v in range(1, min(n, len(lines) - lineno) + 1)}
 
     def blocks():
-        for start in range(lineno, len(lines), BLOCK_LINES):
-            block = lines[start:start + BLOCK_LINES]
+        size = hypergraph_mod.BLOCK
+        for start in range(lineno, len(lines), size):
+            block = lines[start:start + size]
             tokens = _block_tokens(block, k, table)
             scan = _scanned_lines(block, start + 1, k, n)
             if tokens is None:

@@ -5,12 +5,14 @@ structures are immutable after construction.  Every threshold that enters a
 verdict is an exact Fraction; no floating point is used anywhere.
 
 `build` is where an edge is checked, for library callers and for the tcg
-parser alike: `_columns` is the one order and range check of a block of
-edges.  While the input comes in canonical order, as serialize writes it, a
-block that passes and continues that order cannot repeat an edge and is
-added as it is; any other block needs the two repeat tests before it is
-added.  The parser checks only what is textual (header, letters, integers,
-arity) and hands its integers to `build` through `_Blocks`.
+parser alike, by one fast path and one reference path.  While the input
+comes in canonical order, as serialize writes it, a block that passes
+`_columns`, the one order and range check of a block of edges, and
+continues that order cannot repeat an edge and is added whole.  Any other
+block, and every block after it, goes through the per-edge loop, so input
+out of canonical order is built edge by edge.  The parser checks only what
+is textual (header, letters, integers, arity) and hands its integers to
+`build` through `_Blocks`.
 
 Degree thresholds for the density predicate use C(n-i, k-i), the degree a
 complete k-graph attains, so that K_n^(k) is (1, 0)-dense at every level.
@@ -136,10 +138,10 @@ LETTER_COLOUR = {"R": Colour.RED, "B": Colour.BLUE}
 
 class _Blocks:
     """The tcg parser's hand-off to `build`: in place of (colour, edge)
-    pairs, blocks (colours, None, vertices, pairs) in `_pair_blocks`' form.
-    `build` makes the edges from the vertex columns; a block whose vertices
-    are None, or that fails a check, is added from its pairs, the parser's
-    line scan."""
+    pairs, blocks (colours, None, vertices, pairs) in the form `build`
+    gives library pairs with `_flattened`.  `build` makes the edges from
+    the vertex columns; a block whose vertices are None, or that is not
+    added whole, is added from its pairs, the parser's line scan."""
 
     __slots__ = ("blocks",)
 
@@ -182,40 +184,24 @@ def _flattened(block: list, k: int) -> tuple:
     return cs, es, verts
 
 
-def _pair_blocks(coloured_edges, k: int):
-    """`build`'s (colour, edge) pairs in blocks of BLOCK, each as
-    (colours, edges, vertices, pairs): the block flattened by `_flattened`,
-    and the pairs themselves for the per-edge loop."""
-    pairs = iter(coloured_edges)
-    while block := list(itertools.islice(pairs, BLOCK)):
-        yield (*_flattened(block, k), block)
-
-
-def _add_checked(colour: dict, cs, es, verts: list, k: int, n: int, last):
-    """Add a flattened block after the one block check (`_columns`), and
-    return the last edge of the canonical prefix after it; or add nothing
-    and return False.  With `es` None the edges are made from the vertex
+def _add_checked(colour: dict, cs, es, verts: list, k: int, n: int, last: tuple):
+    """Add a flattened block whole and return its last edge, or add nothing
+    and return None.  With `es` None the edges are made from the vertex
     columns.
 
-    `last` is the last edge added while every block so far came strictly
-    increasing, each after the one before (() before the first block), or
-    None once the input has left canonical order.  A block that is strictly
-    increasing and starts after `last` cannot repeat an edge, so it is added
-    as it is.  Any other block needs the two repeat tests, within the block
-    and against earlier blocks, and ends the canonical prefix."""
+    `last` is the last edge added (() before the first block).  A block
+    that passes the one block check (`_columns`), is strictly increasing
+    and starts after `last` cannot repeat an edge, so it is added as it is;
+    an empty block adds nothing and returns `last`."""
     cols = _columns(verts, k, n)
     if cols is None:
-        return False
+        return None
     edges = list(zip(*cols)) if es is None else es
     if not edges:
         return last
-    if last is not None and last < edges[0] and all(map(lt, edges, edges[1:])):
+    if last < edges[0] and all(map(lt, edges, edges[1:])):
         colour.update(zip(edges, cs))
         return edges[-1]
-    new = dict(zip(edges, cs))
-    if len(new) != len(edges) or not colour.keys().isdisjoint(new):
-        return False
-    colour.update(new)
     return None
 
 
@@ -239,31 +225,33 @@ def build(k: int, n: int, coloured_edges) -> ColouredKGraph:
     Colour or its letter.
 
     A duplicate edge is tolerated when its colour agrees and rejected
-    otherwise.  The pairs are read in blocks of BLOCK.  A block of letters
-    or Colours and tuples of ints is checked once by `_columns` (order and
-    range) and added as a whole: with no repeat test while the input is in
-    canonical order (`_add_checked`), else when no edge repeats.  Any other
-    block goes edge by edge, which sorts each edge and raises the first
-    fault in input order.  The tcg parser hands its blocks over through
+    otherwise.  The pairs are read in blocks of BLOCK.  While the input
+    keeps canonical order, a block of letters or Colours and tuples of ints
+    that passes `_columns` (order and range) is added whole
+    (`_add_checked`).  Any other block, and every block after it, goes edge
+    by edge (`_add_each`), which sorts each edge and raises the first fault
+    in input order.  The tcg parser hands its blocks over through
     `_Blocks`, so its edges get the same one check.  The two colour classes
-    are kept for `edges_of`; when every block kept canonical order they are
-    read in insertion order, else from the sorted edges.
+    are kept for `edges_of`; when every block was added whole they are read
+    in insertion order, else from the sorted edges.
     """
     if k < 2:
         raise MalformedEdge(f"uniformity {k} < 2")
     if n < k:
         raise MalformedEdge(f"vertex count {n} < uniformity {k}")
-    blocks = (coloured_edges.blocks if isinstance(coloured_edges, _Blocks)
-              else _pair_blocks(coloured_edges, k))
+    if isinstance(coloured_edges, _Blocks):
+        blocks = coloured_edges.blocks
+    else:
+        source = iter(coloured_edges)
+        blocks = ((*_flattened(block, k), block)
+                  for block in iter(lambda: list(itertools.islice(source, BLOCK)), []))
     colour = {}
     last = ()
     for cs, es, verts, pairs in blocks:
-        last = False if verts is None else _add_checked(colour, cs, es, verts, k, n, last)
-        if last is False:
+        if last is not None:
+            last = None if verts is None else _add_checked(colour, cs, es, verts, k, n, last)
+        if last is None:
             _add_each(colour, pairs, k, n)
-            last = None
-    # input in canonical order, as serialize writes it, gets its classes from
-    # the colours in insertion order
     if last is not None:
         edges = tuple(colour)
         cs = colour.values()

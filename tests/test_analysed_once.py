@@ -18,7 +18,7 @@ from dataclasses import fields
 import pytest
 
 from conftest import threshold_colouring
-from tcr import cli, hypergraph, tight
+from tcr import hypergraph, tight
 from tcr.augment import DriverParams, run_driver
 from tcr.cli import parse_coloured_hypergraph, run, serialize_coloured_hypergraph
 from tcr.extremal import split_coloring
@@ -96,10 +96,10 @@ def test_each_block_gets_one_order_and_range_check(monkeypatch):
         return original(verts, k, n)
 
     monkeypatch.setattr(hypergraph, "_columns", counting)
-    edges = list(itertools.combinations(range(1, 21), 4))[:cli.BLOCK_LINES + 5]
+    edges = list(itertools.combinations(range(1, 21), 4))[:hypergraph.BLOCK + 5]
     text = "tcg 1\nk=4 n=20\n" + "".join("R " + " ".join(map(str, e)) + "\n" for e in edges)
     assert parse_coloured_hypergraph(text).graph.m == len(edges)
-    assert checked == [cli.BLOCK_LINES, 5]
+    assert checked == [hypergraph.BLOCK, 5]
     checked.clear()
     build(4, 20, [("B", e) for e in edges[:hypergraph.BLOCK + 3]])
     assert checked == [hypergraph.BLOCK, 3]

@@ -97,6 +97,19 @@ def test_check_ignores_forged_decomposition():
     assert {"kind": "colour_mismatch", "edge": (1, 2), "component": 0} in res.violations
 
 
+def test_check_reports_forged_component_ids_out_of_range():
+    """An assignment to a component id below 0 or past the last one is
+    reported as unknown_component, not looked up."""
+    ch = build(4, 8, [("R", (1, 2, 3, 4)), ("B", (5, 6, 7, 8))])
+    bp = make_blueprint(ch, Fraction(9, 10), {(1, 2): 0, (5, 6): 1})
+    forged = dataclasses.replace(bp, assign={(1, 2): -1, (5, 6): 10**6})
+    res = check_blueprint(ch, forged)
+    assert not res.ok
+    assert [v for v in res.violations if v["kind"] == "unknown_component"] == [
+        {"kind": "unknown_component", "edge": (1, 2), "component": -1},
+        {"kind": "unknown_component", "edge": (5, 6), "component": 10**6}]
+
+
 def test_check_colour_mismatch_guarded_by_constructor():
     ch = build(4, 8, [("R", (1, 2, 3, 4)), ("B", (5, 6, 7, 8))])
     bp = make_blueprint(ch, Fraction(9, 10), {(1, 2): 0, (5, 6): 1})

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import parse_outcome, threshold_colouring
 from oracles import parse_reference
-from tcr import cli, extremal, lp
+from tcr import cli, extremal, hypergraph, lp
 from tcr.cli import (EXIT_CAP, EXIT_CONTRACT, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE,
                      parse_coloured_hypergraph, run,
                      serialize_coloured_hypergraph)
@@ -128,7 +128,7 @@ def tcg_text(rng, corruption, size=25):
 
 @settings(max_examples=400, deadline=None)
 @given(st.integers(0, 10**9), st.sampled_from(CORRUPTIONS),
-       st.sampled_from([25, 25, 25, 2 * cli.BLOCK_LINES]))
+       st.sampled_from([25, 25, 25, 2 * hypergraph.BLOCK]))
 def test_parser_agrees_with_reference_parser(seed, corruption, size):
     """On random tcg texts with at most one corrupted line, the parser
     accepts exactly what the reference parser accepts, builds an equal
@@ -142,7 +142,7 @@ def test_parser_agrees_with_reference_parser(seed, corruption, size):
 
 
 @pytest.mark.parametrize("gap, expected", [(0, (ParseError, 5)),
-                                           (cli.BLOCK_LINES, (ConflictingColour, None))])
+                                           (hypergraph.BLOCK, (ConflictingColour, None))])
 def test_line_fault_after_a_conflict(gap, expected):
     """A faulty line after an edge given in both colours is reported when it
     lies in the conflict's block of lines; a conflict in an earlier block
@@ -185,8 +185,8 @@ def test_tokens_outside_the_table_are_read_by_int(plain, token):
     expected = parse_outcome(parse_reference, text)
     assert expected == (parse_outcome(parse_reference, plain_text) if token not in ("0", "13")
                         else (ParseError, at + 3))
-    for block in (8, cli.BLOCK_LINES):
-        with mock.patch.object(cli, "BLOCK_LINES", block):
+    for block in (8, hypergraph.BLOCK):
+        with mock.patch.object(hypergraph, "BLOCK", block):
             assert parse_outcome(parse_coloured_hypergraph, text) == expected
 
 
@@ -465,6 +465,26 @@ def test_cli_bad_dimensions_are_a_parse_error(tmp_path, capsys, text):
     with pytest.raises(ParseError) as exc:
         parse_coloured_hypergraph(text)
     assert exc.value.line == 2
+
+
+@pytest.mark.parametrize("text, argv, kind, message", [
+    ("", ["components"], "ParseError", "empty input"),
+    ("tcg 1\n\n# no dimensions\n", ["components"], "ParseError",
+     "line 1: missing 'k=... n=...' line"),
+    ("tcg 1\nk=4 n=8\nR 1 2 3 4\n", ["blueprint", "build", "--eps", "x"], "UsageError",
+     "argument --eps: not a rational: 'x'"),
+    ("tcg 1\nk=4 n=8\nR 1 2 3 4\n", ["blueprint", "build", "--eps", "1/0"], "UsageError",
+     "argument --eps: not a rational: '1/0'")])
+def test_cli_reports_empty_input_missing_dimensions_and_bad_rationals(
+        tmp_path, capsys, text, argv, kind, message):
+    """An empty file, a header with no dimensions line and an --eps that is
+    not a rational each exit 1 with a JSON error report naming the fault."""
+    path = tmp_path / "input.tcg"
+    path.write_text(text, encoding="utf-8")
+    code, out, _ = run_captured(capsys, [*argv, "--in", str(path)])
+    assert code == EXIT_USAGE
+    error = json.loads(out)["error"]
+    assert (error["kind"], error["message"]) == (kind, message)
 
 
 def test_cli_component_out_of_range(tmp_path, capsys):

@@ -118,10 +118,9 @@ def test_build_agrees_with_per_edge_reference(seed, block):
 def test_build_conflict_across_a_full_size_block_boundary(tmp_path, capsys, offset):
     """A repeat of an edge of the first block, at the end of that block of
     BLOCK pairs or in the next one, as pairs and as the lines of a tcg file
-    (whose blocks of BLOCK_LINES lines break at the same edge): in the other
+    (whose blocks of BLOCK lines break at the same edge): in the other
     colour it is found and named as the per-edge loop and the reference
     parser name it, and `tcr` exits 2; in its own colour it is tolerated."""
-    assert cli.BLOCK_LINES == hypergraph.BLOCK
     edges = list(itertools.combinations(range(1, 21), 4))[:hypergraph.BLOCK + 10]
     pairs = [("R" if sum(e) % 3 else "B", e) for e in edges]
     for letter in ("B" if pairs[5][0] == "R" else "R", pairs[5][0]):
@@ -155,7 +154,7 @@ CHAIN_CASES = {
     # of a middle edge, though it comes after the first block's first edge
     "middle": ([0, 1, 2, 3, 1, *range(4, 12)], 4),
     # of an edge of a first block that is out of order but repeats nothing
-    "after_dict_block": ([5, 0, 1, 2, 3, 4, 5, *range(6, 12)], 6),
+    "after_unordered_block": ([5, 0, 1, 2, 3, 4, 5, *range(6, 12)], 6),
     # of an edge of a first block that repeats an edge in its own colour
     "after_scanned_block": ([0, 5, 1, 1, 2, 3, 4, 5, *range(6, 12)], 7),
 }
@@ -185,7 +184,7 @@ def test_repeats_that_end_the_canonical_prefix(case, same):
         assert expected == build_outcome(build_reference, 4, 8, CANON)
     else:
         assert expected[0] is expected_text[0] is ConflictingColour
-    with mock.patch.object(hypergraph, "BLOCK", 4), mock.patch.object(cli, "BLOCK_LINES", 4):
+    with mock.patch.object(hypergraph, "BLOCK", 4):
         assert build_outcome(build, 4, 8, pairs) == expected
         assert parse_outcome(parse_coloured_hypergraph, text) == expected_text
 

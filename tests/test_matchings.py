@@ -51,6 +51,22 @@ def test_validate_support_outside_host():
     assert not ok and violation.kind == "support_outside_host"
 
 
+def test_validate_host_not_in_graph():
+    phi = FractionalMatching(K5.edges | {(1, 2, 3, 6)}, {})
+    ok, violation = validate_fractional(K5, phi)
+    assert not ok
+    assert (violation.kind, violation.edge) == ("host_not_in_graph", (1, 2, 3, 6))
+
+
+@pytest.mark.parametrize("w", [Fraction(-1, 2), Fraction(3, 2)])
+def test_validate_weight_out_of_range(w):
+    phi = FractionalMatching(K5.edges, {(1, 2, 3, 4): QUARTER, (1, 2, 3, 5): w})
+    ok, violation = validate_fractional(K5, phi)
+    assert not ok
+    assert (violation.kind, violation.edge, violation.detail) == (
+        "weight_out_of_range", (1, 2, 3, 5), str(w))
+
+
 def test_max_matching_split_both_colours():
     ch = split_edges(4, 2)
     red = max_matching_exact(ch.edges_of(Colour.RED))

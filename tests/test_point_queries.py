@@ -243,8 +243,10 @@ def test_gamma_edges_are_good_edges_of_the_attached_component():
 
 
 def test_compute_bw_tests_each_attachment_edge_once(monkeypatch):
-    """is_good runs once per red edge of R inside W and once per distinct
-    attachment edge, not once per (triple, attachment vertex) visit."""
+    """is_good runs once per red edge of R inside W and never on an
+    attachment edge, however many (triple, attachment vertex) visits reach
+    it: an attachment edge is good by construction, as the reference's test
+    at each visit confirms."""
     CH = threshold(14, 2)
     bp = build_blueprint(CH, EPS).blueprint
     (R_id,) = {bp.assign[p] for p in bp.pairs_of_colour(Colour.RED)}
@@ -258,7 +260,7 @@ def test_compute_bw_tests_each_attachment_edge_once(monkeypatch):
     red_inside = [e for e in itertools.combinations(W, 4)
                   if e in bp.decomposition.components[R_id]]
     assert visits > len(attached) > 0
-    assert len(calls) == len(attached) + len(red_inside)
+    assert calls == red_inside
     assert bw_library(CH, bp, R_id, W) == bw_reference(CH, bp, R_id, W)
 
 
