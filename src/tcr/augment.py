@@ -8,7 +8,8 @@ are exact rationals; iterated blow-ups are replaced by direct fractional
 bookkeeping (the tests convert its weightings to matchings in blow-ups and
 back as a cross-check).  A step that cannot certify the required gain
 returns a structured trace naming the first failing claim instead of
-forcing an answer.
+forcing an answer; a growth that cannot start raises ContractUnmet naming
+its claim, so every run that returns has a validated weighting.
 """
 from __future__ import annotations
 
@@ -17,13 +18,12 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Optional
 
 from .blueprint import (Blueprint, build_blueprint, compute_B_W, is_good,
                         is_suitable_pair, local_pivot, make_blueprint,
                         sample_suitable_pairs, trim_spanning_component)
-from .errors import (HypothesisViolated, InconsistentWitness,
-                     NonEmptyIntersection, TcrError)
+from .errors import (ContractUnmet, HypothesisViolated, InconsistentWitness,
+                     InternalError, NonEmptyIntersection, TcrError)
 from .hypergraph import Colour, ColouredKGraph, density_check, edges_within, support_of
 from .matchings import (FractionalMatching, empty_intersection_matching,
                         from_matching, greedy_matching, validate_fractional)
@@ -71,10 +71,10 @@ class AugmentationState:
 
 @dataclass(frozen=True)
 class InitialOutcome:
-    status: str               # ok | target_reached | stuck
+    status: str               # ok | target_reached
     matching: tuple
-    colour: Optional[Colour]
-    component: Optional[int]
+    colour: Colour
+    component: int
     kind: str
     trace: tuple
 
@@ -173,19 +173,22 @@ def verify_case_hypotheses(bp, R_id, state: AugmentationState):
 
 def initial_matching(CH: ColouredKGraph, bp: Blueprint, R_id: int,
                      params: DriverParams, rng) -> InitialOutcome:
-    """A good matching in the spanning red component or in a blue component.
+    """A non-empty good matching in the spanning red component or in a
+    blue component.
 
     Greedy in the red good edges first; if small, attach the uncovered set's
     blue component and build blue edges from witness triples, or fall back
-    to the all-blue-pairs region whose good edges are red.  rng is unread;
-    perfbench/runner.py calls this with five arguments."""
+    to the all-blue-pairs region whose good edges are red.  Raises
+    ContractUnmet, naming the failed claim, when R_id is no component or
+    every candidate is empty.  rng is unread; perfbench/runner.py calls
+    this with five arguments."""
     decomp = bp.decomposition
     n_scale = params.scale_n(CH.n)
     target = n_scale / 4
     small = 3 * params.delta * n_scale
     trace = []
     if R_id >= len(decomp.components):
-        return InitialOutcome("stuck", (), None, None, "none", ())
+        raise ContractUnmet(f"initial_matching: component {R_id} does not exist")
     M = tuple(_greedy_good(CH, bp, decomp._sorted[R_id]))
     trace.append({"claim": "greedy_red", "size": len(M)})
     if len(M) >= target:
@@ -200,9 +203,9 @@ def initial_matching(CH: ColouredKGraph, bp: Blueprint, R_id: int,
         bw = compute_B_W(CH, bp, R_id, W)
     except (HypothesisViolated, InconsistentWitness) as exc:
         trace.append({"claim": "B_W", "failed": str(exc)})
-        if M:
-            return InitialOutcome("ok", M, Colour.RED, R_id, "red_greedy", tuple(trace))
-        return InitialOutcome("stuck", (), None, None, "none", tuple(trace))
+        if not M:
+            raise ContractUnmet(f"initial_matching: no good red edge, and B_W failed: {exc}")
+        return InitialOutcome("ok", M, Colour.RED, R_id, "red_greedy", tuple(trace))
     B = bw.component
     b_edges = decomp.edges_of(B)
 
@@ -241,7 +244,7 @@ def initial_matching(CH: ColouredKGraph, bp: Blueprint, R_id: int,
 
     size, M_best, colour, comp, kind = max(candidates, key=lambda t: t[0])
     if size == 0:
-        return InitialOutcome("stuck", (), None, None, "none", tuple(trace))
+        raise ContractUnmet("initial_matching: every candidate matching is empty")
     status = "target_reached" if size >= target else "ok"
     return InitialOutcome(status, M_best, colour, comp, kind, tuple(trace))
 
@@ -456,7 +459,7 @@ def augment_once(CH: ColouredKGraph, bp: Blueprint, R_id: int,
     best_name, best = max(candidates, key=lambda t: (t[1].weight(), t[0]))
     ok, violation = validate_fractional(CH, best)
     if not ok:
-        raise InconsistentWitness(f"constructed weighting invalid: {violation}")
+        raise InternalError(f"constructed weighting invalid: {violation}")
     trace.append({"claim": "best_route", "route": best_name,
                   "weight": best.weight(), "needed": need})
     status = "improved" if best.weight() >= need else "step_failed"
@@ -465,39 +468,38 @@ def augment_once(CH: ColouredKGraph, bp: Blueprint, R_id: int,
 
 @dataclass(frozen=True)
 class DriverReport:
-    """What run_driver did.  On a colour-swapped run, best and the trace are in
-    the working (swapped) frame; final_colour and final_component are in the
-    input's frame (its colours and its monochromatic_components ids)."""
+    """What run_driver did: the best validated weighting found, and how.
+    On a colour-swapped run, best and the trace are in the working (swapped)
+    frame; final_colour and final_component are in the input's frame (its
+    colours and its monochromatic_components ids)."""
 
-    status: str                 # reached | improved | step_failed | stuck
+    status: str                 # reached | improved | step_failed
     n_vertices: int
     n_scale: Fraction
     target: Fraction
     colour_swapped: bool
     initial_kind: str
     iterations: int
-    final_weight: Fraction
-    final_colour: Optional[Colour]
-    final_component: Optional[int]
-    reached: bool
+    final_colour: Colour
+    final_component: int
     min_weight_ok: bool
     support_good: bool
     trace: tuple
-    best: Optional[FractionalMatching]
-
-
-def _stuck(CH, params, swapped, kind, trace) -> DriverReport:
-    n_scale = params.scale_n(CH.n)
-    return DriverReport("stuck", CH.n, n_scale, n_scale / 4, swapped, kind, 0,
-                        ZERO, None, None, False, False, False, tuple(trace), None)
+    best: FractionalMatching
 
 
 def growth_setup(CH: ColouredKGraph, params: DriverParams):
     """Check density, build the blueprint, trim it to a spanning monochromatic
     component (at its own missing-pair density if worse) and name colours so
     that component is red.  Returns (work, swapped, bp, R_id, trace), work
-    being CH or CH.swapped(); bp and R_id are None when set-up is stuck, and
-    the trace's last claim says why."""
+    being CH or CH.swapped() and R_id the one id of bp's red pairs.  Raises
+    HypothesisViolated on a sparse input and ContractUnmet, naming
+    canonical_red_spanning, when the spanning component is blue in both
+    frames.
+
+    The kept red pairs are the trim's spanning component, which is
+    connected, and build_blueprint gives each connected group of red pairs
+    one id, so they all carry R_id."""
     if not density_check(CH.graph, 1 - params.eps, params.eps).passed:
         raise HypothesisViolated(
             f"input is not (1-eps, eps)-dense at eps = {params.eps}")
@@ -509,36 +511,28 @@ def growth_setup(CH: ColouredKGraph, params: DriverParams):
         if trim.colour is Colour.RED:
             break
     else:
-        return work, swapped, None, None, [{"claim": "canonical_red_spanning", "failed": True}]
+        raise ContractUnmet("canonical_red_spanning: the trimmed spanning component "
+                            "is blue in both colour frames")
     trace = [{"claim": "trim", "kept": len(trim.vertices), "min_degree": trim.min_degree}]
 
     spanning = set(trim.spanning_edges)
     kept_assign = {e: bp0.assign[e] for e in edges_within(bp0.assign, trim.vertices, 2)
                    if bp0.graph.colour[e] is Colour.BLUE or e in spanning}
     bp = make_blueprint(work, bp0.eps, kept_assign)
-    red_ids = {bp.assign[e] for e in bp.pairs_of_colour(Colour.RED)}
-    if len(red_ids) != 1:
-        trace.append({"claim": "unique_spanning_component", "ids": sorted(red_ids)})
-        return work, swapped, None, None, trace
-    (R_id,) = red_ids
-    return work, swapped, bp, R_id, trace
+    return work, swapped, bp, bp.assign[trim.spanning_edges[0]], trace
 
 
 def run_driver(CH: ColouredKGraph, params: DriverParams, seed: int) -> DriverReport:
     """Set up the growth frame (growth_setup), seed a good matching and grow it
     until the n/4 target is reached, the iteration cap trips, or no route
-    certifies the required gain.  Outputs are fully revalidated."""
+    certifies the required gain.  Outputs are fully revalidated; a failed
+    revalidation is an InternalError."""
     rng = random.Random(seed)
     work, swapped, bp, R_id, trace = growth_setup(CH, params)
-    if bp is None:
-        return _stuck(CH, params, swapped, "none", trace)
-
     n_scale = params.scale_n(CH.n)
     target = n_scale / 4
     init = initial_matching(work, bp, R_id, params, rng)
     trace.extend(init.trace)
-    if init.status == "stuck":
-        return _stuck(CH, params, swapped, init.kind, trace)
 
     decomp = bp.decomposition
     best = from_matching(init.matching, decomp.edges_of(init.component),
@@ -577,11 +571,9 @@ def run_driver(CH: ColouredKGraph, params: DriverParams, seed: int) -> DriverRep
             state = AugmentationState(edges, colour, comp)
 
     ok, violation = validate_fractional(work, best)
-    support_good = ok and all(is_good(bp, e) for e in best.weights)
-    comp_ok = best.component is not None and decomp.components[best.component].issuperset(
-        best.weights)
-    if not (ok and comp_ok):
-        raise InconsistentWitness(f"driver output failed validation: {violation}")
+    if not (ok and decomp.components[best.component].issuperset(best.weights)):
+        raise InternalError(f"driver output failed validation: {violation}")
+    support_good = all(is_good(bp, e) for e in best.weights)
     min_weight_ok = all(w >= params.c for w in best.weights.values())
     final_colour, final_component = best.colour, best.component
     if swapped:
@@ -592,6 +584,5 @@ def run_driver(CH: ColouredKGraph, params: DriverParams, seed: int) -> DriverRep
         final_component = next(cid for cid, comp in enumerate(
             monochromatic_components(CH).components) if first in comp)
     return DriverReport(status, CH.n, n_scale, target, swapped, init.kind,
-                        iterations, best.weight(), final_colour,
-                        final_component, best.weight() >= target, min_weight_ok,
+                        iterations, final_colour, final_component, min_weight_ok,
                         support_good, tuple(trace), best)

@@ -41,8 +41,8 @@ from . import hypergraph as hypergraph_mod
 from . import matchings as matchings_mod
 from .augment import (AugmentationState, DriverParams, augment_once, growth_setup,
                       initial_matching, run_driver)
-from .errors import (HypothesisViolated, MalformedEdge, ParseError, SearchCapExceeded,
-                     SizeCapExceeded, TcrError, Unsupported, UsageError)
+from .errors import (MalformedEdge, ParseError, SearchCapExceeded, SizeCapExceeded,
+                     TcrError, Unsupported, UsageError)
 from .extremal import TargetSpec
 from .hypergraph import LETTER_COLOUR, Colour, ColouredKGraph, _Blocks, build, canon_edge
 from .tight import monochromatic_components, tight_components
@@ -415,12 +415,10 @@ def _params(args) -> DriverParams:
 def _cmd_augment(args) -> dict:
     import random
     params = _params(args)
-    work, swapped, bp, R_id, trace = growth_setup(_load(args.infile), params)
-    if bp is None:
-        raise HypothesisViolated(f"growth set-up stuck: {trace[-1]['claim']} failed")
+    work, swapped, bp, R_id, _ = growth_setup(_load(args.infile), params)
     rng = random.Random(args.seed)
     init = initial_matching(work, bp, R_id, params, rng)
-    colour = init.colour.opposite if swapped and init.colour else init.colour
+    colour = init.colour.opposite if swapped else init.colour
     out = {"colour_swapped": swapped,
            "initial": {"status": init.status, "kind": init.kind,
                        "size": len(init.matching),
@@ -441,11 +439,10 @@ def _cmd_driver(args) -> dict:
         "n_scale": rep.n_scale, "target": rep.target,
         "colour_swapped": rep.colour_swapped,
         "initial_kind": rep.initial_kind, "iterations": rep.iterations,
-        "weight": rep.final_weight, "colour": rep.final_colour,
-        "component": rep.final_component, "reached": rep.reached,
+        "weight": rep.best.weight(), "colour": rep.final_colour,
+        "component": rep.final_component, "reached": rep.status == "reached",
         "min_weight_ok": rep.min_weight_ok, "support_good": rep.support_good,
-        "weights": {} if rep.best is None else
-            {" ".join(map(str, e)): w for e, w in sorted(rep.best.weights.items())},
+        "weights": {" ".join(map(str, e)): w for e, w in sorted(rep.best.weights.items())},
         "trace": list(rep.trace)}}
 
 

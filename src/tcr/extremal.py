@@ -61,7 +61,7 @@ def _profile_coloring(kind: str, k: int, n: int, i: int, red):
     d = gcd(k, i)
     N = (d + 1) * k * n // d - 2
     if N < k:
-        raise ValueError(f"N = {N} < k = {k}: i = 0 needs n >= 2")
+        raise ValueError(f"N = {N} < k = {k}: need n >= 2 at i = 0, n >= 1 otherwise")
     if comb(N, k) > DEFAULT_EDGE_CAP:
         raise SizeCapExceeded(f"C({N},{k}) exceeds cap {DEFAULT_EDGE_CAP}")
     x = k * n // d - 1
@@ -73,16 +73,12 @@ def _profile_coloring(kind: str, k: int, n: int, i: int, red):
 
 def split_coloring(k: int, n: int):
     """K_N minus nothing, N = (k+1)n - 2: edges meeting X = [n-1] red, others blue."""
-    if k < 2 or n < 2:
-        raise ValueError("need k, n >= 2")
     return _profile_coloring("split", k, n, 0, range(1, k + 1))
 
 
 def parity_coloring(k: int, n: int, i: int):
     """N = ((d+1)/d) k n - 2 with d = gcd(k, i); |X| = (k/d) n - 1; an edge is
     red iff it has an even number of vertices in X."""
-    if k < 2 or n < 1:
-        raise ValueError("need k >= 2 and n >= 1")
     if not 0 <= i <= k - 1:
         raise ValueError(f"need 0 <= i <= k-1, got i = {i}")
     return _profile_coloring("parity", k, n, i, range(0, k + 1, 2))

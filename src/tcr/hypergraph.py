@@ -41,14 +41,17 @@ class Colour(Enum):
 
 
 def canon_edge(vertices, k: int, n: int) -> Edge:
-    """Sort and validate one edge: k distinct vertices, all in [n]."""
+    """Sort and validate one edge: k distinct int vertices (not bool), all
+    in [n]."""
     e = tuple(sorted(vertices))
     if len(e) != k:
         raise MalformedEdge(f"edge {e} has arity {len(e)}, expected {k}")
     prev = 0
     for v in e:
-        if not isinstance(v, int) or v <= prev or v > n:
-            if isinstance(v, int) and 1 <= v <= n:   # equal to its sorted predecessor
+        if type(v) is not int:
+            raise MalformedEdge(f"edge {e}: non-integer vertex {v!r}")
+        if v <= prev or v > n:
+            if 1 <= v <= n:   # equal to its sorted predecessor
                 raise MalformedEdge(f"edge {e}: repeated vertex {v}")
             raise MalformedEdge(f"edge {e}: vertex {v} outside [1, {n}]")
         prev = v

@@ -266,11 +266,7 @@ def empty_intersection_matching(F) -> FractionalMatching:
         raise NonEmptyIntersection(f"family has common vertices {sorted(common)}")
     s = len(family)
     w = Fraction(1, s - 1)
-    phi = FractionalMatching(frozenset(family), {e: w for e in family})
-    ok, violation = validate_fractional(None, phi)
-    if not ok:
-        raise NonEmptyIntersection(f"construction invalid: {violation}")
-    return phi
+    return FractionalMatching(frozenset(family), {e: w for e in family})
 
 
 @dataclass(frozen=True)

@@ -4,15 +4,16 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import all_red, near_complete_coloured, rand_coloured, split_edges
-from tcr.augment import (AugmentationState, DriverParams, augment_once,
+from conftest import (all_red, complete_random_coloured, near_complete_coloured,
+                      rand_coloured, split_edges, threshold_colouring)
+from tcr.augment import (AugmentationState, DriverParams, augment_once, growth_setup,
                          initial_matching, run_driver, verify_case_hypotheses)
 from oracles import component_of, fractional_to_matching
 from tcr.blowup import blow_up
 from tcr.blueprint import build_blueprint, is_good
-from tcr.errors import HypothesisViolated
+from tcr.errors import ContractUnmet, HypothesisViolated
 from tcr.extremal import parity_coloring
-from tcr.hypergraph import Colour
+from tcr.hypergraph import Colour, build
 from tcr.matchings import (empty_intersection_matching, validate_fractional)
 from tcr.tight import monochromatic_components
 
@@ -71,9 +72,36 @@ def test_initial_empty_graph_stuck():
     empty = ColouredKGraph(KGraph(4, 8, frozenset()), {})
     bp = make_blueprint(empty, Fraction(1, 2), {})
     rng = random.Random(0)
-    out = initial_matching(empty, bp, 0, DriverParams(), rng)
-    assert out.status == "stuck"
-    assert out.matching == ()
+    with pytest.raises(ContractUnmet, match="initial_matching: component 0"):
+        initial_matching(empty, bp, 0, DriverParams(), rng)
+
+
+GROWTH_INPUTS = {
+    "all_red20": lambda: all_red(4, 20),
+    "all_blue17": lambda: build(4, 17, [("B", e)
+                                        for e in itertools.combinations(range(1, 18), 4)]),
+    "split8": lambda: split_edges(4, 2),
+    "split13": lambda: split_edges(4, 3),
+    "parity442": lambda: parity_coloring(4, 4, 2)[0],
+    "parity450": lambda: parity_coloring(4, 5, 0)[0],
+    **{f"threshold{N}_t{t}": (lambda N=N, t=t: threshold_colouring(N, t))
+       for N in (16, 24) for t in (1, 2, 3)},
+    **{f"random{N}_{seed}": (lambda N=N, seed=seed: complete_random_coloured(
+        4, N, random.Random(seed))) for N in (12, 16) for seed in range(3)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(GROWTH_INPUTS))
+def test_growth_setup_red_pairs_carry_one_id(name):
+    """The kept red pairs are the trim's connected spanning component, and
+    the blueprint's consistency pass gives each connected group of red
+    pairs one id: so every red pair of the set-up blueprint carries R_id,
+    a red component, in either frame."""
+    work, swapped, bp, R_id, trace = growth_setup(GROWTH_INPUTS[name](), DriverParams())
+    red = bp.pairs_of_colour(Colour.RED)
+    assert red and {bp.assign[p] for p in red} == {R_id}
+    assert bp.decomposition.colour(R_id) is Colour.RED
+    assert [t["claim"] for t in trace] == ["trim"]
 
 
 def test_hypothesis_checks_fire_before_search():
@@ -252,7 +280,7 @@ def test_driver_all_red_reaches_target():
     ch = all_red(4, 25)
     rep = run_driver(ch, DriverParams(), seed=11)
     assert rep.status == "reached"
-    assert rep.reached and rep.final_weight >= rep.target
+    assert rep.status == "reached" and rep.best.weight() >= rep.target
     assert rep.support_good and rep.min_weight_ok
     assert rep.final_colour is Colour.RED
 
@@ -262,7 +290,7 @@ def test_driver_split_consistent_with_lower_bound():
     weight n: the split construction caps both colours below n."""
     ch = split_edges(4, 3)   # N = 13, n_construction = 3
     rep = run_driver(ch, DriverParams(), seed=11)
-    assert rep.final_weight < 3
+    assert rep.best.weight() < 3
     ok, _ = validate_fractional(ch, rep.best)
     assert ok
 
@@ -279,7 +307,7 @@ def test_driver_stops_when_matching_leaves_spanning_component():
     assert {"claim": "iterate",
             "stopped": "matching outside the spanning red component"} in rep.trace
     ok, _ = validate_fractional(ch, rep.best)
-    assert ok and rep.final_weight == rep.best.weight()
+    assert ok
 
 
 def test_driver_rejects_sparse_input():
@@ -295,7 +323,7 @@ def test_driver_deterministic_given_seed():
     ch = complete_random_coloured(4, 14, rng)
     a = run_driver(ch, DriverParams(), seed=3)
     b = run_driver(ch, DriverParams(), seed=3)
-    assert a.final_weight == b.final_weight
+    assert a.best.weight() == b.best.weight()
     assert a.best.weights == b.best.weights
     assert a.trace == b.trace
 

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import itertools
 import json
@@ -12,11 +13,13 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import parse_outcome, threshold_colouring
 from oracles import parse_reference
-from tcr import cli, extremal, hypergraph, lp
+from tcr import augment, cli, extremal, hypergraph, lp
+from tcr.blueprint import BWResult, build_blueprint
 from tcr.cli import (EXIT_CAP, EXIT_CONTRACT, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE,
                      parse_coloured_hypergraph, run,
                      serialize_coloured_hypergraph)
-from tcr.errors import ConflictingColour, HypothesisViolated, ParseError
+from tcr.errors import (ConflictingColour, HypothesisViolated, InconsistentWitness,
+                        ParseError)
 from tcr.extremal import split_coloring
 from tcr.hypergraph import Colour, build
 
@@ -241,6 +244,18 @@ def test_cli_components_and_match(tmp_path, capsys):
                                          "--component", "1"])
     assert code == EXIT_OK
     assert json.loads(out)["result"]["weight"] == "7/4"
+    # without --host or --component every edge is the host: K_8^(4) holds
+    # 2 disjoint edges, and its fractional optimum is 8/4
+    code, out, _ = run_captured(capsys, ["match", "exact", "--in", str(path)])
+    assert code == EXIT_OK
+    result = json.loads(out)["result"]
+    assert result["size"] == 2 and result["optimal"] is True
+    assert len({v for e in result["edges"] for v in e}) == 8
+    code, out, _ = run_captured(capsys, ["match", "lp", "--in", str(path)])
+    assert code == EXIT_OK
+    result = json.loads(out)["result"]
+    assert result["weight"] == "2/1"
+    assert sum(map(Fraction, result["weights"].values())) == 2
 
 
 def test_cli_mu(tmp_path, capsys):
@@ -541,6 +556,88 @@ def test_cli_contract_exit_code(tmp_path, capsys):
         assert error["kind"] == "HypothesisViolated" and "eps" in error["message"]
 
 
+def _split13(tmp_path):
+    path = tmp_path / "split13.tcg"
+    path.write_text(serialize_coloured_hypergraph(split_coloring(4, 3)[0]), encoding="utf-8")
+    return str(path)
+
+
+# small enough that split-13's red greedy matching of size 1 passes as
+# "ok" (3 delta n <= 1 < n/4), so `augment` takes its growth step
+SMALL_DELTA = ["--eps", "1/100", "--gamma", "1/80", "--delta", "1/40"]
+
+
+def _trim_blue(monkeypatch):
+    trim = augment.trim_spanning_component
+    monkeypatch.setattr(augment, "trim_spanning_component",
+                        lambda F, eps: dataclasses.replace(trim(F, eps), colour=Colour.BLUE))
+
+
+def _no_good_edge_no_B_W(monkeypatch):
+    def failed(*args):
+        raise InconsistentWitness("forced")
+    monkeypatch.setattr(augment, "is_good", lambda bp, e: False)
+    monkeypatch.setattr(augment, "compute_B_W", failed)
+
+
+def _every_candidate_empty(monkeypatch):
+    def no_triples(CH, bp, R_id, W):
+        decomp = bp.decomposition
+        return BWResult(next(c for c in range(len(decomp.components))
+                             if decomp.colour(c) is Colour.BLUE), {})
+    monkeypatch.setattr(augment, "is_good", lambda bp, e: False)
+    monkeypatch.setattr(augment, "compute_B_W", no_triples)
+
+
+@pytest.mark.parametrize("force, message", [
+    (_trim_blue, "canonical_red_spanning: the trimmed spanning component is blue "
+                 "in both colour frames"),
+    (_no_good_edge_no_B_W, "initial_matching: no good red edge, and B_W failed: forced"),
+    (_every_candidate_empty, "initial_matching: every candidate matching is empty")],
+    ids=["trim_blue", "no_B_W", "all_empty"])
+def test_cli_stuck_growth_is_one_contract_error(tmp_path, capsys, monkeypatch, force,
+                                                message):
+    """A growth set-up with no red spanning component in either frame, or an
+    initial matching with no edge, is the same ContractUnmet, exit 2, for
+    `augment` and `driver`."""
+    force(monkeypatch)
+    path = _split13(tmp_path)
+    for command in ("augment", "driver"):
+        code, out, err = run_captured(capsys, [command, "--in", path, "--seed", "7"])
+        assert code == EXIT_CONTRACT
+        assert json.loads(out)["error"] == {"kind": "ContractUnmet", "message": message}
+        assert err == f"violation: {message}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["augment", *SMALL_DELTA], "constructed weighting invalid: forced"),
+    (["driver"], "driver output failed validation: forced")])
+def test_cli_invalid_growth_output_is_internal_error(tmp_path, capsys, monkeypatch,
+                                                     argv, message):
+    """The growth step and the driver revalidate their output; a failed
+    revalidation is a self-check, exit 4, not a contract violation.  At the
+    default parameters the driver meets its target before any step."""
+    monkeypatch.setattr(augment, "validate_fractional", lambda H, phi: (False, "forced"))
+    code, out, _ = run_captured(capsys, [*argv, "--in", _split13(tmp_path), "--seed", "7"])
+    assert code == EXIT_INTERNAL
+    assert json.loads(out)["error"] == {"kind": "InternalError", "message": message}
+
+
+def test_cli_augment_steps_from_a_small_red_greedy_matching(tmp_path, capsys):
+    """At delta = 1/40 split-13's red greedy matching (size 1) is "ok"
+    before any blue search: n = 13 / (5/4 + 3 eta) = 130/17, and
+    3 delta n = 39/68 <= 1 < n/4 = 65/34."""
+    code, out, _ = run_captured(capsys, ["augment", "--in", _split13(tmp_path),
+                                         "--seed", "7", *SMALL_DELTA])
+    assert code == EXIT_OK
+    result = json.loads(out)["result"]
+    assert result["colour_swapped"] is False
+    assert result["initial"] == {"status": "ok", "kind": "red_greedy", "size": 1,
+                                 "colour": "R",
+                                 "trace": [{"claim": "greedy_red", "size": 1}]}
+    assert result["step"]["status"] == "improved"
+
+
 def test_cli_blowup_and_blueprint(tmp_path, capsys):
     ch, _ = split_coloring(4, 2)
     path = tmp_path / "s.tcg"
@@ -550,10 +647,19 @@ def test_cli_blowup_and_blueprint(tmp_path, capsys):
     rep = json.loads(out)["result"]
     assert rep["blown_edges"] == rep["expected_edges"] == 70 * 16
     assert rep["base_components"] == rep["blown_components"]
-    code, out, _ = run_captured(capsys, ["blueprint", "check", "--in", str(path),
-                                         "--eps", "1/20"])
-    assert code == EXIT_OK
-    assert json.loads(out)["result"]["check_ok"] is True
+    reports = {}
+    for mode in ("build", "check"):
+        code, out, _ = run_captured(capsys, ["blueprint", mode, "--in", str(path),
+                                             "--eps", "1/20"])
+        assert code == EXIT_OK
+        reports[mode] = json.loads(out)["result"]
+    assert reports["check"]["check_ok"] is True
+    # `build` adds the assignment pair -> component id to what `check` prints
+    assign = reports["build"].pop("assign")
+    assert reports["build"] == reports["check"]
+    expected = build_blueprint(ch, Fraction(1, 20)).blueprint.assign
+    assert assign == {f"{a} {b}": cid for (a, b), cid in expected.items()}
+    assert len(assign) == reports["check"]["coverage"] > 0
 
 
 def test_cli_extremal_out_writes_parseable_file(tmp_path, capsys):

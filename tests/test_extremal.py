@@ -7,7 +7,7 @@ import pytest
 from oracles import (brute_has_tight, brute_ramsey, parity_certificate_brute,
                      verify_cycle_witness)
 from tcr import extremal
-from tcr.errors import SizeCapExceeded
+from tcr.errors import MalformedEdge, SizeCapExceeded
 from tcr.extremal import (ProfileNotConstant, TargetSpec, parity_coloring,
                           ramsey_search_tiny, split_coloring, verify_no_mono_cycle)
 from tcr.hypergraph import Colour, build
@@ -66,6 +66,19 @@ def test_parity_i0_n1_is_rejected_before_building(k, monkeypatch):
     monkeypatch.setattr(extremal, "build", no_build)
     with pytest.raises(ValueError, match="n >= 2"):
         parity_coloring(k, 1, 0)
+
+
+def test_each_size_rule_is_checked_once():
+    """k >= 2 is build's check and N >= k is the profile colouring's; the
+    constructors repeat neither."""
+    with pytest.raises(MalformedEdge, match="uniformity 1 < 2"):
+        split_coloring(1, 2)
+    for make, args in ((split_coloring, (4, 1)), (parity_coloring, (1, 1, 0)),
+                       (parity_coloring, (4, 0, 1))):
+        with pytest.raises(ValueError, match="N = -?[0-9]+ < k"):
+            make(*args)
+    with pytest.raises(ValueError, match="0 <= i <= k-1"):
+        parity_coloring(4, 2, 4)
 
 
 def test_parity_i0_is_colour_swapped_split_when_x_matches():

@@ -45,6 +45,26 @@ def test_build_rejects_wrong_arity_and_duplicates():
         build(4, 6, [("R", (1, 2, 3, 3))])
 
 
+@pytest.mark.parametrize("edge, vertex", [((True, 2, 3, 4), "True"),
+                                          ((1, 2.0, 3, 4), "2.0")])
+def test_build_rejects_bool_and_float_vertices(edge, vertex):
+    """A bool is an int to isinstance, but serialize would write it as
+    "True", which the parser rejects; a float is no vertex either."""
+    with pytest.raises(MalformedEdge, match=f"non-integer vertex {vertex}$"):
+        build(4, 5, [("R", edge)])
+    with pytest.raises(MalformedEdge, match=f"non-integer vertex {vertex}$"):
+        hypergraph.canon_edge(edge, 4, 5)
+
+
+def test_build_takes_pairs_that_are_not_tuples():
+    """A block holding a pair that is not a 2-tuple goes through the
+    per-edge loop, which sorts each edge."""
+    listed = build(4, 6, [["R", [4, 3, 2, 1]], ("B", (2, 3, 4, 5))])
+    plain = build(4, 6, [("R", (1, 2, 3, 4)), ("B", (2, 3, 4, 5))])
+    assert listed.colour == plain.colour
+    assert listed.graph.sorted_edges == plain.graph.sorted_edges
+
+
 def test_build_rejects_conflicting_colour():
     with pytest.raises(ConflictingColour):
         build(4, 5, [("R", (1, 2, 3, 4)), ("B", (4, 3, 2, 1))])
