@@ -500,7 +500,7 @@ def growth_setup(CH: ColouredKGraph, params: DriverParams):
     The kept red pairs are the trim's spanning component, which is
     connected, and build_blueprint gives each connected group of red pairs
     one id, so they all carry R_id."""
-    if not density_check(CH.graph, 1 - params.eps, params.eps).passed:
+    if not density_check(CH.graph, 1 - params.eps, params.eps):
         raise HypothesisViolated(
             f"input is not (1-eps, eps)-dense at eps = {params.eps}")
     for swapped in (False, True):
@@ -580,9 +580,7 @@ def run_driver(CH: ColouredKGraph, params: DriverParams, seed: int) -> DriverRep
         # the swapped analysis numbers blue components first; re-read the id
         # as that of the input's component holding the least support edge
         final_colour = final_colour.opposite
-        first = min(best.weights)
-        final_component = next(cid for cid, comp in enumerate(
-            monochromatic_components(CH).components) if first in comp)
+        final_component = monochromatic_components(CH).id_of(min(best.weights), final_colour)
     return DriverReport(status, CH.n, n_scale, target, swapped, init.kind,
                         iterations, final_colour, final_component, min_weight_ok,
                         support_good, tuple(trace), best)

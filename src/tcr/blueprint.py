@@ -334,8 +334,6 @@ def is_good(bp: Blueprint, f) -> bool:
 
 @dataclass(frozen=True)
 class SuitablePairReport:
-    f: tuple
-    W: tuple
     sp: tuple          # six booleans
     good: tuple        # (g1, g2, g3) for f
     suitable: bool
@@ -369,7 +367,7 @@ def is_suitable_pair(CH: ColouredKGraph, bp: Blueprint, f, W) -> SuitablePairRep
                             for p in itertools.combinations(W, 2))
     good = good_flags(bp, f)
     flags = (sp1, sp2, sp3, sp4, sp5, sp6)
-    return SuitablePairReport(f, W, flags, good, all(flags) and all(good))
+    return SuitablePairReport(flags, good, all(flags) and all(good))
 
 
 SAMPLE_ATTEMPTS = 60   # retry budget of sample_suitable_pairs per edge of M

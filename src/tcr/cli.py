@@ -214,21 +214,18 @@ def rat(x) -> str:
 
 
 def to_jsonable(obj):
+    """A JSON-ready copy: Fractions as "p/q", enums by value, tuples as lists
+    and tuple keys as their space-joined vertices.  `emit` sorts the keys."""
     if isinstance(obj, Fraction):
         return rat(obj)
     if isinstance(obj, Enum):
         return obj.value
     if isinstance(obj, dict):
-        return {_key(k): to_jsonable(v) for k, v in sorted(obj.items(), key=lambda t: _key(t[0]))}
+        return {" ".join(map(str, k)) if isinstance(k, tuple) else str(k): to_jsonable(v)
+                for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [to_jsonable(v) for v in obj]
     return obj
-
-
-def _key(k):
-    if isinstance(k, tuple):
-        return " ".join(str(v) for v in k)
-    return str(k)
 
 
 def emit(report: dict, timing_ms=None) -> None:
@@ -265,9 +262,9 @@ def _host_edges(CH: ColouredKGraph, host: str, component):
                 f"component {component} outside 0..{len(decomp.components) - 1}")
         return sorted(decomp.edges_of(component))
     if host == "all":
-        return list(CH.graph.sorted_edges)
+        return CH.graph.sorted_edges
     colour = Colour.RED if host == "red" else Colour.BLUE
-    return list(CH.edges_of(colour))
+    return CH.edges_of(colour)
 
 
 def _reject_unread(args) -> None:
@@ -349,8 +346,7 @@ def _cmd_components(args) -> dict:
     decomp = monochromatic_components(CH) if args.mono else tight_components(CH.graph)
     comps = []
     for cid, comp in enumerate(decomp.components):
-        entry = {"id": cid, "edges": len(comp),
-                 "support": list(decomp.support(cid))}
+        entry = {"id": cid, "edges": len(comp), "support": decomp.support(cid)}
         if decomp.colour_of is not None:
             entry["colour"] = decomp.colour(cid).value
         comps.append(entry)
@@ -363,16 +359,14 @@ def _cmd_match(args) -> dict:
     if args.mode == "mu":
         est = matchings_mod.mu_estimate(CH, args.s, args.beta)
         return {"result": {"value": est.value, "exact": est.exact,
-                           "components": list(est.components)}}
+                           "components": est.components}}
     host = _host_edges(CH, args.host, args.component)
     if args.mode == "exact":
         cert = matchings_mod.max_matching_exact(host)
-        return {"result": {"size": cert.size, "edges": [list(e) for e in cert.edges],
+        return {"result": {"size": cert.size, "edges": cert.edges,
                            "optimal": cert.optimal, "nodes": cert.nodes}}
     phi = matchings_mod.max_fractional_lp(host)
-    return {"result": {"weight": phi.weight(),
-                       "weights": {" ".join(map(str, e)): w
-                                   for e, w in sorted(phi.weights.items())}}}
+    return {"result": {"weight": phi.weight(), "weights": phi.weights}}
 
 
 def _cmd_blueprint(args) -> dict:
@@ -384,10 +378,9 @@ def _cmd_blueprint(args) -> dict:
            "discarded": res.discarded,
            "blueprint_eps": res.blueprint.eps,
            "min_degree": res.blueprint.min_degree(),
-           "check_ok": check.ok, "violations": list(check.violations)}
+           "check_ok": check.ok, "violations": check.violations}
     if args.mode == "build":
-        out["assign"] = {" ".join(map(str, e)): cid
-                         for e, cid in sorted(res.blueprint.assign.items())}
+        out["assign"] = res.blueprint.assign
     return {"result": out}
 
 
@@ -422,12 +415,12 @@ def _cmd_augment(args) -> dict:
     out = {"colour_swapped": swapped,
            "initial": {"status": init.status, "kind": init.kind,
                        "size": len(init.matching),
-                       "colour": colour, "trace": list(init.trace)}}
+                       "colour": colour, "trace": init.trace}}
     if init.status == "ok":
         state = AugmentationState(init.matching, init.colour, init.component)
         step = augment_once(work, bp, R_id, state, params, rng)
         out["step"] = {"status": step.status, "weight": step.fractional.weight(),
-                       "trace": list(step.trace)}
+                       "trace": step.trace}
     return {"result": out}
 
 
@@ -442,8 +435,7 @@ def _cmd_driver(args) -> dict:
         "weight": rep.best.weight(), "colour": rep.final_colour,
         "component": rep.final_component, "reached": rep.status == "reached",
         "min_weight_ok": rep.min_weight_ok, "support_good": rep.support_good,
-        "weights": {" ".join(map(str, e)): w for e, w in sorted(rep.best.weights.items())},
-        "trace": list(rep.trace)}}
+        "weights": rep.best.weights, "trace": rep.trace}}
 
 
 def _cmd_extremal(args) -> dict:
@@ -461,7 +453,7 @@ def _cmd_extremal(args) -> dict:
         CH, spec = extremal_mod.parity_coloring(args.k, args.n, args.i)
     red = operator.countOf(CH.colour.values(), Colour.RED)
     out = {"kind": spec.kind, "k": spec.k, "n": spec.n, "i": spec.i, "d": spec.d,
-           "N": spec.N, "X": list(spec.X), "Y": list(spec.Y),
+           "N": spec.N, "X": spec.X, "Y": spec.Y,
            "red_edges": red, "blue_edges": CH.graph.m - red}
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -470,7 +462,7 @@ def _cmd_extremal(args) -> dict:
     if args.verify:
         cert = extremal_mod.verify_no_mono_cycle(CH, spec)
         out["certificate"] = {"ok": cert.ok, "method": cert.method, "length": length,
-                              "details": list(cert.details),
+                              "details": cert.details,
                               "witness": cert.witness}
     return {"result": out}
 
@@ -517,8 +509,7 @@ def run(argv) -> int:
     except SystemExit:   # --help
         return EXIT_OK
     started = time.monotonic()
-    inputs = {k: v for k, v in sorted(vars(args).items())
-              if k not in ("timing",) and v is not None}
+    inputs = {k: v for k, v in vars(args).items() if k != "timing" and v is not None}
     report = {"command": args.command, "inputs": inputs}
     collecting = gc.isenabled()
     gc.disable()

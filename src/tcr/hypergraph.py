@@ -9,10 +9,11 @@ parser alike, by one fast path and one reference path.  While the input
 comes in canonical order, as serialize writes it, a block that passes
 `_columns`, the one order and range check of a block of edges, and
 continues that order cannot repeat an edge and is added whole.  Any other
-block, and every block after it, goes through the per-edge loop, so input
-out of canonical order is built edge by edge.  The parser checks only what
-is textual (header, letters, integers, arity) and hands its integers to
-`build` through `_Blocks`.
+block goes through the per-edge loop, and once the input has left
+canonical order so does every block after it, so input out of canonical
+order is built edge by edge.  The parser checks only what is textual
+(header, letters, integers, arity) and hands its integers to `build`
+through `_Blocks`.
 
 Degree thresholds for the density predicate use C(n-i, k-i), the degree a
 complete k-graph attains, so that K_n^(k) is (1, 0)-dense at every level.
@@ -208,11 +209,14 @@ def _add_checked(colour: dict, cs, es, verts: list, k: int, n: int, last: tuple)
     return None
 
 
-def _add_each(colour: dict, pairs, k: int, n: int) -> None:
+def _add_each(colour: dict, pairs, k: int, n: int, last):
     """The per-edge loop: sort and check each edge, tolerate a repeat in its
-    own colour, and raise the first fault in input order.  The pairs are
-    read in full first, so a fault that their reader raises (the tcg
-    parser's line scan) comes before a conflict in the same block."""
+    own colour, and raise the first fault in input order.  Returns the last
+    edge while the edges stay strictly increasing after `last`, the last
+    edge added before the block (None once the input has left canonical
+    order), and None otherwise.  The pairs are read in full first, so a
+    fault that their reader raises (the tcg parser's line scan) comes
+    before a conflict in the same block."""
     for c, raw in list(pairs):
         if isinstance(c, str):
             c = Colour(c)
@@ -221,6 +225,9 @@ def _add_each(colour: dict, pairs, k: int, n: int) -> None:
         if old is not None and old is not c:
             raise ConflictingColour(f"edge {e} given as both {old.value} and {c.value}")
         colour[e] = c
+        if last is not None:
+            last = e if last < e else None
+    return last
 
 
 def build(k: int, n: int, coloured_edges) -> ColouredKGraph:
@@ -231,12 +238,14 @@ def build(k: int, n: int, coloured_edges) -> ColouredKGraph:
     otherwise.  The pairs are read in blocks of BLOCK.  While the input
     keeps canonical order, a block of letters or Colours and tuples of ints
     that passes `_columns` (order and range) is added whole
-    (`_add_checked`).  Any other block, and every block after it, goes edge
-    by edge (`_add_each`), which sorts each edge and raises the first fault
-    in input order.  The tcg parser hands its blocks over through
-    `_Blocks`, so its edges get the same one check.  The two colour classes
-    are kept for `edges_of`; when every block was added whole they are read
-    in insertion order, else from the sorted edges.
+    (`_add_checked`).  Any other block goes edge by edge (`_add_each`),
+    which sorts each edge, raises the first fault in input order and tells
+    whether the block kept canonical order; once the input has left it,
+    every later block goes edge by edge too.  The tcg parser hands its
+    blocks over through `_Blocks`, so its edges get the same one check.
+    The two colour classes are kept for `edges_of`; while the input keeps
+    canonical order they are read in insertion order, else from the sorted
+    edges.
     """
     if k < 2:
         raise MalformedEdge(f"uniformity {k} < 2")
@@ -251,10 +260,10 @@ def build(k: int, n: int, coloured_edges) -> ColouredKGraph:
     colour = {}
     last = ()
     for cs, es, verts, pairs in blocks:
-        if last is not None:
-            last = None if verts is None else _add_checked(colour, cs, es, verts, k, n, last)
-        if last is None:
-            _add_each(colour, pairs, k, n)
+        added = None
+        if last is not None and verts is not None:
+            added = _add_checked(colour, cs, es, verts, k, n, last)
+        last = _add_each(colour, pairs, k, n, last) if added is None else added
     if last is not None:
         edges = tuple(colour)
         cs = colour.values()
@@ -269,53 +278,26 @@ def build(k: int, n: int, coloured_edges) -> ColouredKGraph:
     return CH
 
 
-@dataclass(frozen=True)
-class LevelReport:
-    """Classification of the i-sets at one level of the density predicate."""
-
-    i: int
-    threshold: Fraction
-    meets: int       # degree >= threshold and degree > 0
-    zero: int        # degree == 0
-    violating: int   # 0 < degree < threshold
-
-
-@dataclass(frozen=True)
-class DensityReport:
-    mu: Fraction
-    alpha: Fraction
-    per_level: tuple  # LevelReport per i in [k-1]
-    passed: bool
-
-
-def density_check(H: KGraph, mu, alpha) -> DensityReport:
+def density_check(H: KGraph, mu, alpha) -> bool:
     """Decide (mu, alpha)-density exactly.
 
-    Passes iff for every i in [k-1] the i-sets of degree below
+    True iff for every i in [k-1] the i-sets of degree below
     mu * C(n-i, k-i) number at most alpha * C(n, i) and all of them have
     degree exactly 0.
     """
     mu = Fraction(mu)
     alpha = Fraction(alpha)
     if H.m == comb(H.n, H.k) and 0 <= mu <= 1:
-        # complete: every i-set has degree exactly C(n-i, k-i)
-        levels = tuple(LevelReport(i, mu * comb(H.n - i, H.k - i),
-                                   comb(H.n, i), 0, 0) for i in range(1, H.k))
-        return DensityReport(mu, alpha, levels, True)
-    levels = []
-    passed = True
+        return True   # complete: every i-set has degree exactly C(n-i, k-i)
     for i in range(1, H.k):
         threshold = mu * comb(H.n - i, H.k - i)
         degs = {}
         for e in H.edges:
             for s in itertools.combinations(e, i):
                 degs[s] = degs.get(s, 0) + 1
+        if any(d < threshold for d in degs.values()):
+            return False
         total = comb(H.n, i)
-        meets = sum(1 for d in degs.values() if d >= threshold)
-        violating = len(degs) - meets
-        zero = total - len(degs)
-        below = zero if threshold > 0 else 0
-        if violating > 0 or below > alpha * total:
-            passed = False
-        levels.append(LevelReport(i, threshold, meets, zero, violating))
-    return DensityReport(mu, alpha, tuple(levels), passed)
+        if threshold > 0 and total - len(degs) > alpha * total:
+            return False
+    return True

@@ -174,8 +174,6 @@ def max_fractional_lp(host) -> FractionalMatching:
     lexicographically smallest support.
     """
     edges = sorted(tuple(sorted(e)) for e in host)
-    if not edges:
-        return FractionalMatching(frozenset(), {})
     value, weights = lp.matching_lp(edges)
     zeroed: dict = {}
     for e in edges:
@@ -230,8 +228,6 @@ def max_r_fractional(host, r: int) -> FractionalMatching:
     makes the two usable as mutual oracles.
     """
     edges = sorted(tuple(sorted(e)) for e in host)
-    if not edges:
-        return FractionalMatching(frozenset(), {})
 
     def branch(weights, lower, upper):
         frac = next((e for e in sorted(weights) if (weights[e] * r).denominator != 1), None)

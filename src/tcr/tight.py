@@ -232,8 +232,6 @@ class TightWitness:
 class Absent:
     """Proof of absence: the DFS exhausted its search space."""
 
-    length: int
-    support_size: int
     explored: int
 
 
@@ -271,7 +269,7 @@ def _search(H: KGraph, length: int, cyclic: bool):
             f"support {len(support)} exceeds exhaustive-search cap {SUPPORT_CAP}")
     explored = 0
     if length > len(support):
-        return Absent(length, len(support), explored)
+        return Absent(explored)
     k = H.k
     completions = _completion_map(k, edges)
     mirror = 1 if cyclic else 0
@@ -318,7 +316,7 @@ def _search(H: KGraph, length: int, cyclic: bool):
         res = extend()
         if res is not None:
             return TightWitness(res, explored)
-    return Absent(length, len(support), explored)
+    return Absent(explored)
 
 
 def find_tight_cycle(H: KGraph, length: int):

@@ -178,11 +178,10 @@ def test_criterion_5_density_transfer():
     for idx, ch in enumerate(suite):
         r = 2 if idx % 2 == 0 else 3
         eps = transfer_eps(ch.n, r)
-        base = density_check(ch.graph, 1 - eps, eps)
-        if not base.passed:
+        if not density_check(ch.graph, 1 - eps, eps):
             continue
         blown, _ = blow_up(ch, r)
-        ok &= density_check(blown.graph, 1 - 2 * eps, 2 * eps).passed
+        ok &= density_check(blown.graph, 1 - 2 * eps, 2 * eps)
         exercised += 1
     ok &= exercised >= 25   # the implication must not be vacuous
     verdict(5, ok, f"{exercised} non-vacuous instances")
@@ -200,7 +199,7 @@ def test_criterion_6_blueprint_suite():
         n = rng.randint(20, 40)
         deletions = rng.choice((1, 2)) if n >= 23 else 0
         ch = near_complete_coloured(4, n, rng, deletions=deletions)
-        assert density_check(ch.graph, 1 - eps, eps).passed
+        assert density_check(ch.graph, 1 - eps, eps)
         res = build_blueprint(ch, eps)
         ok &= check_blueprint(ch, res.blueprint).ok
         if n <= 23:

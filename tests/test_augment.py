@@ -122,6 +122,41 @@ def test_hypothesis_checks_fire_before_search():
         augment_once(ch, bp, red_id, state, SMALL_STEPS, rng)
 
 
+def test_case_hypotheses_on_a_hand_built_blueprint():
+    """Red edges 1234 and 5678 are red components 0 and 1.  A blueprint with
+    pair 56 assigned to component 1 has a red pair outside R_id = 0; one
+    with only pair 12 assigned makes 1234, an edge of component 0, not good."""
+    from tcr.blueprint import make_blueprint
+    ch = build(4, 8, [("R", (1, 2, 3, 4)), ("R", (5, 6, 7, 8)), ("B", (1, 2, 5, 6))])
+    two_ids = make_blueprint(ch, Fraction(1, 2), {(1, 2): 0, (5, 6): 1})
+    with pytest.raises(HypothesisViolated, match=r"red blueprint edge \(5, 6\) induces 1, not 0"):
+        verify_case_hypotheses(two_ids, 0, AugmentationState((), Colour.RED, 0))
+    one_pair = make_blueprint(ch, Fraction(1, 2), {(1, 2): 0})
+    with pytest.raises(HypothesisViolated, match=r"matching edge \(1, 2, 3, 4\) is not good"):
+        verify_case_hypotheses(one_pair, 0, AugmentationState(((1, 2, 3, 4),), Colour.RED, 0))
+
+
+def test_initial_keeps_the_red_greedy_matching_when_B_W_fails(monkeypatch):
+    """split-13 at the default parameters: the red greedy matching is 1234,
+    which covers both vertices of X, below 3 delta n = 39/17, so the
+    uncovered set's blue component is sought; when compute_B_W fails, the
+    red greedy matching is returned."""
+    from tcr import augment
+    from tcr.errors import InconsistentWitness
+
+    def failed(*args):
+        raise InconsistentWitness("forced")
+
+    work, swapped, bp, R_id, _ = growth_setup(split_edges(4, 3), DriverParams())
+    monkeypatch.setattr(augment, "compute_B_W", failed)
+    out = initial_matching(work, bp, R_id, DriverParams(), random.Random(0))
+    assert (out.status, out.kind, out.colour, out.component) == ("ok", "red_greedy",
+                                                                 Colour.RED, R_id)
+    assert out.matching == ((1, 2, 3, 4),)
+    assert out.trace == ({"claim": "greedy_red", "size": 1},
+                         {"claim": "B_W", "failed": "forced"})
+
+
 def test_augment_terminal_when_at_target():
     ch = all_red(4, 17)   # n = 10 at eta = 3/20, target 5/2
     bp, red_id = spanning_setup(ch)

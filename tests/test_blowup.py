@@ -38,6 +38,11 @@ def test_blow_up_k5_component_count():
     assert len(tight_components(blown.graph).components) == 1
 
 
+def test_blow_up_needs_r_at_least_1():
+    with pytest.raises(ValueError, match="r = 0 < 1"):
+        blow_up(all_red(4, 5), 0)
+
+
 def test_blow_up_cap():
     ch = all_red(4, 8)   # 70 * 8**4 = 286,720 > 250,000 blown edges
     with pytest.raises(SizeCapExceeded):
@@ -163,13 +168,13 @@ def test_density_transfer_k8_two_blowup():
 
     eps = transfer_eps(8, 2)
     ch = all_red(4, 8)
-    assert density_check(ch.graph, 1 - eps, eps).passed
+    assert density_check(ch.graph, 1 - eps, eps)
     blown, _ = blow_up(ch, 2)
-    assert density_check(blown.graph, 1 - 2 * eps, 2 * eps).passed
+    assert density_check(blown.graph, 1 - 2 * eps, 2 * eps)
     # well below the bound the level-1 degree condition genuinely fails:
     # clone degrees are C(7,3) * 8 = 280 < (1 - 2 eps') * C(15,3) there
     smaller = Fraction(19, 100)
-    assert not density_check(blown.graph, 1 - 2 * smaller, 2 * smaller).passed
+    assert not density_check(blown.graph, 1 - 2 * smaller, 2 * smaller)
 
 
 @settings(max_examples=15, deadline=None)

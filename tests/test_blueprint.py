@@ -15,7 +15,7 @@ from tcr.blueprint import (blueprint_eps_for_density,
                            is_good, is_suitable_pair, local_pivot,
                            make_blueprint, pair_shadow_masks, rational_sqrt_upper,
                            sample_suitable_pairs, trim_spanning_component)
-from tcr.errors import ContractUnmet, HypothesisViolated
+from tcr.errors import ContractUnmet, HypothesisViolated, InconsistentWitness
 from tcr.hypergraph import Colour, build
 from tcr.tight import monochromatic_components
 
@@ -32,6 +32,17 @@ def test_rational_sqrt_upper():
     assert q * q >= Fraction(1, 20)
     assert (q - Fraction(1, 1000)) ** 2 < Fraction(1, 20)
     assert blueprint_eps_for_density(Fraction(1, 20)) == 3 * q
+
+
+def test_rational_sqrt_upper_rejects_a_negative_radicand():
+    with pytest.raises(ValueError, match="negative radicand"):
+        rational_sqrt_upper(Fraction(-1, 20))
+
+
+def test_make_blueprint_rejects_an_unknown_component():
+    ch, _ = full_red_blueprint(6, Fraction(1, 3))
+    with pytest.raises(InconsistentWitness, match=r"\(3, 4\) to unknown component 1"):
+        make_blueprint(ch, Fraction(1, 3), {(1, 2): 0, (3, 4): 1})
 
 
 def test_check_all_red_k6_threshold_boundary():
@@ -152,6 +163,20 @@ def test_build_split_matches_degree_comparison_oracle():
         assert degs[cid] == best
 
 
+def test_build_keeps_the_majority_component_of_a_connected_red_group():
+    """Red edges 1245 and 1367 are two red components.  At eps = 1/2 the
+    degree threshold is negative, so every pair is chosen: the six pairs of
+    1367 by component 1, every other pair by component 0 (it sees them or
+    is the first red id).  All 28 pairs form one connected group, whose
+    majority is component 0, so the consistency pass discards the six."""
+    ch = build(4, 8, [("R", (1, 2, 4, 5)), ("R", (1, 3, 6, 7))])
+    res = build_blueprint(ch, Fraction(1, 2))
+    assert (res.omitted, res.discarded) == (0, 6)
+    assert res.blueprint.assign == {p: 0 for p in itertools.combinations(range(1, 9), 2)
+                                    if not set(p) <= {1, 3, 6, 7}}
+    assert check_blueprint(ch, res.blueprint).ok
+
+
 def test_build_empty_graph():
     # a graph with no edges at all: every pair is omitted
     from tcr.hypergraph import ColouredKGraph, KGraph
@@ -227,6 +252,19 @@ def test_trim_density_precondition():
     ch = build(2, 10, [("R", (1, 2)), ("B", (3, 4))])
     with pytest.raises(ValueError):
         trim_spanning_component(ch, Fraction(1, 100))
+
+
+def test_trim_takes_only_2_graphs():
+    with pytest.raises(ValueError, match="coloured 2-graphs"):
+        trim_spanning_component(all_red(4, 6), Fraction(1, 100))
+
+
+def test_trim_of_an_edgeless_graph_finds_no_component():
+    """At eps = 1 an edgeless 2-graph passes the edge count, as the trim of
+    an empty blueprint does in the growth set-up; it keeps no vertex and
+    has no component to span."""
+    with pytest.raises(ContractUnmet, match="no monochromatic component at all"):
+        trim_spanning_component(build(2, 5, []), Fraction(1))
 
 
 def test_blueprint_blowup_same_eps_and_degree_scaling():
@@ -465,6 +503,25 @@ def test_local_pivot_all_blue_family():
     (red_id,) = {bp.assign[p] for p in bp.pairs_of_colour(Colour.RED)}
     x = local_pivot(ch, bp, red_id, (1, 2, 3, 4), (5, 6, 7), (5, 6))
     assert x == 1
+
+
+def test_local_pivot_checks_its_hypotheses():
+    """|W| = 3; (f, W) suitable, which fails with pair (1, 2) unassigned;
+    f an edge of component R_id, which the blue edge 2345 is not, though it
+    is good and (2345, 678) suitable; e a component-R_id pair inside W."""
+    ch, bp, red_id = pivot_fixture()
+    f, W = (1, 2, 3, 4), (5, 6, 7)
+    with pytest.raises(HypothesisViolated, match=r"\|W\| = 2, expected 3"):
+        local_pivot(ch, bp, red_id, f, (5, 6), (5, 6))
+    unassigned = make_blueprint(ch, bp.eps, {p: c for p, c in bp.assign.items() if p != (1, 2)})
+    with pytest.raises(HypothesisViolated, match=r"\(f, W\) not suitable"):
+        local_pivot(ch, unassigned, red_id, f, W, (5, 6))
+    assert ch.colour[(2, 3, 4, 5)] is Colour.BLUE
+    assert is_suitable_pair(ch, bp, (2, 3, 4, 5), (6, 7, 8)).suitable
+    with pytest.raises(HypothesisViolated, match=r"f = \(2, 3, 4, 5\) is not a good edge"):
+        local_pivot(ch, bp, red_id, (2, 3, 4, 5), (6, 7, 8), (6, 7))
+    with pytest.raises(HypothesisViolated, match=r"e = \(1, 5\) is not a component"):
+        local_pivot(ch, bp, red_id, f, W, (1, 5))
 
 
 def test_local_pivot_empty_core_rejected():

@@ -3,7 +3,10 @@ import gc
 import itertools
 import json
 import random
+import runpy
+import sys
 import tracemalloc
+import warnings
 from fractions import Fraction
 from math import comb
 from unittest import mock
@@ -334,6 +337,27 @@ def test_cli_usage_error_without_command(capsys):
     assert report["error"]["kind"] == "UsageError"
 
 
+def test_cli_help_main_and_module_entry(capsys, monkeypatch):
+    """`--help` prints the usage and exits 0 with no report; `main` and
+    running the module as `__main__` exit with `run`'s code."""
+    code, out, _ = run_captured(capsys, ["--help"])
+    assert code == EXIT_OK
+    assert out.startswith("usage: tcr ")
+    argv = ["tcr", "extremal", "split", "--k", "4", "--n", "2"]
+    monkeypatch.setattr(sys, "argv", argv)
+    with pytest.raises(SystemExit) as exc:
+        cli.main()
+    assert exc.value.code == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["result"]["N"] == 8
+    monkeypatch.setattr(sys, "argv", [*argv[:-1], "1"])   # n = 1 is a usage error
+    with warnings.catch_warnings(), pytest.raises(SystemExit) as exc:
+        # tcr.cli is imported already, which runpy warns about
+        warnings.simplefilter("ignore", RuntimeWarning)
+        runpy.run_module("tcr.cli", run_name="__main__")
+    assert exc.value.code == EXIT_USAGE
+    assert json.loads(capsys.readouterr().out)["error"]["kind"] == "UsageError"
+
+
 @pytest.mark.parametrize("k", [2, 3])
 @pytest.mark.parametrize("argv", [["driver", "--seed", "1"], ["augment", "--seed", "1"],
                                   ["blueprint", "build", "--eps", "1/20"]])
@@ -621,6 +645,30 @@ def test_cli_invalid_growth_output_is_internal_error(tmp_path, capsys, monkeypat
     code, out, _ = run_captured(capsys, [*argv, "--in", _split13(tmp_path), "--seed", "7"])
     assert code == EXIT_INTERNAL
     assert json.loads(out)["error"] == {"kind": "InternalError", "message": message}
+
+
+def test_cli_augment_and_driver_end_differently_off_the_spanning_component(tmp_path,
+                                                                          capsys):
+    """parity_coloring(4, 5, 0), seed 7: the initial matching is
+    red_fallback's, in a red component other than the spanning one.  The
+    driver's pre-step guard stops the run (exit 0, step_failed), while
+    `augment` steps and the step's entry check raises (exit 2).  Both test
+    the same rule; this pins both answers until red_fallback is decided."""
+    path = tmp_path / "parity450.tcg"
+    path.write_text(serialize_coloured_hypergraph(extremal.parity_coloring(4, 5, 0)[0]),
+                    encoding="utf-8")
+    code, out, _ = run_captured(capsys, ["driver", "--in", str(path), "--seed", "7"])
+    assert code == EXIT_OK
+    result = json.loads(out)["result"]
+    assert (result["status"], result["initial_kind"], result["iterations"]) == (
+        "step_failed", "red_fallback", 1)
+    assert result["trace"][-1] == {"claim": "iterate",
+                                   "stopped": "matching outside the spanning red component"}
+    code, out, err = run_captured(capsys, ["augment", "--in", str(path), "--seed", "7"])
+    message = "a red matching must live in the spanning red component"
+    assert code == EXIT_CONTRACT
+    assert json.loads(out)["error"] == {"kind": "HypothesisViolated", "message": message}
+    assert err == f"violation: {message}\n"
 
 
 def test_cli_augment_steps_from_a_small_red_greedy_matching(tmp_path, capsys):

@@ -77,8 +77,17 @@ def test_each_size_rule_is_checked_once():
                        (parity_coloring, (4, 0, 1))):
         with pytest.raises(ValueError, match="N = -?[0-9]+ < k"):
             make(*args)
+    with pytest.raises(ValueError, match="N = -2 < k = 0"):
+        split_coloring(0, 2)   # gcd(0, 0) = 0 divides nothing
     with pytest.raises(ValueError, match="0 <= i <= k-1"):
         parity_coloring(4, 2, 4)
+
+
+def test_profile_colourings_stop_at_the_edge_cap():
+    """split k = 4, n = 11 has N = 53 and C(53, 4) = 292,825 edges, above
+    the cap of 250,000; it is refused before any edge is made."""
+    with pytest.raises(SizeCapExceeded, match=r"C\(53,4\) exceeds cap 250000"):
+        split_coloring(4, 11)
 
 
 def test_parity_i0_is_colour_swapped_split_when_x_matches():

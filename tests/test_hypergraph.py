@@ -209,6 +209,37 @@ def test_repeats_that_end_the_canonical_prefix(case, same):
         assert parse_outcome(parse_coloured_hypergraph, text) == expected_text
 
 
+def test_a_scanned_block_in_canonical_order_leaves_later_blocks_whole(monkeypatch):
+    """A comment line in a tcg file's first block, or a list edge in the
+    first block of library pairs, sends that block through the per-edge
+    loop; it keeps canonical order, so every later block is added whole.
+    Once a block leaves canonical order, every later block goes through the
+    per-edge loop.  The graphs and colour classes are the plain input's."""
+    calls = []
+    original = hypergraph._add_each
+
+    def counting(colour, pairs, k, n, last):
+        calls.append(last)
+        return original(colour, pairs, k, n, last)
+
+    monkeypatch.setattr(hypergraph, "_add_each", counting)
+    monkeypatch.setattr(hypergraph, "BLOCK", 4)
+    head = "tcg 1\nk=4 n=8\n"
+    lines = [c + " " + " ".join(map(str, e)) + "\n" for c, e in CANON]
+    expected = parse_outcome(parse_reference, head + "".join(lines))
+    assert parse_outcome(parse_coloured_hypergraph, head + "# a comment\n" + "".join(lines)) \
+        == expected
+    assert calls == [()]
+    calls.clear()
+    pairs = [(CANON[0][0], list(CANON[0][1])), *CANON[1:]]
+    assert build_outcome(build, 4, 8, pairs) == build_outcome(build_reference, 4, 8, CANON)
+    assert calls == [()]
+    calls.clear()
+    swapped = [lines[1], lines[0], *lines[2:]]
+    assert parse_outcome(parse_coloured_hypergraph, head + "".join(swapped)) == expected
+    assert calls == [(), None, None, None]
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10_000))
 def test_degree_double_counting(seed):
@@ -225,30 +256,35 @@ def test_degree_double_counting(seed):
 @pytest.mark.parametrize("k,n", [(k, n) for k in (2, 3, 4, 5)
                                  for n in range(k, 13)])
 def test_complete_graphs_are_perfectly_dense(k, n):
-    assert density_check(complete_kgraph(k, n), 1, 0).passed
+    assert density_check(complete_kgraph(k, n), 1, 0)
 
 
 def test_density_complete_minus_edge_fails():
     h = complete_kgraph(4, 8)
     h2 = type(h)(4, 8, h.edges - {(1, 2, 3, 4)})
-    rep = density_check(h2, 1, 0)
-    assert not rep.passed
-    # the four triples inside the removed edge have positive degree below complete
-    assert rep.per_level[2].violating == 4
+    assert not density_check(h2, 1, 0)
 
 
-def test_density_report_counts_partition():
-    rng = random.Random(11)
-    ch = rand_coloured(4, 8, 30, rng)
-    rep = density_check(ch.graph, Fraction(1, 2), Fraction(1, 10))
-    for level in rep.per_level:
-        assert level.meets + level.zero + level.violating == comb(8, level.i)
+def test_density_allows_zero_degree_sets_up_to_alpha_but_no_low_positive_degree():
+    """K_7^(4) inside [8]: the i-sets that meet vertex 8 have degree 0, 1 of
+    8 singletons, 7 of 28 pairs and 21 of 56 triples, so at mu = 1/2, where
+    every other i-set meets its threshold (20 >= 35/2, 10 >= 15/2,
+    4 >= 5/2), the graph is dense exactly when alpha >= 3/8.  At mu = 1 the
+    sets inside [7] have positive degree below C(8-i, 4-i), which no alpha
+    allows; nor does alpha = 1 allow K_8^(4) minus an edge at mu = 1."""
+    h = complete_kgraph(4, 7)
+    h = type(h)(4, 8, h.edges)
+    assert density_check(h, Fraction(1, 2), Fraction(3, 8))
+    assert not density_check(h, Fraction(1, 2), Fraction(3, 8) - Fraction(1, 1000))
+    assert not density_check(h, 1, 1)
+    k8 = complete_kgraph(4, 8)
+    assert not density_check(type(k8)(4, 8, k8.edges - {(1, 2, 3, 4)}), 1, 1)
 
 
 def test_density_near_complete_passes_small_eps():
     rng = random.Random(3)
     ch = near_complete_coloured(4, 10, rng, deletions=2)
-    assert density_check(ch.graph, Fraction(3, 4), Fraction(1, 4)).passed
+    assert density_check(ch.graph, Fraction(3, 4), Fraction(1, 4))
 
 
 def _edges_within_hosts(rng):

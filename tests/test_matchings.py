@@ -117,7 +117,9 @@ def test_lp_two_overlapping_edges():
 
 
 def test_lp_empty_host():
-    assert max_fractional_lp(frozenset()).weight() == 0
+    """The general paths solve the empty LP: weight 0 and no support."""
+    for phi in (max_fractional_lp(frozenset()), max_r_fractional([], 3)):
+        assert phi == FractionalMatching(frozenset(), {})
 
 
 def test_lp_deterministic_and_canonical_support():
@@ -178,6 +180,8 @@ def test_fact_rejects_common_vertex():
     h = build(4, 6, [("R", (1, 2, 3, 4)), ("R", (1, 2, 3, 5))]).graph
     with pytest.raises(NonEmptyIntersection):
         empty_intersection_matching(h.edges)
+    with pytest.raises(NonEmptyIntersection, match="family is empty"):
+        empty_intersection_matching([])
 
 
 @settings(max_examples=40, deadline=None)

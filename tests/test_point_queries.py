@@ -127,7 +127,13 @@ def hand_built():
     """The raise sites that the seeded instances miss: a vertex of W outside
     V(G), and a red attachment edge.  The latter needs a shadow mask that no
     analysis of the graph gives: the red pair (1, 2) is assigned to the red
-    component {5678}, yet its mask claims that {1, 2, 4} is in its shadow."""
+    component {5678}, yet its mask claims that {1, 2, 4} is in its shadow.
+
+    And the two skips that need an incomplete graph, which no seeded
+    instance is: K_9^(4) without 1234 and the edges through 567, red iff an
+    edge holds 9, so W = 1..8 holds no red edge.  Triple 567, with the red
+    pair 56, lies in no edge; 1234 is no edge, though each of its triples
+    lies in one, so the honest masks offer vertex 4 to triple 123."""
     CH = build(4, 8, [("R" if e in ((1, 2, 3, 4), (5, 6, 7, 8)) else "B", e)
                       for e in itertools.combinations(range(1, 9), 4)])
     decomp = monochromatic_components(CH)
@@ -137,7 +143,16 @@ def hand_built():
     assign[(1, 2)] = R_id
     bp = make_blueprint(CH, Fraction(1, 2), assign)
     forged = dataclasses.replace(bp, masks={p: (1 << 9) - 2 for p in bp.masks})
-    return [(CH, forged, R_id, (1, 2, 3, 4)), (CH, forged, R_id, (1, 5))]
+    holed = build(4, 9, [("R" if 9 in e else "B", e)
+                         for e in itertools.combinations(range(1, 10), 4)
+                         if e != (1, 2, 3, 4) and not {5, 6, 7} <= set(e)])
+    ids = component_of(monochromatic_components(holed))
+    red = ids[(1, 2, 3, 9)]
+    honest = make_blueprint(holed, Fraction(1, 2), {
+        p: red if p in ((1, 2), (5, 6)) else ids[(1, 2, 3, 5)]
+        for p in itertools.combinations(range(1, 9), 2)})
+    return [(CH, forged, R_id, (1, 2, 3, 4)), (CH, forged, R_id, (1, 5)),
+            (holed, honest, red, tuple(range(1, 9)))]
 
 
 def test_point_queries_match_their_scanning_references():

@@ -229,6 +229,11 @@ def test_find_path_k5():
     assert verify_path_witness(complete_kgraph(4, 5).edges, 4, res.ordering)
 
 
+def test_find_path_needs_k_vertices():
+    with pytest.raises(ValueError, match="path length 3 < k = 4"):
+        find_tight_path(complete_kgraph(4, 5), 3)
+
+
 def test_find_path_two_disjoint_edges_absent():
     h = build(4, 8, [("R", (1, 2, 3, 4)), ("R", (5, 6, 7, 8))]).graph
     assert isinstance(find_tight_path(h, 5), Absent)
