@@ -25,6 +25,7 @@ edge, which finds the first faulty line.
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import json
 import operator
@@ -152,9 +153,10 @@ def parse_coloured_hypergraph(text: str) -> ColouredKGraph:
     follows the input; a block with any other token is read by `int`.  A
     block that fails either check, and every block after one out of
     canonical order, is scanned line by line, which raises at the first
-    faulty line.  So a line fault is reported at the first faulty line, and
-    a colour conflict only when no line before it in its block or an
-    earlier one is faulty."""
+    faulty line; a block after one out of canonical order skips the token
+    check, whose result it would not read.  So a line fault is reported at
+    the first faulty line, and a colour conflict only when no line before
+    it in its block or an earlier one is faulty."""
     lines = text.split("\n")
     header = []
     for lineno, raw in enumerate(lines, start=1):
@@ -183,17 +185,18 @@ def parse_coloured_hypergraph(text: str) -> ColouredKGraph:
 
     table = {str(v): v for v in range(1, min(n, len(lines) - lineno) + 1)}
 
+    def flattened(block):
+        tokens = _block_tokens(block, k, table)
+        if tokens is None:
+            return None, None, None
+        letters, verts = tokens
+        return map(LETTER_COLOUR.__getitem__, letters), None, verts
+
     def blocks():
         size = hypergraph_mod.BLOCK
         for start in range(lineno, len(lines), size):
             block = lines[start:start + size]
-            tokens = _block_tokens(block, k, table)
-            scan = _scanned_lines(block, start + 1, k, n)
-            if tokens is None:
-                yield None, None, None, scan
-            else:
-                letters, verts = tokens
-                yield map(LETTER_COLOUR.__getitem__, letters), None, verts, scan
+            yield functools.partial(flattened, block), _scanned_lines(block, start + 1, k, n)
 
     try:
         return build(k, n, _Blocks(blocks()))

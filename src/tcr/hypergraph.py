@@ -20,6 +20,7 @@ complete k-graph attains, so that K_n^(k) is (1, 0)-dense at every level.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from enum import Enum
@@ -142,10 +143,11 @@ LETTER_COLOUR = {"R": Colour.RED, "B": Colour.BLUE}
 
 class _Blocks:
     """The tcg parser's hand-off to `build`: in place of (colour, edge)
-    pairs, blocks (colours, None, vertices, pairs) in the form `build`
-    gives library pairs with `_flattened`.  `build` makes the edges from
-    the vertex columns; a block whose vertices are None, or that is not
-    added whole, is added from its pairs, the parser's line scan."""
+    pairs, blocks (flatten, pairs) in the form `build` gives library pairs,
+    where flatten() returns (colours, None, vertices) as `_flattened` does.
+    `build` makes the edges from the vertex columns; a block whose vertices
+    are None, or that is not added whole, is added from its pairs, the
+    parser's line scan."""
 
     __slots__ = ("blocks",)
 
@@ -241,8 +243,9 @@ def build(k: int, n: int, coloured_edges) -> ColouredKGraph:
     (`_add_checked`).  Any other block goes edge by edge (`_add_each`),
     which sorts each edge, raises the first fault in input order and tells
     whether the block kept canonical order; once the input has left it,
-    every later block goes edge by edge too.  The tcg parser hands its
-    blocks over through `_Blocks`, so its edges get the same one check.
+    every later block goes edge by edge too, and is not flattened.  The
+    tcg parser hands its blocks over through `_Blocks`, so its edges get
+    the same one check.
     The two colour classes are kept for `edges_of`; while the input keeps
     canonical order they are read in insertion order, else from the sorted
     edges.
@@ -255,14 +258,16 @@ def build(k: int, n: int, coloured_edges) -> ColouredKGraph:
         blocks = coloured_edges.blocks
     else:
         source = iter(coloured_edges)
-        blocks = ((*_flattened(block, k), block)
+        blocks = ((functools.partial(_flattened, block, k), block)
                   for block in iter(lambda: list(itertools.islice(source, BLOCK)), []))
     colour = {}
     last = ()
-    for cs, es, verts, pairs in blocks:
+    for flatten, pairs in blocks:
         added = None
-        if last is not None and verts is not None:
-            added = _add_checked(colour, cs, es, verts, k, n, last)
+        if last is not None:
+            cs, es, verts = flatten()
+            if verts is not None:
+                added = _add_checked(colour, cs, es, verts, k, n, last)
         last = _add_each(colour, pairs, k, n, last) if added is None else added
     if last is not None:
         edges = tuple(colour)

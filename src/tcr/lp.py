@@ -14,6 +14,21 @@ optimum comes with its dual y, and `check_certificate` verifies (x, y)
 with its own arithmetic before it is returned, as QSopt_ex does
 (Applegate-Cook-Dash-Espinoza 2007); a failed check raises
 CertificateFailed, an internal error.
+
+A solve can keep its final state in a `Basis`, and later solves of the
+same program with some columns held at 0 start from it by the dual
+simplex (Lemke 1954): the basis stays dual feasible, so the program is
+re-optimised without a phase 1.  The leaving row is the infeasible one
+with the smallest basic index, where a held column counts as infeasible
+when it is basic and positive; the entering column is the least dual
+ratio, ties to the smaller index: Bland's rule in its dual form.  A dual
+pivot entry may be negative; every row, the objective row and D are then
+negated, so D stays positive (D = |det B|, M the adjugate up to sign).  A
+held column that is nonbasic never enters, and one that is basic at 0
+stays until a pivot would make it positive.  The dual objective never
+rises, so a solve stops as soon as it falls below the state's optimum:
+its dual y then bounds the program below that optimum, and `check_bound`
+verifies the bound before it is returned.
 """
 from __future__ import annotations
 
@@ -32,7 +47,21 @@ def _integer_row(values):
     return [v.numerator * (d // v.denominator) for v in values], d
 
 
-def simplex_max(columns, rhs):
+class Basis:
+    """The final state of an optimal solve, for later solves of the same
+    program to start from: its columns and rhs, the adjugate rows
+    (M_i, beta_i), the objective row (Y, z), D = |det B|, the basic column
+    of each row (`order`; slack i is column len(columns) + i), the rhs
+    scale L and the optimum `value`.  Empty (value None) until a solve
+    fills it."""
+
+    __slots__ = ("columns", "rhs", "rows", "obj", "D", "order", "L", "value")
+
+    def __init__(self):
+        self.value = None
+
+
+def simplex_max(columns, rhs, basis=None):
     """Maximize sum(x), A.x <= rhs, x >= 0, where column j of A is 1 in the
     rows listed in columns[j] (never empty) and 0 elsewhere.
 
@@ -41,7 +70,8 @@ def simplex_max(columns, rhs):
     per row), all Fractions, verified by `check_certificate`.  Raises
     ValueError for a negative rhs.  Entering column: the first improving
     one, structural columns before slacks; leaving row: the least ratio,
-    ties to the smaller basis index.
+    ties to the smaller basis index.  A `basis` given is filled with the
+    optimal state.
     """
     m = len(rhs)
     nv = len(columns)
@@ -54,7 +84,7 @@ def simplex_max(columns, rhs):
             for i, b in enumerate(rhs)]
     obj = [0] * (m + 1)
     D = 1
-    basis = [nv + i for i in range(m)]
+    order = [nv + i for i in range(m)]
 
     while True:
         # price: the reduced cost of column j is (D - Y.A_j) / D
@@ -82,7 +112,7 @@ def simplex_max(columns, rhs):
                     leave, best_a, best_b = i, a, b
                     continue
                 lhs, rhs_best = b * best_a, best_b * a
-                if lhs < rhs_best or (lhs == rhs_best and basis[i] < basis[leave]):
+                if lhs < rhs_best or (lhs == rhs_best and order[i] < order[leave]):
                     leave, best_a, best_b = i, a, b
         prow = rows[leave]
         p = alpha[leave]
@@ -91,17 +121,100 @@ def simplex_max(columns, rhs):
                 rows[i] = _pivot(rows[i], f, prow, p, D)
         obj = _pivot(obj, -g, prow, p, D)
         D = p
-        basis[leave] = enter
+        order[leave] = enter
 
+    state = Basis() if basis is None else basis
+    state.columns, state.rhs, state.rows, state.obj = columns, rhs, rows, obj
+    state.D, state.order, state.L = D, order, L
+    value, x, y = _optimum(state, ())
+    state.value = value
+    return value, x, y
+
+
+def _optimum(state, held):
+    """(value, x, y) at an optimal state, with x over every column, verified
+    by `check_certificate` on the program without the `held` columns."""
+    columns, rhs, D, L = state.columns, state.rhs, state.D, state.L
+    nv = len(columns)
     x = [ZERO] * nv
-    for row, b in zip(rows, basis):
+    for row, b in zip(state.rows, state.order):
         if b < nv:
             x[b] = Fraction(row[-1], D * L)
-    value = Fraction(obj[-1], D * L)
-    y = [Fraction(w, D) if w else ZERO for w in obj[:m]]
-    if not check_certificate(columns, rhs, value, x, y):
+    value = Fraction(state.obj[-1], D * L)
+    y = [Fraction(w, D) if w else ZERO for w in state.obj[:len(rhs)]]
+    checked = x
+    if held:
+        columns = [c for j, c in enumerate(columns) if j not in held]
+        checked = [v for j, v in enumerate(x) if j not in held]
+    if not check_certificate(columns, rhs, value, checked, y):
         raise CertificateFailed(f"simplex optimum {value} failed its dual certificate")
     return value, x, y
+
+
+def _reoptimise(basis, held):
+    """Re-solve `basis`'s program with the columns in `held` fixed at 0, by
+    the dual simplex from its optimal state.
+
+    Returns (value, x, y) at the new optimum, which is then `basis`'s state,
+    once every basic value is >= 0 and every held basic column is at 0; or
+    (bound, None, y), with `basis` unchanged, as soon as the dual objective
+    rhs.y falls below basis.value, verified by `check_bound`.  Every
+    nonbasic column stays at 0, so beta = M.b throughout.
+    """
+    columns, rhs, L, value = basis.columns, basis.rhs, basis.L, basis.value
+    nv = len(columns)
+    rows, obj, D, order = list(basis.rows), basis.obj, basis.D, list(basis.order)
+    while True:
+        leave = -1
+        for i, (row, b) in enumerate(zip(rows, order)):
+            if (row[-1] < 0 or (row[-1] > 0 and b in held)) and (leave < 0 or b < order[leave]):
+                leave = i
+        if leave < 0:
+            break
+        # a row below 0 leaves through a negative entry, a held column above
+        # 0 through a positive one: a = s * alpha_j > 0.  The ratio is r / a,
+        # r = Y.A_j - D >= 0 (Y_i for slack i), D times minus the reduced cost
+        prow = rows[leave]
+        s = 1 if prow[-1] > 0 else -1
+        enter = -1
+        get = prow.__getitem__
+        for j, col in enumerate(columns):
+            if j not in held:
+                a = s * sum(map(get, col))
+                if a > 0:
+                    r = sum(map(obj.__getitem__, col)) - D
+                    if enter < 0 or r * best_a < best_r * a:
+                        enter, best_a, best_r = j, a, r
+                        if not r:
+                            break   # a zero ratio is the least, and no column before it
+        if enter < 0 or best_r:
+            for i, u in enumerate(prow[:-1]):
+                a = s * u
+                if a > 0 and (enter < 0 or obj[i] * best_a < best_r * a):
+                    enter, best_a, best_r = nv + i, a, obj[i]
+        if enter < nv:
+            col = columns[enter]
+            alpha = [sum(map(row.__getitem__, col)) for row in rows]
+        else:
+            alpha = [row[enter - nv] for row in rows]
+        # the pivot entry is s * best_a; on a negative one the next adjugate
+        # and its determinant are negated, which leaves every ratio as it is
+        for i, f in enumerate(alpha):
+            if i != leave:
+                rows[i] = _pivot(rows[i], s * f, prow, best_a, D)
+        obj = _pivot(obj, s * best_r, prow, best_a, D)
+        if s < 0:
+            rows[leave] = [-u for u in prow]
+        D = best_a
+        order[leave] = enter
+        if obj[-1] * value.denominator < value.numerator * D * L:
+            y = [Fraction(w, D) if w else ZERO for w in obj[:len(rhs)]]
+            if not check_bound([c for j, c in enumerate(columns) if j not in held],
+                               rhs, value, y):
+                raise CertificateFailed(f"dual bound below {value} failed its check")
+            return Fraction(obj[-1], D * L), None, y
+    basis.rows, basis.obj, basis.D, basis.order = rows, obj, D, order
+    return _optimum(basis, held)
 
 
 def _pivot(row, f, prow, p, D):
@@ -120,12 +233,12 @@ def check_certificate(columns, rhs, value, x, y) -> bool:
     y.A_j >= 1 for every column j) and sum(x) = rhs.y = value, so weak
     duality proves both optimal.  Exact arithmetic on x and y brought to a
     common denominator each; each column is priced from its own rows."""
-    if len(x) != len(columns) or len(y) != len(rhs):
+    if len(x) != len(columns) or any(v < 0 for v in x):
         return False
-    if any(v < 0 for v in x) or any(w < 0 for w in y):
+    dual = _dual_feasible(columns, rhs, y)
+    if dual is None:
         return False
     x, dx = _integer_row(x)
-    y, dy = _integer_row(y)
     load = [0] * len(rhs)
     for col, v in zip(columns, x):
         if v:
@@ -133,14 +246,35 @@ def check_certificate(columns, rhs, value, x, y) -> bool:
                 load[i] += v
     if any(ld > b * dx for ld, b in zip(load, rhs)):
         return False
-    for col in columns:
-        if sum(y[i] for i in col) < dy:
-            return False
+    y, dy = dual
     return (sum(x) == value * dx
             and sum(w * b for w, b in zip(y, rhs) if w) == value * dy)
 
 
-def matching_lp(edge_list, lower=None, upper=None):
+def check_bound(columns, rhs, value, y) -> bool:
+    """Whether y proves that max sum(x), A.x <= rhs, x >= 0 lies below
+    `value`: y is dual feasible and rhs.y < value, so weak duality bounds
+    every feasible x.  The same exact arithmetic as `check_certificate`."""
+    dual = _dual_feasible(columns, rhs, y)
+    if dual is None:
+        return False
+    y, dy = dual
+    return sum(w * b for w, b in zip(y, rhs) if w) < value * dy
+
+
+def _dual_feasible(columns, rhs, y):
+    """(integers, d) with y = integers / d when y has one entry per row,
+    y >= 0 and y.A_j >= 1 for every column j; else None."""
+    if len(y) != len(rhs) or any(w < 0 for w in y):
+        return None
+    y, dy = _integer_row(y)
+    for col in columns:
+        if sum(y[i] for i in col) < dy:
+            return None
+    return y, dy
+
+
+def matching_lp(edge_list, lower=None, upper=None, basis=None):
     """Max total weight over edges with load at most 1 at every vertex.
 
     edge_list: canonical sorted list of edges.  lower / upper map edge ->
@@ -150,9 +284,21 @@ def matching_lp(edge_list, lower=None, upper=None):
     {edge: weight}) including the lower-bounded mass, or (None, None) when
     the bounds alone are infeasible.  Each edge's column has a 1 in the row
     of each of its vertices and in its bound row.
+
+    basis: a `Basis`.  An empty one is filled by the solve, which must then
+    have no bounds.  A filled one comes from such a solve on the same
+    edge_list, and `upper` may only hold 0s: the edges it names are held at
+    0 by `_reoptimise`, which keeps every vertex row.  The result is the
+    optimum, which `basis` then holds, or (bound, None) with a verified
+    bound below the optimum that `basis` holds, which is left unchanged.
     """
     lower = lower or {}
     upper = upper or {}
+    if basis is not None and basis.value is not None:
+        value, x, _ = _reoptimise(basis, {j for j, e in enumerate(edge_list) if e in upper})
+        if x is None:
+            return value, None
+        return value, {e: w for e, w in zip(edge_list, x) if w}
     active = [e for e in edge_list if upper.get(e) != 0]
     vertices = sorted({v for e in active for v in e})
     vindex = {v: i for i, v in enumerate(vertices)}
@@ -175,7 +321,7 @@ def matching_lp(edge_list, lower=None, upper=None):
             col.append(len(rhs))
             rhs.append(residual)
         columns.append(col)
-    _, x, _ = simplex_max(columns, rhs)
+    _, x, _ = simplex_max(columns, rhs, basis)
     weights = {}
     total = ZERO
     for e, w in zip(active, x):

@@ -171,17 +171,36 @@ def max_fractional_lp(host) -> FractionalMatching:
 
     Among the optima, greedily forces edges to zero in canonical order
     whenever doing so preserves the optimum, which selects the
-    lexicographically smallest support.
+    lexicographically smallest support.  An edge with weight 0 in the
+    current vertex is zeroed without a solve.  Any other edge is a trial:
+    `lp.matching_lp` re-solves from the last optimal basis by the dual
+    simplex, holding this edge and the ones zeroed so far at 0.  A trial
+    that keeps the optimum moves the basis and the current vertex to its
+    optimum; one whose dual bound falls below the optimum stops there with
+    that bound verified, and the basis stays where it was.
+
+    Why this returns what cold trials returned: an edge is zeroed exactly
+    when some optimum of the program, with the edges zeroed before it held
+    at 0, gives it weight 0 (the current vertex is such an optimum, or the
+    trial finds one), so the zeroed edges depend only on optimum values,
+    never on the optimal vertex a solve reaches.  The weights are a vertex
+    of the last program, and every optimum of that program is positive on
+    every edge not zeroed.  When that optimal face is one point, the
+    weights are determined too.  A face of more than one point is possible
+    (a 24-edge component at N = 11 has one); there the weights are the
+    vertex the solves reach, and the tests compare them with the cold
+    loop's on every component they draw.
     """
     edges = sorted(tuple(sorted(e)) for e in host)
-    value, weights = lp.matching_lp(edges)
+    basis = lp.Basis()
+    _, weights = lp.matching_lp(edges, basis=basis)
     zeroed: dict = {}
     for e in edges:
         if e not in weights:
             zeroed[e] = ZERO
             continue
-        trial_value, trial_weights = lp.matching_lp(edges, upper={**zeroed, e: ZERO})
-        if trial_value == value:
+        _, trial_weights = lp.matching_lp(edges, upper={**zeroed, e: ZERO}, basis=basis)
+        if trial_weights is not None:
             zeroed[e] = ZERO
             weights = trial_weights
     return FractionalMatching(frozenset(edges), weights)

@@ -425,13 +425,19 @@ def test_cli_bad_parameter_value_is_usage_error(tmp_path, capsys, argv, name):
 
 
 def test_cli_failed_certificate_is_internal_error(tmp_path, capsys, monkeypatch):
-    """A failed self-check exits 4 with a JSON report, never 2."""
+    """A failed self-check, of an optimum or of a rejected trial's dual
+    bound, exits 4 with a JSON report, never 2."""
     path = tmp_path / "split.tcg"
     path.write_text(serialize_coloured_hypergraph(split_coloring(4, 2)[0]), encoding="utf-8")
-    monkeypatch.setattr(lp, "check_certificate", lambda *args: False)
-    code, out, _ = run_captured(capsys, ["match", "lp", "--in", str(path), "--component", "0"])
-    assert code == EXIT_INTERNAL
-    assert json.loads(out)["error"]["kind"] == "CertificateFailed"
+    for check in ("check_certificate", "check_bound"):
+        with monkeypatch.context() as patch:
+            patch.setattr(lp, check, lambda *args: False)
+            code, out, _ = run_captured(capsys, ["match", "lp", "--in", str(path),
+                                                 "--component", "0"])
+        assert code == EXIT_INTERNAL
+        error = json.loads(out)["error"]
+        assert error["kind"] == "CertificateFailed"
+        assert ("bound" in error["message"]) is (check == "check_bound")
 
 
 @pytest.mark.parametrize("exc", [ValueError("bad value"), KeyError("missing")])

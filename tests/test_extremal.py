@@ -10,7 +10,7 @@ from tcr import extremal
 from tcr.errors import MalformedEdge, SizeCapExceeded
 from tcr.extremal import (ProfileNotConstant, TargetSpec, parity_coloring,
                           ramsey_search_tiny, split_coloring, verify_no_mono_cycle)
-from tcr.hypergraph import Colour, build
+from tcr.hypergraph import Colour, KGraph, build
 from tcr.matchings import max_matching_exact
 from tcr.tight import Absent, find_tight_cycle, find_tight_path, monochromatic_components
 
@@ -128,6 +128,25 @@ def test_verify_parity_k3_n2_i0_details():
     by_colour = {d["colour"]: d for d in cert.details}
     assert by_colour["R"]["blocked_by"] == "support" and by_colour["R"]["support"] == 5
     assert by_colour["B"]["blocked_by"] == "x_capacity" and by_colour["B"]["x_needed"] == 2
+
+
+def test_verify_y_capacity_block_agrees_with_the_search():
+    """A hand-made spec whose Y is too small: on 8 vertices with X = [3],
+    the red edges, those with exactly one vertex in X, form one component
+    with r1 = 1, so a tight 8-cycle in it would need 2 vertices of X and 6
+    of Y, and |Y| = 5.  The verifier blocks it by y_capacity, and the
+    tight-cycle search finds no 8-cycle in it or in any other component."""
+    N, X = 8, (1, 2, 3)
+    ch = build(4, N, [("R" if len(set(X) & set(e)) == 1 else "B", e)
+                      for e in itertools.combinations(range(1, N + 1), 4)])
+    spec = extremal.ExtremalSpec("parity", 4, 2, 0, 4, N, X, tuple(range(4, N + 1)))
+    cert = verify_no_mono_cycle(ch, spec)
+    assert cert.ok
+    assert cert.details[0] == {"component": 0, "colour": "R", "r1": 1, "support": 8,
+                               "blocked_by": "y_capacity", "y_needed": 6}
+    decomp = monochromatic_components(ch)
+    for comp in decomp.components:
+        assert isinstance(find_tight_cycle(KGraph(4, N, comp), spec.length), Absent)
 
 
 def test_verify_detects_violation_on_complete():

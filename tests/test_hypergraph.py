@@ -209,6 +209,34 @@ def test_repeats_that_end_the_canonical_prefix(case, same):
         assert parse_outcome(parse_coloured_hypergraph, text) == expected_text
 
 
+def test_blocks_after_leaving_canonical_order_are_not_flattened(monkeypatch):
+    """Once a block leaves canonical order, later blocks go edge by edge, so
+    neither `build` (`_flattened`) nor the tcg parser (`_block_tokens`)
+    prepares them for the whole-block path: of three blocks of four, with
+    the second out of order, only the first two are prepared."""
+    calls = []
+
+    def counting(fn):
+        def wrapper(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+        return wrapper
+
+    pairs = [*CANON[:4], CANON[5], CANON[4], *CANON[6:]]
+    text = "tcg 1\nk=4 n=8\n" + "".join(c + " " + " ".join(map(str, e)) + "\n"
+                                        for c, e in pairs)
+    expected = build_outcome(build_reference, 4, 8, CANON)
+    expected_text = parse_outcome(parse_reference, text)
+    monkeypatch.setattr(hypergraph, "_flattened", counting(hypergraph._flattened))
+    monkeypatch.setattr(cli, "_block_tokens", counting(cli._block_tokens))
+    monkeypatch.setattr(hypergraph, "BLOCK", 4)
+    assert build_outcome(build, 4, 8, pairs) == expected
+    assert calls == ["_flattened"] * 2
+    calls.clear()
+    assert parse_outcome(parse_coloured_hypergraph, text) == expected_text
+    assert calls == ["_block_tokens"] * 2
+
+
 def test_a_scanned_block_in_canonical_order_leaves_later_blocks_whole(monkeypatch):
     """A comment line in a tcg file's first block, or a list edge in the
     first block of library pairs, sends that block through the per-edge

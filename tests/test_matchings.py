@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (all_red, complete_kgraph, complete_random_coloured, rand_coloured,
                       split_edges)
-from oracles import brute_max_matching, dense_matching_lp, lp_vertex_enumeration
+from oracles import (brute_max_matching, dense_matching_lp, lex_support_reference,
+                     lp_vertex_enumeration)
 from tcr import lp, matchings
 from tcr.errors import NonEmptyIntersection, SearchCapExceeded, Unsupported
 from tcr.hypergraph import Colour, build
@@ -17,6 +18,7 @@ from tcr.matchings import (FractionalMatching, empty_intersection_matching,
                            from_matching, greedy_matching, max_fractional_lp,
                            max_matching_exact, max_r_fractional, mu_estimate,
                            validate_fractional)
+from tcr.tight import monochromatic_components
 
 K5 = complete_kgraph(4, 5)
 ZERO = Fraction(0)
@@ -263,6 +265,66 @@ def test_lp_on_918_edge_component_is_unchanged():
     assert phi.weights == {(1, 13, 14, 15): 1, (2, 10, 12, 16): 1,
                            (3, 7, 8, 11): 1, (4, 5, 6, 9): 1}
     assert all(type(w) is Fraction for w in phi.weights.values())
+
+
+def test_warm_lex_loop_matches_cold_reference(monkeypatch):
+    """The warm-started loop returns the cold loop's weights on every
+    monochromatic component of seeded colourings (k = 4, N = 6-12, edge
+    densities 0.15-0.9) and on K_n^(4) for n = 5-9.  Among the hosts of
+    more than one edge are loops with a trial rejected by its dual bound
+    and loops with a trial that starts with an edge zeroed earlier still
+    basic at 0."""
+    seen = {"components": 0, "multi-edge": 0, "rejected": 0, "held_basic_at_0": 0}
+    flags = set()
+    reoptimise = lp._reoptimise
+
+    def recording(basis, held):
+        if any(b in held and not row[-1] for row, b in zip(basis.rows, basis.order)):
+            flags.add("held_basic_at_0")
+        result = reoptimise(basis, held)
+        if result[1] is None:
+            flags.add("rejected")
+        return result
+
+    monkeypatch.setattr(lp, "_reoptimise", recording)
+    hosts = [list(itertools.combinations(range(1, n + 1), 4)) for n in range(5, 10)]
+    for n, density, seed in itertools.product(range(6, 13), (0.15, 0.3, 0.5, 0.7, 0.9),
+                                              range(3)):
+        rng = random.Random(f"{n} {density} {seed}")
+        ch = build(4, n, [(rng.choice("RB"), e)
+                          for e in itertools.combinations(range(1, n + 1), 4)
+                          if rng.random() < density])
+        hosts += monochromatic_components(ch).components
+    for host in hosts:
+        flags.clear()
+        assert max_fractional_lp(host).weights == lex_support_reference(host), sorted(host)
+        seen["components"] += 1
+        if len(host) > 1:
+            seen["multi-edge"] += 1
+            for flag in flags:
+                seen[flag] += 1
+    assert seen["components"] >= 300 and seen["multi-edge"] >= 200, seen
+    assert seen["rejected"] >= 200 and seen["held_basic_at_0"] >= 100, seen
+
+
+def test_lex_loop_where_the_last_optimal_face_is_not_a_point():
+    """A component whose last program (every zeroed edge held at 0) has
+    more than one optimum, all positive on the support: raising one
+    support weight by 1/10^9 keeps the optimum.  So the support does not
+    fix the weights there, and the warm loop returns the cold loop's
+    vertex."""
+    host = [(1, 2, 3, 5), (1, 2, 5, 8), (1, 3, 4, 10), (1, 3, 5, 11), (1, 4, 10, 11),
+            (1, 6, 7, 11), (1, 7, 10, 11), (2, 3, 5, 6), (2, 3, 5, 10), (2, 3, 6, 11),
+            (2, 4, 6, 7), (2, 4, 6, 10), (2, 5, 6, 10), (2, 5, 10, 11), (2, 6, 7, 9),
+            (2, 6, 8, 11), (2, 7, 8, 9), (2, 8, 9, 11), (3, 5, 6, 10), (3, 6, 7, 11),
+            (4, 6, 7, 10), (4, 7, 9, 10), (6, 8, 9, 10), (6, 8, 10, 11)]
+    weights = max_fractional_lp(host).weights
+    assert weights == lex_support_reference(host)
+    value = sum(weights.values())
+    zeroed = {e: 0 for e in host if e not in weights}
+    e = (1, 2, 5, 8)
+    assert matching_lp(host, lower={e: weights[e] + Fraction(1, 10**9)}, upper=zeroed)[0] \
+        == value
 
 
 def test_floored_lp_matches_best_support_lp():

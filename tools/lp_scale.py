@@ -5,8 +5,9 @@ random complete 2-colouring of K_N^(4) (each 4-set red or blue with equal
 odds, drawn from random.Random(N) in lexicographic order).  The script runs
 `max_fractional_lp` on it -- the first LP solve plus the lexicographic-support
 loop -- and reports the median CPU time over the repeats, the number of
-simplex solves, the optimum and a digest of the exact weights, together with
-the machine it ran on.
+LP solves (calls of `lp.matching_lp`, the first solve and every trial,
+cold or warm-started), the optimum and a digest of the exact weights,
+together with the machine it ran on.
 
     python3 tools/lp_scale.py --ns 14 18 22 26 --out BENCH_lp_scale.json
 
@@ -45,15 +46,15 @@ def measure(n: int, repeats: int) -> dict:
     from tcr.matchings import max_fractional_lp
     component = largest_component(n)
     solves = 0
-    solve = lp.simplex_max
+    solve = lp.matching_lp
 
-    def counting(*args):
+    def counting(*args, **kwargs):
         nonlocal solves
         solves += 1
-        return solve(*args)
+        return solve(*args, **kwargs)
 
     times = []
-    lp.simplex_max = counting
+    lp.matching_lp = counting
     try:
         for _ in range(repeats):
             solves = 0
@@ -61,7 +62,7 @@ def measure(n: int, repeats: int) -> dict:
             phi = max_fractional_lp(component)
             times.append(time.process_time() - start)
     finally:
-        lp.simplex_max = solve
+        lp.matching_lp = solve
     weights = sorted(phi.weights.items())
     digest = hashlib.sha256(repr([(e, str(w)) for e, w in weights]).encode()).hexdigest()
     return {"N": n, "edges": len(component), "solves": solves,
