@@ -454,7 +454,7 @@ def _cmd_extremal(args) -> dict:
         CH, spec = extremal_mod.split_coloring(args.k, args.n)
     else:
         CH, spec = extremal_mod.parity_coloring(args.k, args.n, args.i)
-    red = operator.countOf(CH.colour.values(), Colour.RED)
+    red = len(CH.edges_of(Colour.RED))
     out = {"kind": spec.kind, "k": spec.k, "n": spec.n, "i": spec.i, "d": spec.d,
            "N": spec.N, "X": spec.X, "Y": spec.Y,
            "red_edges": red, "blue_edges": CH.graph.m - red}

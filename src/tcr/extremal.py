@@ -12,15 +12,17 @@ alone, and tiny cases are cross-checked by exhaustive search.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from bisect import bisect_right
 from dataclasses import dataclass
 from math import comb, gcd
 from typing import Optional
 
+from . import hypergraph
 from .blowup import DEFAULT_EDGE_CAP
 from .errors import InternalError, SizeCapExceeded, TcrError
-from .hypergraph import Colour, ColouredKGraph, KGraph, build, support_of
+from .hypergraph import Colour, ColouredKGraph, KGraph, _Blocks, build, support_of
 from .tight import (SUPPORT_CAP, Absent, cycle_windows, find_tight_cycle,
                     find_tight_path, monochromatic_components, path_windows)
 
@@ -50,12 +52,29 @@ class ExtremalSpec:
         return self.k * self.n + self.i
 
 
-def _profile_edges(k: int, N: int, x: int, red) -> list:
+def _typed_block(colours: list, edges: list) -> tuple:
+    return colours, edges, list(itertools.chain.from_iterable(edges))
+
+
+def _profile_graph(k: int, N: int, x: int, red) -> ColouredKGraph:
     """K_N^(k) with each edge coloured by |e ∩ X| alone, X = [x]: red iff
-    that size is in `red`."""
+    that size is in `red`.  |e ∩ X| is where x falls in the sorted edge.
+
+    The edges reach `build` `hypergraph.BLOCK` at a time in canonical order,
+    as typed blocks (`_Blocks`) of Colours, edge tuples and their flat
+    vertices: each block passes `build`'s one order and range check, and
+    only the type tests of library pairs are skipped, since
+    `itertools.combinations` over a `range` makes tuples of ints."""
     by_size = [Colour.RED if j in red else Colour.BLUE for j in range(k + 1)]
-    return [(by_size[bisect_right(e, x)], e)
-            for e in itertools.combinations(range(1, N + 1), k)]
+    source = itertools.combinations(range(1, N + 1), k)
+
+    def blocks():
+        size = hypergraph.BLOCK
+        for edges in iter(lambda: list(itertools.islice(source, size)), []):
+            colours = list(map(by_size.__getitem__, map(bisect_right, edges, itertools.repeat(x))))
+            yield functools.partial(_typed_block, colours, edges), zip(colours, edges)
+
+    return build(k, N, _Blocks(blocks()))
 
 
 def _profile_coloring(kind: str, k: int, n: int, i: int, red):
@@ -68,7 +87,7 @@ def _profile_coloring(kind: str, k: int, n: int, i: int, red):
     if comb(N, k) > DEFAULT_EDGE_CAP:
         raise SizeCapExceeded(f"C({N},{k}) exceeds cap {DEFAULT_EDGE_CAP}")
     x = k * n // d - 1
-    CH = build(k, N, _profile_edges(k, N, x, red))
+    CH = _profile_graph(k, N, x, red)
     spec = ExtremalSpec(kind, k, n, i, d, N,
                         tuple(range(1, x + 1)), tuple(range(x + 1, N + 1)))
     return CH, spec
@@ -97,11 +116,16 @@ class AbsenceCertificate:
 
 def verify_no_mono_cycle(CH: ColouredKGraph, spec: ExtremalSpec) -> AbsenceCertificate:
     """Prove (or refute, with a witness) that no colour class contains a
-    tight cycle on spec.length = k*n + i vertices."""
+    tight cycle on spec.length = k*n + i vertices.  X must be [|X|], as
+    both constructors make it, so that |e ∩ X| is where |X| falls in the
+    sorted edge."""
     length = spec.length
-    xset = set(spec.X)
+    x = len(spec.X)
+    if spec.X != tuple(range(1, x + 1)):
+        raise ValueError(f"X = {spec.X} is not [1, {x}]")
     k = spec.k
     if spec.kind == "split":
+        xset = set(spec.X)
         # a tight cycle on length = kn vertices contains n disjoint edges;
         # both colour classes cap monochromatic matchings at n - 1
         needed = spec.n
@@ -122,8 +146,8 @@ def verify_no_mono_cycle(CH: ColouredKGraph, spec: ExtremalSpec) -> AbsenceCerti
     # r1 is a component's one |e ∩ X| value, None when it mixes values
     decomp = monochromatic_components(CH)
     details = []
-    for cid, comp in enumerate(decomp.components):
-        profile = set(map(len, map(xset.intersection, comp)))
+    for cid, comp in enumerate(decomp._sorted):
+        profile = set(map(bisect_right, comp, itertools.repeat(x)))
         r1 = next(iter(profile)) if len(profile) == 1 else None
         support = len(support_of(comp))
         record = {"component": cid, "colour": decomp.colour(cid).value, "r1": r1,
@@ -145,7 +169,7 @@ def verify_no_mono_cycle(CH: ColouredKGraph, spec: ExtremalSpec) -> AbsenceCerti
                 record["blocked_by"] = blocked[0]
                 record[blocked[0].split("_")[0] + "_needed"] = blocked[1]
             else:
-                result = find_tight_cycle(KGraph(k, CH.n, comp), length)
+                result = find_tight_cycle(KGraph(k, CH.n, decomp.components[cid]), length)
                 if isinstance(result, Absent):
                     record["blocked_by"] = "exhaustive"
                     record["explored"] = result.explored
@@ -206,16 +230,14 @@ def _verify_counterexample(CH: ColouredKGraph, target: TargetSpec) -> bool:
 
 
 def _seed_colourings(k: int, N: int, target: TargetSpec):
-    """Extremal-style candidate colourings at size N."""
+    """Extremal-style candidate colourings at size N, built one at a time."""
     ell = target.length
     n = -(-ell // k)   # ceil
-    seeds = []
     if 1 <= n - 1 < N:
-        seeds.append(_profile_edges(k, N, n - 1, range(1, k + 1)))
+        yield _profile_graph(k, N, n - 1, range(1, k + 1))
     x_size = k * n // gcd(k, ell % k) - 1
     if 1 <= x_size < N:
-        seeds.append(_profile_edges(k, N, x_size, range(0, k + 1, 2)))
-    return seeds
+        yield _profile_graph(k, N, x_size, range(0, k + 1, 2))
 
 
 def ramsey_search_tiny(k: int, target: TargetSpec, N: int,
@@ -242,8 +264,7 @@ def ramsey_search_tiny(k: int, target: TargetSpec, N: int,
                                itertools.combinations(range(1, N + 1), k)])
         return RamseyResult(False, all_red, 0, 0, False)
     if allow_seeds:
-        for seed in _seed_colourings(k, N, target):
-            CH = build(k, N, seed)
+        for CH in _seed_colourings(k, N, target):
             if _verify_counterexample(CH, target):
                 return RamseyResult(False, CH, 0, 0, True)
     if N > EXHAUSTIVE_N:

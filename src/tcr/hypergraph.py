@@ -11,9 +11,11 @@ comes in canonical order, as serialize writes it, a block that passes
 continues that order cannot repeat an edge and is added whole.  Any other
 block goes through the per-edge loop, and once the input has left
 canonical order so does every block after it, so input out of canonical
-order is built edge by edge.  The parser checks only what is textual
-(header, letters, integers, arity) and hands its integers to `build`
-through `_Blocks`.
+order is built edge by edge.  Blocks that are already typed reach
+`build` through `_Blocks` and skip the type tests of library pairs: the
+tcg parser checks only what is textual (header, letters, integers, arity)
+and hands over its integers, and `tcr.extremal` hands over the profile
+colourings' edges, which `itertools.combinations` makes from a `range`.
 
 Degree thresholds for the density predicate use C(n-i, k-i), the degree a
 complete k-graph attains, so that K_n^(k) is (1, 0)-dense at every level.
@@ -84,10 +86,7 @@ class KGraph:
 
 def support_of(edges) -> tuple:
     """Sorted tuple of vertices covered by an edge collection."""
-    s = set()
-    for e in edges:
-        s.update(e)
-    return tuple(sorted(s))
+    return tuple(sorted(set(itertools.chain.from_iterable(edges))))
 
 
 def edges_within(edges, vertices, k: int) -> list:
@@ -142,12 +141,14 @@ LETTER_COLOUR = {"R": Colour.RED, "B": Colour.BLUE}
 
 
 class _Blocks:
-    """The tcg parser's hand-off to `build`: in place of (colour, edge)
-    pairs, blocks (flatten, pairs) in the form `build` gives library pairs,
-    where flatten() returns (colours, None, vertices) as `_flattened` does.
-    `build` makes the edges from the vertex columns; a block whose vertices
-    are None, or that is not added whole, is added from its pairs, the
-    parser's line scan."""
+    """A hand-off to `build` of blocks whose types are known: in place of
+    (colour, edge) pairs, blocks (flatten, pairs) in the form `build` gives
+    library pairs, where flatten() returns (Colours, edges, vertices) as
+    `_flattened` does.  The tcg parser's blocks have edges None, which
+    `build` makes from the vertex columns, and the profile colourings of
+    `tcr.extremal` hand over their edge tuples.  Every block still passes
+    `_columns`; a block whose vertices are None, or that is not added
+    whole, is added from its pairs (the parser's line scan)."""
 
     __slots__ = ("blocks",)
 
@@ -160,8 +161,8 @@ def _columns(verts: list, k: int, n: int):
     None unless every edge is strictly increasing within [1, n].
 
     This is the one order and range check of a block of edges: `build` runs
-    it once on each block, whether the block came from library pairs or
-    from the tcg parser's integer tokens."""
+    it once on each block, whether the block came from library pairs,
+    from the tcg parser's integer tokens or from a profile colouring."""
     cols = [verts[j::k] for j in range(k)]
     if cols[0] and (min(cols[0]) < 1 or max(cols[-1]) > n
                     or not all(all(map(lt, a, b)) for a, b in zip(cols, cols[1:]))):
@@ -244,8 +245,8 @@ def build(k: int, n: int, coloured_edges) -> ColouredKGraph:
     which sorts each edge, raises the first fault in input order and tells
     whether the block kept canonical order; once the input has left it,
     every later block goes edge by edge too, and is not flattened.  The
-    tcg parser hands its blocks over through `_Blocks`, so its edges get
-    the same one check.
+    tcg parser and the profile colourings hand their blocks over through
+    `_Blocks`, so their edges get the same one check.
     The two colour classes are kept for `edges_of`; while the input keeps
     canonical order they are read in insertion order, else from the sorted
     edges.

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import re
 from math import comb, gcd
@@ -6,7 +7,7 @@ import pytest
 
 from oracles import (brute_has_tight, brute_ramsey, parity_certificate_brute,
                      verify_cycle_witness)
-from tcr import extremal
+from tcr import extremal, hypergraph
 from tcr.errors import MalformedEdge, SizeCapExceeded
 from tcr.extremal import (ProfileNotConstant, TargetSpec, parity_coloring,
                           ramsey_search_tiny, split_coloring, verify_no_mono_cycle)
@@ -334,12 +335,57 @@ def test_ramsey_seed_colourings_follow_their_rules(k, N, kind, length):
         red_rules.append(lambda e: _meets(e, n - 1) > 0)
     if 1 <= x_parity < N:
         red_rules.append(lambda e: _meets(e, x_parity) % 2 == 0)
-    seeds = extremal._seed_colourings(k, N, TargetSpec(kind, length))
+    seeds = list(extremal._seed_colourings(k, N, TargetSpec(kind, length)))
     assert len(seeds) == len(red_rules)
     for seed, red_rule in zip(seeds, red_rules):
-        assert [e for _, e in seed] == list(itertools.combinations(range(1, N + 1), k))
-        for c, e in seed:
-            assert (c is Colour.RED) == red_rule(e), e
+        assert seed.graph.sorted_edges == tuple(itertools.combinations(range(1, N + 1), k))
+        for e in seed.graph.sorted_edges:
+            assert (seed.colour[e] is Colour.RED) == red_rule(e), e
+
+
+# (kind, k, n, i): C(N, k) is 120, 715, 120, 1820 and 364 edges, none a
+# multiple of 9 or 31
+BLOCK_CASES = [("split", 3, 3, 0), ("split", 4, 3, 0), ("parity", 3, 2, 1),
+               ("parity", 4, 3, 2), ("parity", 3, 4, 0)]
+
+
+@pytest.mark.parametrize("block", [9, 31])
+def test_block_built_profile_colourings_equal_build_of_their_pairs(monkeypatch, block):
+    """A split or parity colouring built a block at a time, with BLOCK small
+    so that it spans many blocks and ends in a partial one, is the graph
+    that `build` makes of the rule's (colour, edge) pairs: the same colours,
+    canonical order and cached colour classes.  Each of its blocks passes
+    the one order and range check (`hypergraph._columns`)."""
+    checked = []
+    original = hypergraph._columns
+
+    def counting(verts, k, n):
+        checked.append(len(verts) // k)
+        return original(verts, k, n)
+
+    monkeypatch.setattr(hypergraph, "_columns", counting)
+    monkeypatch.setattr(hypergraph, "BLOCK", block)
+    for kind, k, n, i in BLOCK_CASES:
+        checked.clear()
+        ch, spec = split_coloring(k, n) if kind == "split" else parity_coloring(k, n, i)
+        m, x = comb(spec.N, k), len(spec.X)
+        assert checked == [block] * (m // block) + [m % block] and len(checked) >= 4
+        red = [j > 0 if kind == "split" else j % 2 == 0 for j in range(k + 1)]
+        ref = build(k, spec.N, [(Colour.RED if red[_meets(e, x)] else Colour.BLUE, e)
+                                for e in itertools.combinations(range(1, spec.N + 1), k)])
+        assert ch.graph == ref.graph and ch.colour == ref.colour
+        assert ch.graph.sorted_edges == ref.graph.sorted_edges
+        assert vars(ch)["_classes"] == vars(ref)["_classes"]
+
+
+@pytest.mark.parametrize("kind", ["split", "parity"])
+def test_verifier_rejects_an_x_that_is_not_a_prefix(kind):
+    """The verifier reads |e ∩ X| as where |X| falls in the sorted edge,
+    which needs X = [|X|]; any other X is named in a ValueError."""
+    ch, spec = split_coloring(4, 2) if kind == "split" else parity_coloring(3, 2, 1)
+    shifted = dataclasses.replace(spec, X=tuple(v + 1 for v in spec.X))
+    with pytest.raises(ValueError, match=re.escape(f"X = {shifted.X} ")):
+        verify_no_mono_cycle(ch, shifted)
 
 
 @pytest.mark.parametrize("flip,edge", [("red", (1, 2, 3, 4)), ("blue", (2, 3, 4, 5))])

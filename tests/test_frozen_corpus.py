@@ -4,8 +4,11 @@
 `augment`/`driver` on two structured colourings, the full `augment_once`
 outcome on hand-built states, and tight cycle/path search results on small
 graphs.  Every entry is recomputed here and must match the recorded value
-exactly; the data is never regenerated by the suite.
+exactly; the data is never regenerated by the suite.  The reports of the
+larger `extremal --verify` runs, about 40 kB each, are pinned by their
+SHA-256 digests below instead.
 """
+import hashlib
 import itertools
 import json
 import random
@@ -58,6 +61,17 @@ CLI = {
     "driver threshold24": ["driver", "--in", "threshold24.tcg", "--seed", "7"],
     "augment parity442": ["augment", "--in", "parity442.tcg", "--seed", "7"],
     "driver parity442": ["driver", "--in", "parity442.tcg", "--seed", "7"],
+}
+
+# the perfbench extremal --verify runs (N = 40, 43 and 46): SHA-256 of stdout
+EXTREMAL_DIGESTS = {
+    "parity k=4 n=7 i=2": (["extremal", "parity", "--k", "4", "--n", "7", "--i", "2", "--verify"],
+                           "42614d0a0b54f4e96b01c4d8bc0faabf5997d14b113f8d84c3fb06583a17df97"),
+    "split k=4 n=9": (["extremal", "split", "--k", "4", "--n", "9", "--verify"],
+                      "ff88fea51bfba08797e52b0d62ac51ba5a25e9c75de406285668c4f77049a7b9"),
+    "parity k=3 n=12 i=1": (["extremal", "parity", "--k", "3", "--n", "12", "--i", "1",
+                             "--verify"],
+                            "a23220d903f697a5c4b4a34ba944c193c5f2eb62cba631c9393d8cfb3a8d44dc"),
 }
 
 # (instance, component, matching size): the state is the first 1 or 2 edges
@@ -153,6 +167,13 @@ def test_cli_report_frozen(name, corpus_dir, capsys):
     code = run(CLI[name])
     out = capsys.readouterr().out
     assert {"exit": code, "stdout": out} == DATA["cli"][name]
+
+
+@pytest.mark.parametrize("name", sorted(EXTREMAL_DIGESTS))
+def test_extremal_verify_report_digest_frozen(name, capsys):
+    argv, digest = EXTREMAL_DIGESTS[name]
+    assert run(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("name", sorted(STATES))
