@@ -58,7 +58,7 @@ def pair_shadow_masks(decomp: TightDecomposition, k: int) -> dict:
     Computed once per decomposition and cached on it."""
     out = getattr(decomp, "_masks", None)
     if out is None:
-        by_key = [{} for _ in decomp.components]
+        by_key = [{} for _ in range(len(decomp.components))]
         for first, buckets in decomp._buckets:
             for q, local in buckets.items():
                 masks = by_key[first + local]

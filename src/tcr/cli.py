@@ -27,6 +27,8 @@ from __future__ import annotations
 import argparse
 import functools
 import gc
+import io
+import itertools
 import json
 import operator
 import re
@@ -79,9 +81,9 @@ LETTERS = {"R", "B"}
 
 
 def _block_tokens(block: list, k: int, table: dict):
-    """The letters and integer vertices of a block of body lines in the
-    plain layout that serialize writes, or None when some line needs the
-    per-line scan.
+    """The letters and integer vertices of a block of body lines, each with
+    its line ending, in the plain layout that serialize writes, or None
+    when some line needs the per-line scan.
 
     The block passes when it holds no "#", every non-empty line starts
     "R " or "B ", the letter slots (every (k+1)-th token) are the line
@@ -93,14 +95,14 @@ def _block_tokens(block: list, k: int, table: dict):
     plain decimal vertices; a block with any other token ("07", "+7", a
     vertex beyond the table) is converted by `int` instead, so every value
     and every error is `int`'s."""
-    chunk = "\n".join(block)
+    chunk = "".join(block)
     if "#" in chunk:
         return None
     # a line starts at a slot iff it starts with a letter; the empty lines
-    # (the file's last line among them) start none
+    # start none
     lined = "\n" + chunk
     starts = lined.count("\nR ") + lined.count("\nB ")
-    if starts != len(block) - block.count(""):
+    if starts != len(block) - block.count("\n"):
         return None
     tokens = chunk.split()
     letters = tokens[::k + 1]
@@ -141,15 +143,19 @@ def _scanned_lines(block: list, lineno: int, k: int, n: int):
         yield fields[0], verts
 
 
-def parse_coloured_hypergraph(text: str) -> ColouredKGraph:
-    """Parse the tcg format; failures carry the offending line number.
+def parse_coloured_hypergraph(source) -> ColouredKGraph:
+    """Parse the tcg format from its text or from any iterable of its lines
+    with their endings (an open file); failures carry the offending line
+    number.
 
-    The body is read in blocks of `hypergraph.BLOCK` lines.  The parser
-    checks a block's tokens as a whole (`_block_tokens`: layout, letters,
-    integers, arity) and hands the letters and integers to `build`, which
-    checks order and range once (`hypergraph._columns`) and rejects an edge
-    given in both colours.  Vertex tokens are read through one str -> int
-    table of the plain decimals up to min(n, body lines), so its size
+    The body is streamed: it is read `hypergraph.BLOCK` lines at a time, a
+    `str` through `io.StringIO`, so no list of all lines, and from a file
+    not the text either, is alive while `build` runs.  The parser checks a
+    block's tokens as a whole (`_block_tokens`: layout, letters, integers,
+    arity) and hands the letters and integers to `build`, which checks
+    order and range once (`hypergraph._columns`) and rejects an edge given
+    in both colours.  Vertex tokens are read through one str -> int table
+    of the plain decimals up to min(n, body lines read so far), so its size
     follows the input; a block with any other token is read by `int`.  A
     block that fails either check, and every block after one out of
     canonical order, is scanned line by line, which raises at the first
@@ -157,7 +163,7 @@ def parse_coloured_hypergraph(text: str) -> ColouredKGraph:
     check, whose result it would not read.  So a line fault is reported at
     the first faulty line, and a colour conflict only when no line before
     it in its block or an earlier one is faulty."""
-    lines = text.split("\n")
+    lines = io.StringIO(source) if isinstance(source, str) else iter(source)
     header = []
     for lineno, raw in enumerate(lines, start=1):
         stripped = raw.split("#", 1)[0].strip()
@@ -183,7 +189,7 @@ def parse_coloured_hypergraph(text: str) -> ColouredKGraph:
     except ValueError:
         raise ParseError(f"non-integer dimensions in {dims!r}", lineno) from None
 
-    table = {str(v): v for v in range(1, min(n, len(lines) - lineno) + 1)}
+    table = {}
 
     def flattened(block):
         tokens = _block_tokens(block, k, table)
@@ -194,9 +200,12 @@ def parse_coloured_hypergraph(text: str) -> ColouredKGraph:
 
     def blocks():
         size = hypergraph_mod.BLOCK
-        for start in range(lineno, len(lines), size):
-            block = lines[start:start + size]
+        start = lineno   # the lines read before the block
+        for block in iter(lambda: list(itertools.islice(lines, size)), []):
+            top = min(n, start + len(block) - lineno)   # body lines read so far
+            table.update((str(v), v) for v in range(len(table) + 1, top + 1))
             yield functools.partial(flattened, block), _scanned_lines(block, start + 1, k, n)
+            start += len(block)
 
     try:
         return build(k, n, _Blocks(blocks()))
@@ -240,7 +249,7 @@ def emit(report: dict, timing_ms=None) -> None:
 
 def _load(path: str) -> ColouredKGraph:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_coloured_hypergraph(fh.read())
+        return parse_coloured_hypergraph(fh)
 
 
 def _fraction_arg(text: str) -> Fraction:
@@ -263,7 +272,7 @@ def _host_edges(CH: ColouredKGraph, host: str, component):
         if not 0 <= component < len(decomp.components):
             raise Unsupported(
                 f"component {component} outside 0..{len(decomp.components) - 1}")
-        return sorted(decomp.edges_of(component))
+        return decomp._sorted[component]
     if host == "all":
         return CH.graph.sorted_edges
     colour = Colour.RED if host == "red" else Colour.BLUE
@@ -348,7 +357,7 @@ def _cmd_components(args) -> dict:
     CH = _load(args.infile)
     decomp = monochromatic_components(CH) if args.mono else tight_components(CH.graph)
     comps = []
-    for cid, comp in enumerate(decomp.components):
+    for cid, comp in enumerate(decomp._sorted):
         entry = {"id": cid, "edges": len(comp), "support": decomp.support(cid)}
         if decomp.colour_of is not None:
             entry["colour"] = decomp.colour(cid).value

@@ -24,6 +24,7 @@ R_FRACTIONAL_NODE_CAP = 100_000   # branch-and-bound nodes in max_r_fractional
 FLOORED_NODE_CAP = 50_000         # branch-and-bound nodes in the exact mu_estimate path
 EXACT_CAP = 20                    # most edges mu_estimate solves exactly
 MATCHING_CAP = 10_000             # most edges max_matching_exact takes
+MATCHING_NODE_CAP = 250_000       # branch-and-bound nodes in max_matching_exact
 
 
 @dataclass(frozen=True)
@@ -94,7 +95,9 @@ def max_matching_exact(host) -> MatchingCertificate:
     Branches on the surviving vertex with the fewest candidate edges (either
     one of them is chosen or the vertex stays uncovered); the bound
     size + |union of survivors| / k prunes, and full exhaustion certifies
-    optimality.
+    optimality.  More than MATCHING_NODE_CAP nodes raise SearchCapExceeded
+    with the count; each node stores at most one memo entry, so the cap
+    bounds the memo as well.
     """
     edges = sorted(set(tuple(sorted(e)) for e in host))
     if len(edges) > MATCHING_CAP:
@@ -112,6 +115,9 @@ def max_matching_exact(host) -> MatchingCertificate:
         witness; memoized on the survivor set."""
         nonlocal nodes
         nodes += 1
+        if nodes > MATCHING_NODE_CAP:
+            raise SearchCapExceeded(
+                f"matching branch and bound exceeded {MATCHING_NODE_CAP} nodes")
         if not survivors:
             return 0, []
         union = 0
@@ -324,7 +330,8 @@ def mu_estimate(CH: ColouredKGraph, s: int, beta) -> MuEstimate:
         raise Unsupported(f"s = {s} exceeds {ncomp} monochromatic components")
     choices = []
     for combo in itertools.combinations(range(ncomp), s):
-        edges = sorted(set().union(*[decomp.components[c] for c in combo]))
+        # components are disjoint, so their edges need no set to merge
+        edges = sorted(itertools.chain.from_iterable(map(decomp._sorted.__getitem__, combo)))
         if len(edges) <= EXACT_CAP:
             value, _ = _floored_lp_exact(edges, beta)
             choices.append((combo, value, True, value))

@@ -11,13 +11,17 @@ the runs and the shadow, not the edges: dense colour classes gain, while
 sparse input, whose runs hold about one edge, costs more than a per-edge
 union-find would.  The fibers also give the bucket map ((k-1)-set bitmask
 -> component) that the blueprint's shadow masks and
-`TightDecomposition.id_of` are read from.  Cycle and path searches are
+`TightDecomposition.id_of` are read from.  A decomposition keeps each
+component once, as its canonical edge tuple, and builds a component's
+frozenset the first time a consumer asks for it (`ComponentSets`), so a run
+hashes only the components it tests for membership.  Cycle and path searches are
 exhaustive DFS with window pruning, so an Absent verdict is a proof of
 absence (with the explored-node count as certificate).
 """
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Optional
@@ -28,25 +32,65 @@ from .hypergraph import Colour, ColouredKGraph, KGraph, support_of
 SUPPORT_CAP = 14   # largest support the exhaustive searches take
 
 
+class ComponentSets(Sequence):
+    """The components as frozensets of edges, read from their canonical
+    edge tuples: a component's set is built the first time it is asked for
+    and then cached.  `len` and the tuples build nothing.  Each set lives in
+    a one-slot cell, and a colour swap reorders the same cells, so a set
+    built through either decomposition is built once and shared.  Equal to
+    another `ComponentSets` with the same components in the same order, by
+    comparing the canonical tuples, which are equal exactly when the sets
+    are."""
+
+    __slots__ = ("tuples", "_cells")
+
+    def __init__(self, tuples: tuple, cells=None):
+        self.tuples = tuples
+        self._cells = [[None] for _ in tuples] if cells is None else cells
+
+    def __len__(self) -> int:
+        return len(self.tuples)
+
+    def __getitem__(self, cid: int) -> frozenset:
+        cell = self._cells[cid]
+        if cell[0] is None:
+            cell[0] = frozenset(self.tuples[cid])
+        return cell[0]
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, ComponentSets) and self.tuples == other.tuples
+
+    def reordered(self, order) -> "ComponentSets":
+        """The same components and cells in the order of the ids `order`."""
+        return ComponentSets(tuple(map(self.tuples.__getitem__, order)),
+                             list(map(self._cells.__getitem__, order)))
+
+
 @dataclass(frozen=True)
 class TightDecomposition:
     """Partition of an edge set into tight components.
 
     Component ids are assigned in order of each component's smallest edge,
-    so the decomposition is independent of input edge order.  colour_of is
-    populated only for monochromatic decompositions, whose red components
-    come first.  _buckets holds, per colour class (one for a plain
-    decomposition), the class's first component id and its map from each
-    (k-1)-set of the shadow, as a vertex bitmask, to the local id of the
-    one component of the class whose edges contain it, so `id_of` reads an
-    edge's id from it in O(k).  There is no edge -> id map: a consumer that
-    only asks whether an edge lies in one component tests
-    `e in components[cid]`."""
+    so the decomposition is independent of input edge order.  Each
+    component is kept once, as its edges in canonical order (`_sorted`);
+    `components[cid]` and `edges_of(cid)` give its frozenset, built on first
+    use and cached (`ComponentSets`).  colour_of is populated only for
+    monochromatic decompositions, whose red components come first.
+    _buckets holds, per colour class (one for a plain decomposition), the
+    class's first component id and its map from each (k-1)-set of the
+    shadow, as a vertex bitmask, to the local id of the one component of
+    the class whose edges contain it, so `id_of` reads an edge's id from it
+    in O(k).  There is no edge -> id map: a consumer that only asks whether
+    an edge lies in one component tests `e in components[cid]`."""
 
-    components: tuple  # tuple of frozensets of edges
+    components: ComponentSets
     colour_of: Optional[dict] = None  # component id -> Colour
-    _sorted: tuple = field(default=(), repr=False, compare=False)  # canonical edge order
     _buckets: tuple = field(default=(), repr=False, compare=False)  # ((first id, map), ...)
+
+    @property
+    def _sorted(self) -> tuple:
+        """Each component's edges in canonical order."""
+        return self.components.tuples
 
     def id_of(self, e, colour: Optional[Colour]) -> int:
         """The id of the component holding edge e, which has colour `colour`
@@ -63,7 +107,7 @@ class TightDecomposition:
         return self.components[cid]
 
     def support(self, cid: int) -> tuple:
-        return support_of(self.components[cid])
+        return support_of(self._sorted[cid])
 
     def colour(self, cid: int) -> Optional[Colour]:
         return None if self.colour_of is None else self.colour_of[cid]
@@ -71,12 +115,12 @@ class TightDecomposition:
     def swapped(self) -> "TightDecomposition":
         """The decomposition of the colour-swapped graph: the blue
         components become the first ids, as a fresh analysis numbers them.
-        The component sets and edge lists are the same objects, reordered."""
+        The edge tuples and the cells of their sets are the same objects,
+        reordered, so a set built on either side is shared."""
         (_, red), (blues, blue) = self._buckets
         order = [*range(blues, len(self.components)), *range(blues)]
         colour_of = {new: self.colour_of[old].opposite for new, old in enumerate(order)}
-        return TightDecomposition(tuple(map(self.components.__getitem__, order)), colour_of,
-                                  tuple(map(self._sorted.__getitem__, order)),
+        return TightDecomposition(self.components.reordered(order), colour_of,
                                   ((0, blue), (len(order) - blues, red)))
 
 
@@ -194,8 +238,7 @@ def _component_sets(edges) -> tuple:
 
 
 def _decomposition(comps, colour_of=None, buckets=()) -> TightDecomposition:
-    return TightDecomposition(tuple(frozenset(c) for c in comps), colour_of,
-                              tuple(tuple(c) for c in comps), tuple(buckets))
+    return TightDecomposition(ComponentSets(tuple(map(tuple, comps))), colour_of, tuple(buckets))
 
 
 def tight_components(H: KGraph) -> TightDecomposition:

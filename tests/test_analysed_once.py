@@ -7,10 +7,13 @@ of one graph is decomposed twice.  `tight._component_sets` is counted per
 the analysis instead of sharing it.  Likewise each block of edges gets one
 order and range check between the tcg text and the graph, and no
 decomposition caches a map over its edges: a consumer reads a few edges'
-ids from the bucket maps or tests membership in one component.
+ids from the bucket maps or tests membership in one component, and a
+component's frozenset is built only when a consumer tests membership in
+it.
 """
 import itertools
 import json
+import random
 import sys
 from collections import Counter
 from dataclasses import fields
@@ -147,3 +150,41 @@ def test_membership_only_runs_build_no_component_map(tmp_path, monkeypatch, caps
     assert len(decompositions_made) == (2 if swapped else 1)
     for d in decompositions_made:
         assert set(vars(d)) <= {f.name for f in fields(d)} | {"_masks"}
+
+
+def built_sets(decomps) -> list:
+    """(decomposition index, component id) of every component frozenset
+    built, once per set: a colour swap shares its cells with the original."""
+    seen, out = set(), []
+    for i, d in enumerate(decomps):
+        for cid, cell in enumerate(d.components._cells):
+            if cell[0] is not None and id(cell) not in seen:
+                seen.add(id(cell))
+                out.append((i, cid))
+    return out
+
+
+@pytest.mark.parametrize("argv", [["extremal", "parity", "--k", "4", "--n", "7", "--i", "2",
+                                   "--verify"],
+                                  ["extremal", "parity", "--k", "3", "--n", "4", "--i", "1",
+                                   "--verify"]])
+def test_extremal_verify_builds_no_component_set(capsys, decompositions_made, argv):
+    """The verifier reads each component's canonical tuple only."""
+    assert run(argv) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["certificate"]["ok"] is True
+    assert len(decompositions_made) == 1
+    assert built_sets(decompositions_made) == []
+
+
+def test_run_driver_builds_only_the_spanning_red_set(decompositions_made):
+    """A driver run on a random complete colouring that reaches its target
+    at once tests membership in one component, the spanning red one."""
+    rng = random.Random(4)
+    CH = build(4, 12, [(rng.choice("RB"), e) for e in itertools.combinations(range(1, 13), 4)])
+    rep = run_driver(CH, DriverParams(), 7)
+    assert (rep.status, rep.iterations, rep.colour_swapped) == ("reached", 0, False)
+    assert len(decompositions_made) == 1
+    (d,) = decompositions_made
+    assert built_sets(decompositions_made) == [(0, rep.final_component)]
+    assert d.colour(rep.final_component) is Colour.RED
+    assert len(d.support(rep.final_component)) == 12

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import parse_outcome, threshold_colouring
 from oracles import parse_reference
-from tcr import augment, cli, extremal, hypergraph, lp
+from tcr import augment, cli, extremal, hypergraph, lp, matchings
 from tcr.blueprint import BWResult, build_blueprint
 from tcr.cli import (EXIT_CAP, EXIT_CONTRACT, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE,
                      parse_coloured_hypergraph, run,
@@ -212,6 +212,62 @@ def test_huge_vertex_count_over_a_short_body():
     assert got == parse_outcome(parse_reference, text)
     assert got[:2] == (4, top) and len(got[3]) == 3
     assert peak < 1 << 20
+
+
+def streamed_outcome(read, source):
+    """What a parse of `source` gives: the graph's colour map, sorted edges
+    and both classes, or the error class, line and message."""
+    try:
+        CH = read(source)
+    except Exception as exc:   # the class, line and message are compared
+        return type(exc), getattr(exc, "line", None), str(exc)
+    return (CH.k, CH.n, CH.colour, CH.graph.sorted_edges,
+            CH.edges_of(Colour.RED), CH.edges_of(Colour.BLUE))
+
+
+STREAM_LINES = [("R" if sum(e) % 3 else "B") + " " + " ".join(map(str, e))
+                for e in itertools.combinations(range(1, 9), 4)][:12]
+# bodies read in blocks of four lines; each is the text after the header
+STREAM_CASES = {
+    "plain": "\n".join(STREAM_LINES) + "\n",
+    "fault in block 2": "\n".join([*STREAM_LINES[:5], "R 1 2 x 4", *STREAM_LINES[5:]]) + "\n",
+    "conflict in block 1, fault in block 2": "\n".join(
+        [STREAM_LINES[0], "B 1 2 3 4", *STREAM_LINES[1:5], "R 1 2 3", *STREAM_LINES[5:]]) + "\n",
+    "comments and blanks across a boundary": "\n".join(
+        [*STREAM_LINES[:2], "# one", "", "  # two", "", *STREAM_LINES[2:]]) + "\n",
+    "no final newline": "\n".join(STREAM_LINES),
+    "fault on the last line, no final newline": "\n".join([*STREAM_LINES, "B 8 7 6 5"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STREAM_CASES))
+def test_a_str_and_a_file_stream_to_the_same_outcome(tmp_path, case):
+    """The parser streams its body a block of lines at a time, from a `str`
+    or from the lines of an open file (as `tcr` reads `--in`): with blocks
+    of four lines both give the same graph or the same error, line and
+    message, across block boundaries and without a final newline.  That is
+    the reference parser's outcome, except that a colour conflict in an
+    earlier block is reported before a faulty line in a later one."""
+    text = "tcg 1\nk=4 n=8\n" + STREAM_CASES[case]
+    path = tmp_path / "g.tcg"
+    path.write_bytes(text.encode("utf-8"))
+    with mock.patch.object(hypergraph, "BLOCK", 4):
+        got = streamed_outcome(parse_coloured_hypergraph, text)
+        assert streamed_outcome(cli._load, str(path)) == got
+    if case.startswith("conflict"):
+        assert STREAM_LINES[0] == "R 1 2 3 4"
+        assert got[:2] == (ConflictingColour, None) and "(1, 2, 3, 4)" in got[2]
+    else:
+        assert got == streamed_outcome(parse_reference, text)
+    assert (got[0] is ParseError) == ("fault" in case and not case.startswith("conflict"))
+
+
+def test_the_stream_takes_any_iterable_of_lines():
+    """A list of lines with their endings parses as the text they join to."""
+    text = "tcg 1\nk=4 n=8\n" + STREAM_CASES["comments and blanks across a boundary"]
+    with mock.patch.object(hypergraph, "BLOCK", 4):
+        assert streamed_outcome(parse_coloured_hypergraph, text.splitlines(keepends=True)) \
+            == streamed_outcome(parse_coloured_hypergraph, text)
 
 
 def test_cli_extremal_split_verify(capsys):
@@ -553,6 +609,22 @@ def test_cli_cap_exit_code(capsys):
                  "--no-seeds"])
     assert code == EXIT_OK
     assert json.loads(out)["result"]["all_coloured"] is True
+
+
+def test_cli_match_exact_trips_its_node_cap(tmp_path, capsys):
+    """`match exact --host red` on the split colouring at n = 5 (4,979 red
+    edges) ran for minutes without a cap; it now exits 3 with a JSON
+    report naming the node count once the search passes its cap.  One size
+    smaller, the red class finishes below the cap."""
+    path = tmp_path / "split5.tcg"
+    path.write_text(serialize_coloured_hypergraph(split_coloring(4, 5)[0]), encoding="utf-8")
+    code, out, err = run_captured(capsys, ["match", "exact", "--in", str(path), "--host", "red"])
+    assert code == EXIT_CAP
+    error = json.loads(out)["error"]
+    assert error["kind"] == "SearchCapExceeded"
+    assert f"{matchings.MATCHING_NODE_CAP} nodes" in error["message"]
+    cert = matchings.max_matching_exact(split_coloring(4, 4)[0].edges_of(Colour.RED))
+    assert (cert.size, cert.nodes) == (3, 193_619) and cert.nodes < matchings.MATCHING_NODE_CAP
 
 
 def test_cli_ramsey_checks_size_before_a_target_longer_than_N(capsys, monkeypatch):

@@ -265,7 +265,7 @@ def test_a_scanned_block_in_canonical_order_leaves_later_blocks_whole(monkeypatc
     calls.clear()
     swapped = [lines[1], lines[0], *lines[2:]]
     assert parse_outcome(parse_coloured_hypergraph, head + "".join(swapped)) == expected
-    assert calls == [(), None, None, None]
+    assert calls == [(), None, None]   # twelve body lines: three blocks of four
 
 
 @settings(max_examples=25, deadline=None)

@@ -12,6 +12,7 @@ from oracles import (brute_max_matching, dense_matching_lp, lex_support_referenc
                      lp_vertex_enumeration)
 from tcr import lp, matchings
 from tcr.errors import NonEmptyIntersection, SearchCapExceeded, Unsupported
+from tcr.extremal import split_coloring
 from tcr.hypergraph import Colour, build
 from tcr.lp import matching_lp
 from tcr.matchings import (FractionalMatching, empty_intersection_matching,
@@ -85,6 +86,19 @@ def test_max_matching_complete_k8():
 def test_max_matching_cap():
     with pytest.raises(SearchCapExceeded):
         max_matching_exact(complete_kgraph(4, 25).edges)   # 12,650 > 10,000 edges
+
+
+def test_max_matching_node_cap(monkeypatch):
+    """The search raises once it explores more nodes than its cap, and a
+    search that needs exactly the cap finishes."""
+    edges = split_coloring(4, 3)[0].edges_of(Colour.RED)
+    nodes = max_matching_exact(edges).nodes
+    assert nodes == 3326
+    monkeypatch.setattr(matchings, "MATCHING_NODE_CAP", nodes)
+    assert max_matching_exact(edges).nodes == nodes
+    monkeypatch.setattr(matchings, "MATCHING_NODE_CAP", nodes - 1)
+    with pytest.raises(SearchCapExceeded, match=f"exceeded {nodes - 1} nodes"):
+        max_matching_exact(edges)
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,5 +1,7 @@
 import itertools
+import pickle
 import random
+from collections.abc import Sequence
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -118,6 +120,61 @@ def test_swapped_graph_carries_its_decomposition():
     reds = sum(c is Colour.RED for c in original.colour_of.values())
     assert carried.edges_of(0) == original.edges_of(reds)   # the first blue one
     assert carried.colour(0) is Colour.RED
+
+
+def built(decomp) -> list:
+    """The ids of the components whose frozenset has been built."""
+    return [cid for cid, cell in enumerate(decomp.components._cells) if cell[0] is not None]
+
+
+def test_component_sets_are_built_on_first_use():
+    """`components` is a sequence of frozensets: its length and the
+    canonical tuples build none, indexing builds and caches one, and it
+    equals another decomposition of the same edges by value."""
+    ch = rand_coloured(4, 10, 24, random.Random(11))
+    d = monochromatic_components(ch)
+    assert isinstance(d.components, Sequence) and len(d.components) == len(d._sorted) > 2
+    assert d.support(2) and built(d) == []
+    assert d.edges_of(1) == frozenset(d._sorted[1])
+    assert built(d) == [1]
+    assert d.components[1] is d.edges_of(1) and d.components[-1] == frozenset(d._sorted[-1])
+    fresh = monochromatic_components(build(ch.k, ch.n, [(c, e) for e, c in ch.colour.items()]))
+    assert fresh.components == d.components and fresh == d and built(fresh) == []
+    assert d.components != tight_components(ch.graph).components
+    assert d.components != tuple(d.components)
+    everything = list(d.components)
+    assert all(type(c) is frozenset for c in everything)
+    assert everything == [frozenset(t) for t in d._sorted]
+    assert built(d) == list(range(len(d.components)))
+
+
+def test_swapped_decomposition_shares_each_set_built_on_either_side():
+    """A set built before the colour swap and one built after it, through
+    the swapped decomposition, are each the same object on both sides."""
+    ch = rand_coloured(4, 10, 24, random.Random(11))
+    original = monochromatic_components(ch)
+    reds = sum(c is Colour.RED for c in original.colour_of.values())
+    before = original.components[0]
+    carried = monochromatic_components(ch.swapped())
+    assert carried.components[len(carried.components) - reds] is before
+    after = carried.components[0]   # the first blue component of the original
+    assert original.components[reds] is after
+    assert built(original) == [0, reds] and built(carried) == [0, len(carried.components) - reds]
+
+
+def test_decomposition_survives_a_pickle_round_trip():
+    """A decomposition with some sets built, and its swap, come back equal
+    from one pickle, and still share their cells."""
+    ch = rand_coloured(4, 10, 24, random.Random(11))
+    d = monochromatic_components(ch)
+    d.edges_of(0)
+    swapped = d.swapped()
+    d2, swapped2 = pickle.loads(pickle.dumps((d, swapped), protocol=pickle.HIGHEST_PROTOCOL))
+    assert (d2, swapped2) == (d, swapped) and d2._sorted == d._sorted
+    assert d2._buckets == d._buckets and built(d2) == [0]
+    reds = sum(c is Colour.RED for c in d.colour_of.values())
+    assert d2.edges_of(1) is swapped2.components[len(d._sorted) - reds + 1]
+    assert list(d2.components) == list(d.components)
 
 
 def test_id_of_reads_the_edge_id_from_the_bucket_maps():

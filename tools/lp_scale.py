@@ -38,7 +38,7 @@ def largest_component(n: int):
     rng = random.Random(n)
     ch = build(4, n, [(rng.choice("RB"), e)
                       for e in itertools.combinations(range(1, n + 1), 4)])
-    return max(monochromatic_components(ch).components, key=len)
+    return max(monochromatic_components(ch)._sorted, key=len)
 
 
 def measure(n: int, repeats: int) -> dict:
