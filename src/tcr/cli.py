@@ -377,7 +377,7 @@ def _cmd_match(args) -> dict:
         cert = matchings_mod.max_matching_exact(host)
         return {"result": {"size": cert.size, "edges": cert.edges,
                            "optimal": cert.optimal, "nodes": cert.nodes}}
-    phi = matchings_mod.max_fractional_lp(host)
+    phi, _ = matchings_mod.max_fractional_lp(host)
     return {"result": {"weight": phi.weight(), "weights": phi.weights}}
 
 

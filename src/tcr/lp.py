@@ -13,31 +13,19 @@ column is ever stored; x and the optimum come back over D * L.  Every
 optimum comes with its dual y, and `check_certificate` verifies (x, y)
 with its own arithmetic before it is returned, as QSopt_ex does
 (Applegate-Cook-Dash-Espinoza 2007); a failed check raises
-CertificateFailed, an internal error.
-
-A solve can keep its final state in a `Basis`, and later solves of the
-same program with some columns held at 0 start from it by the dual
-simplex (Lemke 1954): the basis stays dual feasible, so the program is
-re-optimised without a phase 1.  The leaving row is the infeasible one
-with the smallest basic index, where a held column counts as infeasible
-when it is basic and positive; the entering column is the least dual
-ratio, ties to the smaller index: Bland's rule in its dual form.  A dual
-pivot entry may be negative; every row, the objective row and D are then
-negated, so D stays positive (D = |det B|, M the adjugate up to sign).  A
-held column that is nonbasic never enters, and one that is basic at 0
-stays until a pivot would make it positive.  The dual objective never
-rises, so a solve stops as soon as it falls below the state's optimum:
-its dual y then bounds the program below that optimum, and `check_bound`
-verifies the bound before it is returned.
+CertificateFailed, an internal error.  A program of more than CELL_CAP
+tableau cells, (rows + 1) * (columns + rows + 1), raises SizeCapExceeded
+before anything is allocated: the adjugate alone has rows^2 entries.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
 
-from .errors import CertificateFailed
+from .errors import CertificateFailed, SizeCapExceeded
 
 ZERO = Fraction(0)
+CELL_CAP = 2_000_000   # most tableau cells simplex_max takes
 
 
 def _integer_row(values):
@@ -47,34 +35,23 @@ def _integer_row(values):
     return [v.numerator * (d // v.denominator) for v in values], d
 
 
-class Basis:
-    """The final state of an optimal solve, for later solves of the same
-    program to start from: its columns and rhs, the adjugate rows
-    (M_i, beta_i), the objective row (Y, z), D = |det B|, the basic column
-    of each row (`order`; slack i is column len(columns) + i), the rhs
-    scale L and the optimum `value`.  Empty (value None) until a solve
-    fills it."""
-
-    __slots__ = ("columns", "rhs", "rows", "obj", "D", "order", "L", "value")
-
-    def __init__(self):
-        self.value = None
-
-
-def simplex_max(columns, rhs, basis=None):
+def simplex_max(columns, rhs):
     """Maximize sum(x), A.x <= rhs, x >= 0, where column j of A is 1 in the
     rows listed in columns[j] (never empty) and 0 elsewhere.
 
     rhs: list of rationals, all >= 0, one per row.  Returns (value, x, y):
     the optimum, a primal optimal vertex and a dual optimal y (one entry
     per row), all Fractions, verified by `check_certificate`.  Raises
-    ValueError for a negative rhs.  Entering column: the first improving
-    one, structural columns before slacks; leaving row: the least ratio,
-    ties to the smaller basis index.  A `basis` given is filled with the
-    optimal state.
+    SizeCapExceeded above CELL_CAP cells and ValueError for a negative
+    rhs.  Entering column: the first improving one, structural columns
+    before slacks; leaving row: the least ratio, ties to the smaller basis
+    index.
     """
     m = len(rhs)
     nv = len(columns)
+    cells = (m + 1) * (nv + m + 1)
+    if cells > CELL_CAP:
+        raise SizeCapExceeded(f"LP of {cells} tableau cells exceeds cap {CELL_CAP}")
     if any(b < 0 for b in rhs):
         raise ValueError("simplex_max requires rhs >= 0")
     # one common denominator scales x and the value, not the pivot path
@@ -123,98 +100,15 @@ def simplex_max(columns, rhs, basis=None):
         D = p
         order[leave] = enter
 
-    state = Basis() if basis is None else basis
-    state.columns, state.rhs, state.rows, state.obj = columns, rhs, rows, obj
-    state.D, state.order, state.L = D, order, L
-    value, x, y = _optimum(state, ())
-    state.value = value
-    return value, x, y
-
-
-def _optimum(state, held):
-    """(value, x, y) at an optimal state, with x over every column, verified
-    by `check_certificate` on the program without the `held` columns."""
-    columns, rhs, D, L = state.columns, state.rhs, state.D, state.L
-    nv = len(columns)
     x = [ZERO] * nv
-    for row, b in zip(state.rows, state.order):
+    for row, b in zip(rows, order):
         if b < nv:
             x[b] = Fraction(row[-1], D * L)
-    value = Fraction(state.obj[-1], D * L)
-    y = [Fraction(w, D) if w else ZERO for w in state.obj[:len(rhs)]]
-    checked = x
-    if held:
-        columns = [c for j, c in enumerate(columns) if j not in held]
-        checked = [v for j, v in enumerate(x) if j not in held]
-    if not check_certificate(columns, rhs, value, checked, y):
+    value = Fraction(obj[-1], D * L)
+    y = [Fraction(w, D) if w else ZERO for w in obj[:m]]
+    if not check_certificate(columns, rhs, value, x, y):
         raise CertificateFailed(f"simplex optimum {value} failed its dual certificate")
     return value, x, y
-
-
-def _reoptimise(basis, held):
-    """Re-solve `basis`'s program with the columns in `held` fixed at 0, by
-    the dual simplex from its optimal state.
-
-    Returns (value, x, y) at the new optimum, which is then `basis`'s state,
-    once every basic value is >= 0 and every held basic column is at 0; or
-    (bound, None, y), with `basis` unchanged, as soon as the dual objective
-    rhs.y falls below basis.value, verified by `check_bound`.  Every
-    nonbasic column stays at 0, so beta = M.b throughout.
-    """
-    columns, rhs, L, value = basis.columns, basis.rhs, basis.L, basis.value
-    nv = len(columns)
-    rows, obj, D, order = list(basis.rows), basis.obj, basis.D, list(basis.order)
-    while True:
-        leave = -1
-        for i, (row, b) in enumerate(zip(rows, order)):
-            if (row[-1] < 0 or (row[-1] > 0 and b in held)) and (leave < 0 or b < order[leave]):
-                leave = i
-        if leave < 0:
-            break
-        # a row below 0 leaves through a negative entry, a held column above
-        # 0 through a positive one: a = s * alpha_j > 0.  The ratio is r / a,
-        # r = Y.A_j - D >= 0 (Y_i for slack i), D times minus the reduced cost
-        prow = rows[leave]
-        s = 1 if prow[-1] > 0 else -1
-        enter = -1
-        get = prow.__getitem__
-        for j, col in enumerate(columns):
-            if j not in held:
-                a = s * sum(map(get, col))
-                if a > 0:
-                    r = sum(map(obj.__getitem__, col)) - D
-                    if enter < 0 or r * best_a < best_r * a:
-                        enter, best_a, best_r = j, a, r
-                        if not r:
-                            break   # a zero ratio is the least, and no column before it
-        if enter < 0 or best_r:
-            for i, u in enumerate(prow[:-1]):
-                a = s * u
-                if a > 0 and (enter < 0 or obj[i] * best_a < best_r * a):
-                    enter, best_a, best_r = nv + i, a, obj[i]
-        if enter < nv:
-            col = columns[enter]
-            alpha = [sum(map(row.__getitem__, col)) for row in rows]
-        else:
-            alpha = [row[enter - nv] for row in rows]
-        # the pivot entry is s * best_a; on a negative one the next adjugate
-        # and its determinant are negated, which leaves every ratio as it is
-        for i, f in enumerate(alpha):
-            if i != leave:
-                rows[i] = _pivot(rows[i], s * f, prow, best_a, D)
-        obj = _pivot(obj, s * best_r, prow, best_a, D)
-        if s < 0:
-            rows[leave] = [-u for u in prow]
-        D = best_a
-        order[leave] = enter
-        if obj[-1] * value.denominator < value.numerator * D * L:
-            y = [Fraction(w, D) if w else ZERO for w in obj[:len(rhs)]]
-            if not check_bound([c for j, c in enumerate(columns) if j not in held],
-                               rhs, value, y):
-                raise CertificateFailed(f"dual bound below {value} failed its check")
-            return Fraction(obj[-1], D * L), None, y
-    basis.rows, basis.obj, basis.D, basis.order = rows, obj, D, order
-    return _optimum(basis, held)
 
 
 def _pivot(row, f, prow, p, D):
@@ -233,10 +127,11 @@ def check_certificate(columns, rhs, value, x, y) -> bool:
     y.A_j >= 1 for every column j) and sum(x) = rhs.y = value, so weak
     duality proves both optimal.  Exact arithmetic on x and y brought to a
     common denominator each; each column is priced from its own rows."""
-    if len(x) != len(columns) or any(v < 0 for v in x):
+    if (len(x) != len(columns) or len(y) != len(rhs)
+            or any(v < 0 for v in x) or any(w < 0 for w in y)):
         return False
-    dual = _dual_feasible(columns, rhs, y)
-    if dual is None:
+    y, dy = _integer_row(y)
+    if any(sum(y[i] for i in col) < dy for col in columns):
         return False
     x, dx = _integer_row(x)
     load = [0] * len(rhs)
@@ -246,59 +141,25 @@ def check_certificate(columns, rhs, value, x, y) -> bool:
                 load[i] += v
     if any(ld > b * dx for ld, b in zip(load, rhs)):
         return False
-    y, dy = dual
     return (sum(x) == value * dx
             and sum(w * b for w, b in zip(y, rhs) if w) == value * dy)
 
 
-def check_bound(columns, rhs, value, y) -> bool:
-    """Whether y proves that max sum(x), A.x <= rhs, x >= 0 lies below
-    `value`: y is dual feasible and rhs.y < value, so weak duality bounds
-    every feasible x.  The same exact arithmetic as `check_certificate`."""
-    dual = _dual_feasible(columns, rhs, y)
-    if dual is None:
-        return False
-    y, dy = dual
-    return sum(w * b for w, b in zip(y, rhs) if w) < value * dy
-
-
-def _dual_feasible(columns, rhs, y):
-    """(integers, d) with y = integers / d when y has one entry per row,
-    y >= 0 and y.A_j >= 1 for every column j; else None."""
-    if len(y) != len(rhs) or any(w < 0 for w in y):
-        return None
-    y, dy = _integer_row(y)
-    for col in columns:
-        if sum(y[i] for i in col) < dy:
-            return None
-    return y, dy
-
-
-def matching_lp(edge_list, lower=None, upper=None, basis=None):
+def matching_lp(edge_list, lower=None, upper=None):
     """Max total weight over edges with load at most 1 at every vertex.
 
     edge_list: canonical sorted list of edges.  lower / upper map edge ->
     Fraction bounds on that edge's weight (lower bounds are substituted
     out, upper bounds add a row); an upper bound of 0 drops the edge, which
     then gets no column, no bound row and no lower mass.  Returns (value,
-    {edge: weight}) including the lower-bounded mass, or (None, None) when
-    the bounds alone are infeasible.  Each edge's column has a 1 in the row
-    of each of its vertices and in its bound row.
-
-    basis: a `Basis`.  An empty one is filled by the solve, which must then
-    have no bounds.  A filled one comes from such a solve on the same
-    edge_list, and `upper` may only hold 0s: the edges it names are held at
-    0 by `_reoptimise`, which keeps every vertex row.  The result is the
-    optimum, which `basis` then holds, or (bound, None) with a verified
-    bound below the optimum that `basis` holds, which is left unchanged.
+    {edge: weight}, dual) including the lower-bounded mass, or (None, None,
+    None) when the bounds alone are infeasible.  Each edge's column has a 1
+    in the row of each of its vertices and in its bound row.  dual holds
+    the nonzero entries of the verified optimal y of the program solved:
+    a vertex row's under its vertex, a bound row's under its edge.
     """
     lower = lower or {}
     upper = upper or {}
-    if basis is not None and basis.value is not None:
-        value, x, _ = _reoptimise(basis, {j for j, e in enumerate(edge_list) if e in upper})
-        if x is None:
-            return value, None
-        return value, {e: w for e, w in zip(edge_list, x) if w}
     active = [e for e in edge_list if upper.get(e) != 0]
     vertices = sorted({v for e in active for v in e})
     vindex = {v: i for i, v in enumerate(vertices)}
@@ -310,18 +171,20 @@ def matching_lp(edge_list, lower=None, upper=None, basis=None):
             for v in e:
                 rhs[vindex[v]] -= lb
     if any(b < 0 for b in rhs):
-        return None, None
+        return None, None, None
     columns = []
+    keys = list(vertices)   # what each row's dual is reported under
     for e in active:
         col = [vindex[v] for v in e]
         if e in upper:
             residual = Fraction(upper[e]) - lower.get(e, ZERO)
             if residual < 0:
-                return None, None
+                return None, None, None
             col.append(len(rhs))
             rhs.append(residual)
+            keys.append(e)
         columns.append(col)
-    _, x, _ = simplex_max(columns, rhs, basis)
+    _, x, y = simplex_max(columns, rhs)
     weights = {}
     total = ZERO
     for e, w in zip(active, x):
@@ -329,4 +192,4 @@ def matching_lp(edge_list, lower=None, upper=None, basis=None):
         if w:
             weights[e] = w
             total += w
-    return total, weights
+    return total, weights, {key: w for key, w in zip(keys, y) if w}

@@ -2,8 +2,8 @@
 
 Integral maximum matchings come from a branch-and-bound set-packing search
 that always proves optimality (or raises above its cap).  Fractional optima
-come from the exact simplex; ties among optimal supports are broken toward
-the lexicographically smallest support so results are reproducible.
+come from the exact simplex, each with a dual that proves it optimal; the
+edges go in in canonical order, so a result is reproducible.
 """
 from __future__ import annotations
 
@@ -172,44 +172,19 @@ def greedy_matching(edges) -> list:
     return out
 
 
-def max_fractional_lp(host) -> FractionalMatching:
-    """Optimal fractional matching with exact rational weights.
+def max_fractional_lp(host):
+    """An optimal fractional matching with exact rational weights, and its
+    dual: (phi, {vertex: y_v}) for the nonzero y_v.
 
-    Among the optima, greedily forces edges to zero in canonical order
-    whenever doing so preserves the optimum, which selects the
-    lexicographically smallest support.  An edge with weight 0 in the
-    current vertex is zeroed without a solve.  Any other edge is a trial:
-    `lp.matching_lp` re-solves from the last optimal basis by the dual
-    simplex, holding this edge and the ones zeroed so far at 0.  A trial
-    that keeps the optimum moves the basis and the current vertex to its
-    optimum; one whose dual bound falls below the optimum stops there with
-    that bound verified, and the basis stays where it was.
-
-    Why this returns what cold trials returned: an edge is zeroed exactly
-    when some optimum of the program, with the edges zeroed before it held
-    at 0, gives it weight 0 (the current vertex is such an optimum, or the
-    trial finds one), so the zeroed edges depend only on optimum values,
-    never on the optimal vertex a solve reaches.  The weights are a vertex
-    of the last program, and every optimum of that program is positive on
-    every edge not zeroed.  When that optimal face is one point, the
-    weights are determined too.  A face of more than one point is possible
-    (a 24-edge component at N = 11 has one); there the weights are the
-    vertex the solves reach, and the tests compare them with the cold
-    loop's on every component they draw.
+    One `lp.matching_lp` solve on the edges in canonical order, whose
+    optimum `check_certificate` has verified with y: y >= 0, every edge
+    has dual load at least 1 and sum(y) = phi.weight().  The weights are
+    the vertex that Bland's rule reaches, so the same host always gets the
+    same ones.
     """
     edges = sorted(tuple(sorted(e)) for e in host)
-    basis = lp.Basis()
-    _, weights = lp.matching_lp(edges, basis=basis)
-    zeroed: dict = {}
-    for e in edges:
-        if e not in weights:
-            zeroed[e] = ZERO
-            continue
-        _, trial_weights = lp.matching_lp(edges, upper={**zeroed, e: ZERO}, basis=basis)
-        if trial_weights is not None:
-            zeroed[e] = ZERO
-            weights = trial_weights
-    return FractionalMatching(frozenset(edges), weights)
+    _, weights, dual = lp.matching_lp(edges)
+    return FractionalMatching(frozenset(edges), weights), dual
 
 
 def _lp_branch_and_bound(edges, branch, incumbent, bound, node_cap):
@@ -230,7 +205,7 @@ def _lp_branch_and_bound(edges, branch, incumbent, bound, node_cap):
         nodes += 1
         if nodes > node_cap:
             raise SearchCapExceeded(f"LP branch and bound exceeded {node_cap} nodes")
-        value, weights = lp.matching_lp(edges, lower, upper)
+        value, weights, _ = lp.matching_lp(edges, lower, upper)
         if value is None or bound(value) <= best[0]:
             return
         children = branch(weights, lower, upper)
@@ -336,7 +311,7 @@ def mu_estimate(CH: ColouredKGraph, s: int, beta) -> MuEstimate:
             value, _ = _floored_lp_exact(edges, beta)
             choices.append((combo, value, True, value))
         else:
-            value, weights = lp.matching_lp(edges)
+            value, weights, _ = lp.matching_lp(edges)
             kept = {e: w for e, w in weights.items() if w >= beta}
             verified = sum(kept.values(), ZERO)
             choices.append((combo, verified, verified == value, value))

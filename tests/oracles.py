@@ -19,11 +19,6 @@ from `monochromatic_components` and builds its result with
 `make_blueprint`, which `check_blueprint` then judges.  They raise
 ValueError on input outside their contract.
 
-The lexicographic-support reference is another: it is the loop that
-`max_fractional_lp` ran before its trials were warm-started, one cold
-`lp.matching_lp` solve per trial, and `matching_lp`'s cold path is itself
-checked against the dense tableau here.
-
 The growth step's point queries (a blueprint's good-edge flags, the
 first-fit good matching, the suitable-pair flags and the attached blue
 component `compute_B_W`) are kept here as the scans the library replaced
@@ -476,28 +471,6 @@ def dense_matching_lp(edge_list, lower=None, upper=None, excluded=None, ties=Non
     _, x = simplex_fraction_reference([1] * len(active), rows, rhs, ties=ties)
     weights = {e: w + lower.get(e, 0) for e, w in zip(active, x) if w + lower.get(e, 0)}
     return sum(weights.values(), Fraction(0)), weights
-
-
-def lex_support_reference(host) -> dict:
-    """The weights of the lexicographically smallest optimal support, each
-    trial a cold solve: in canonical order, an edge absent from the current
-    vertex is zeroed, and any other edge is zeroed when the program with it
-    and the edges zeroed so far held at 0 keeps the optimum, whose vertex
-    then becomes the current one."""
-    from tcr.lp import matching_lp
-
-    edges = sorted(tuple(sorted(e)) for e in host)
-    value, weights = matching_lp(edges)
-    zeroed = {}
-    for e in edges:
-        if e not in weights:
-            zeroed[e] = 0
-            continue
-        trial_value, trial_weights = matching_lp(edges, upper={**zeroed, e: 0})
-        if trial_value == value:
-            zeroed[e] = 0
-            weights = trial_weights
-    return weights
 
 
 def project_edge(bmap, e_star):

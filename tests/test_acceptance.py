@@ -223,7 +223,7 @@ def test_criterion_7_lp_vs_support_enumeration():
         n = rng.randint(5, 8)
         m = rng.randint(1, 12)
         ch = rand_coloured(4, n, m, rng)
-        lp = max_fractional_lp(ch.graph.edges)
+        lp, _ = max_fractional_lp(ch.graph.edges)
         oracle = lp_vertex_enumeration(ch.graph.edges)
         ok &= lp.weight() == oracle
         valid, _ = validate_fractional(ch.graph, lp)

@@ -481,19 +481,17 @@ def test_cli_bad_parameter_value_is_usage_error(tmp_path, capsys, argv, name):
 
 
 def test_cli_failed_certificate_is_internal_error(tmp_path, capsys, monkeypatch):
-    """A failed self-check, of an optimum or of a rejected trial's dual
-    bound, exits 4 with a JSON report, never 2."""
+    """A failed self-check of an optimum exits 4 with a JSON report,
+    never 2."""
     path = tmp_path / "split.tcg"
     path.write_text(serialize_coloured_hypergraph(split_coloring(4, 2)[0]), encoding="utf-8")
-    for check in ("check_certificate", "check_bound"):
-        with monkeypatch.context() as patch:
-            patch.setattr(lp, check, lambda *args: False)
-            code, out, _ = run_captured(capsys, ["match", "lp", "--in", str(path),
-                                                 "--component", "0"])
-        assert code == EXIT_INTERNAL
-        error = json.loads(out)["error"]
-        assert error["kind"] == "CertificateFailed"
-        assert ("bound" in error["message"]) is (check == "check_bound")
+    monkeypatch.setattr(lp, "check_certificate", lambda *args: False)
+    code, out, _ = run_captured(capsys, ["match", "lp", "--in", str(path),
+                                         "--component", "0"])
+    assert code == EXIT_INTERNAL
+    error = json.loads(out)["error"]
+    assert error["kind"] == "CertificateFailed"
+    assert "dual certificate" in error["message"]
 
 
 @pytest.mark.parametrize("exc", [ValueError("bad value"), KeyError("missing")])
@@ -625,6 +623,37 @@ def test_cli_match_exact_trips_its_node_cap(tmp_path, capsys):
     assert f"{matchings.MATCHING_NODE_CAP} nodes" in error["message"]
     cert = matchings.max_matching_exact(split_coloring(4, 4)[0].edges_of(Colour.RED))
     assert (cert.size, cert.nodes) == (3, 193_619) and cert.nodes < matchings.MATCHING_NODE_CAP
+
+
+def test_cli_match_lp_trips_its_cell_cap(tmp_path, capsys, monkeypatch):
+    """`match lp` on a red tight path of V = 1,001 vertices: its LP has
+    (V + 1) * ((V - 3) + V + 1) = 2,004,000 tableau cells, just over
+    lp.CELL_CAP, and exits 3 with a JSON report naming the count.  The
+    solve fails before it allocates as much as one adjugate row (V + 1
+    pointers); one vertex fewer stays under the cap."""
+    V = 1001
+    assert (V + 1) * (2 * V - 2) > lp.CELL_CAP >= V * (2 * V - 4)
+    path = tmp_path / "path.tcg"
+    path.write_text(serialize_coloured_hypergraph(
+        build(4, V, [("R", (i, i + 1, i + 2, i + 3)) for i in range(1, V - 2)])),
+        encoding="utf-8")
+    solve, peaks = lp.simplex_max, []
+
+    def traced(*args):
+        tracemalloc.start()
+        try:
+            return solve(*args)
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+
+    monkeypatch.setattr(lp, "simplex_max", traced)
+    code, out, _ = run_captured(capsys, ["match", "lp", "--in", str(path), "--component", "0"])
+    assert code == EXIT_CAP
+    error = json.loads(out)["error"]
+    assert error["kind"] == "SizeCapExceeded"
+    assert f"{(V + 1) * (2 * V - 2)} tableau cells exceeds cap {lp.CELL_CAP}" in error["message"]
+    assert len(peaks) == 1 and peaks[0] < 8 * (V + 1), peaks
 
 
 def test_cli_ramsey_checks_size_before_a_target_longer_than_N(capsys, monkeypatch):

@@ -8,8 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (all_red, complete_kgraph, complete_random_coloured, rand_coloured,
                       split_edges)
-from oracles import (brute_max_matching, dense_matching_lp, lex_support_reference,
-                     lp_vertex_enumeration)
+from oracles import brute_max_matching, dense_matching_lp, lp_vertex_enumeration
 from tcr import lp, matchings
 from tcr.errors import NonEmptyIntersection, SearchCapExceeded, Unsupported
 from tcr.extremal import split_coloring
@@ -115,36 +114,36 @@ def test_max_matching_agrees_with_brute_force(seed):
 
 
 def test_lp_k5():
-    phi = max_fractional_lp(K5.edges)
+    phi, _ = max_fractional_lp(K5.edges)
     assert phi.weight() == Fraction(5, 4)
     ok, _ = validate_fractional(K5, phi)
     assert ok
 
 
 def test_lp_k8():
-    phi = max_fractional_lp(complete_kgraph(4, 8).edges)
+    phi, _ = max_fractional_lp(complete_kgraph(4, 8).edges)
     assert phi.weight() == 2
 
 
 def test_lp_two_overlapping_edges():
     h = build(4, 5, [("R", (1, 2, 3, 4)), ("R", (1, 2, 3, 5))]).graph
-    phi = max_fractional_lp(h.edges)
+    phi, _ = max_fractional_lp(h.edges)
     assert phi.weight() == 1
 
 
 def test_lp_empty_host():
     """The general paths solve the empty LP: weight 0 and no support."""
-    for phi in (max_fractional_lp(frozenset()), max_r_fractional([], 3)):
+    for phi in (max_fractional_lp(frozenset())[0], max_r_fractional([], 3)):
         assert phi == FractionalMatching(frozenset(), {})
 
 
 def test_lp_deterministic_and_canonical_support():
     h = complete_kgraph(4, 8)
-    a = max_fractional_lp(h.edges)
-    b = max_fractional_lp(h.edges)
+    a, _ = max_fractional_lp(h.edges)
+    b, _ = max_fractional_lp(h.edges)
     assert a.weights == b.weights
-    # the exclusion greedy drops every early edge whose removal keeps the
-    # optimum, leaving this canonical perfect pair (frozen from a run)
+    # the vertex Bland's rule reaches on the canonical edge order: this
+    # perfect pair (frozen from a run)
     assert sorted(a.weights) == [(1, 6, 7, 8), (2, 3, 4, 5)]
     assert a.weight() == 2
 
@@ -154,7 +153,7 @@ def test_lp_deterministic_and_canonical_support():
 def test_lp_agrees_with_vertex_enumeration_oracle(seed):
     rng = random.Random(seed)
     ch = rand_coloured(4, 8, rng.randint(1, 12), rng)
-    phi = max_fractional_lp(ch.graph.edges)
+    phi, _ = max_fractional_lp(ch.graph.edges)
     assert phi.weight() == lp_vertex_enumeration(ch.graph.edges)
     ok, _ = validate_fractional(ch.graph, phi)
     assert ok
@@ -165,9 +164,9 @@ def test_lp_agrees_with_vertex_enumeration_oracle(seed):
 def test_lp_at_least_integral_matching(seed):
     rng = random.Random(seed)
     ch = rand_coloured(4, 9, rng.randint(1, 16), rng)
-    lp = max_fractional_lp(ch.graph.edges).weight()
+    lp = max_fractional_lp(ch.graph.edges)[0].weight()
     assert lp >= max_matching_exact(ch.graph.edges).size
-    single = max_fractional_lp([min(ch.graph.sorted_edges)])
+    single, _ = max_fractional_lp([min(ch.graph.sorted_edges)])
     assert single.weight() == 1
 
 
@@ -263,44 +262,32 @@ def test_r_fractional_120_random_edges_on_14_vertices(monkeypatch):
     assert ok
     assert phi.host == frozenset(edges)
     assert all((w * 3).denominator == 1 for w in phi.weights.values())
-    lp_optimum, _ = matching_lp(sorted(edges))
+    lp_optimum = matching_lp(sorted(edges))[0]
     assert len(greedy_matching(edges)) <= phi.weight() <= lp_optimum
 
 
 def test_lp_on_918_edge_component_is_unchanged():
     """The largest monochromatic component of a random complete colouring
-    at N = 16 (918 edges): the lexicographic-support loop returns the
-    weights that the dense-tableau simplex returned."""
+    at N = 16 (918 edges): one solve returns the weights that the
+    dense-tableau simplex returned."""
     from tcr.tight import monochromatic_components
     ch = complete_random_coloured(4, 16, random.Random(16))
     component = max(monochromatic_components(ch).components, key=len)
     assert len(component) == 918
-    phi = max_fractional_lp(component)
+    phi, _ = max_fractional_lp(component)
     assert phi.weights == {(1, 13, 14, 15): 1, (2, 10, 12, 16): 1,
                            (3, 7, 8, 11): 1, (4, 5, 6, 9): 1}
     assert all(type(w) is Fraction for w in phi.weights.values())
 
 
-def test_warm_lex_loop_matches_cold_reference(monkeypatch):
-    """The warm-started loop returns the cold loop's weights on every
-    monochromatic component of seeded colourings (k = 4, N = 6-12, edge
-    densities 0.15-0.9) and on K_n^(4) for n = 5-9.  Among the hosts of
-    more than one edge are loops with a trial rejected by its dual bound
-    and loops with a trial that starts with an edge zeroed earlier still
-    basic at 0."""
-    seen = {"components": 0, "multi-edge": 0, "rejected": 0, "held_basic_at_0": 0}
-    flags = set()
-    reoptimise = lp._reoptimise
-
-    def recording(basis, held):
-        if any(b in held and not row[-1] for row, b in zip(basis.rows, basis.order)):
-            flags.add("held_basic_at_0")
-        result = reoptimise(basis, held)
-        if result[1] is None:
-            flags.add("rejected")
-        return result
-
-    monkeypatch.setattr(lp, "_reoptimise", recording)
+def test_lp_matches_dense_reference_on_components(monkeypatch):
+    """One solve returns the dense-tableau vertex, a valid fractional
+    matching, on every monochromatic component of seeded colourings
+    (k = 4, N = 6-12, edge densities 0.15-0.9) and on K_n^(4) for
+    n = 5-9."""
+    seen = {"components": 0, "multi-edge": 0}
+    solves, solve = [], lp.matching_lp
+    monkeypatch.setattr(lp, "matching_lp", lambda *args: solves.append(args) or solve(*args))
     hosts = [list(itertools.combinations(range(1, n + 1), 4)) for n in range(5, 10)]
     for n, density, seed in itertools.product(range(6, 13), (0.15, 0.3, 0.5, 0.7, 0.9),
                                               range(3)):
@@ -310,35 +297,14 @@ def test_warm_lex_loop_matches_cold_reference(monkeypatch):
                           if rng.random() < density])
         hosts += monochromatic_components(ch).components
     for host in hosts:
-        flags.clear()
-        assert max_fractional_lp(host).weights == lex_support_reference(host), sorted(host)
+        solves.clear()
+        phi, _ = max_fractional_lp(host)
+        assert len(solves) == 1
+        assert phi.weights == dense_matching_lp(sorted(host))[1], sorted(host)
+        assert validate_fractional(None, phi)[0]
         seen["components"] += 1
-        if len(host) > 1:
-            seen["multi-edge"] += 1
-            for flag in flags:
-                seen[flag] += 1
+        seen["multi-edge"] += len(host) > 1
     assert seen["components"] >= 300 and seen["multi-edge"] >= 200, seen
-    assert seen["rejected"] >= 200 and seen["held_basic_at_0"] >= 100, seen
-
-
-def test_lex_loop_where_the_last_optimal_face_is_not_a_point():
-    """A component whose last program (every zeroed edge held at 0) has
-    more than one optimum, all positive on the support: raising one
-    support weight by 1/10^9 keeps the optimum.  So the support does not
-    fix the weights there, and the warm loop returns the cold loop's
-    vertex."""
-    host = [(1, 2, 3, 5), (1, 2, 5, 8), (1, 3, 4, 10), (1, 3, 5, 11), (1, 4, 10, 11),
-            (1, 6, 7, 11), (1, 7, 10, 11), (2, 3, 5, 6), (2, 3, 5, 10), (2, 3, 6, 11),
-            (2, 4, 6, 7), (2, 4, 6, 10), (2, 5, 6, 10), (2, 5, 10, 11), (2, 6, 7, 9),
-            (2, 6, 8, 11), (2, 7, 8, 9), (2, 8, 9, 11), (3, 5, 6, 10), (3, 6, 7, 11),
-            (4, 6, 7, 10), (4, 7, 9, 10), (6, 8, 9, 10), (6, 8, 10, 11)]
-    weights = max_fractional_lp(host).weights
-    assert weights == lex_support_reference(host)
-    value = sum(weights.values())
-    zeroed = {e: 0 for e in host if e not in weights}
-    e = (1, 2, 5, 8)
-    assert matching_lp(host, lower={e: weights[e] + Fraction(1, 10**9)}, upper=zeroed)[0] \
-        == value
 
 
 def test_floored_lp_matches_best_support_lp():
