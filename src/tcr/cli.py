@@ -377,8 +377,8 @@ def _cmd_match(args) -> dict:
         cert = matchings_mod.max_matching_exact(host)
         return {"result": {"size": cert.size, "edges": cert.edges,
                            "optimal": cert.optimal, "nodes": cert.nodes}}
-    phi, _ = matchings_mod.max_fractional_lp(host)
-    return {"result": {"weight": phi.weight(), "weights": phi.weights}}
+    phi, dual = matchings_mod.max_fractional_lp(host)
+    return {"result": {"weight": phi.weight(), "weights": phi.weights, "dual": dual}}
 
 
 def _cmd_blueprint(args) -> dict:

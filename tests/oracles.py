@@ -473,6 +473,27 @@ def dense_matching_lp(edge_list, lower=None, upper=None, excluded=None, ties=Non
     return sum(weights.values(), Fraction(0)), weights
 
 
+def lp_report_certified(result, host) -> bool:
+    """Whether a `match lp` result proves its weight optimal on `host` by
+    weak duality, read from the report's strings alone: the weights are a
+    fractional matching on host (each in (0, 1], load at most 1 at every
+    vertex), the dual is >= 0 with sum_{v in e} y_v >= 1 for every host
+    edge, and both sum to the reported weight."""
+    weight = Fraction(result["weight"])
+    weights = {tuple(map(int, key.split())): Fraction(w) for key, w in result["weights"].items()}
+    dual = {int(v): Fraction(y) for v, y in result["dual"].items()}
+    load = {}
+    for e, w in weights.items():
+        if e not in host or not 0 < w <= 1:
+            return False
+        for v in e:
+            load[v] = load.get(v, 0) + w
+    return (all(ld <= 1 for ld in load.values())
+            and all(y >= 0 for y in dual.values())
+            and all(sum(dual.get(v, 0) for v in e) >= 1 for e in host)
+            and sum(weights.values()) == weight == sum(dual.values()))
+
+
 def project_edge(bmap, e_star):
     """f(e*): the base edge whose classes the blown edge traverses."""
     e_star = tuple(sorted(e_star))

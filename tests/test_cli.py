@@ -14,8 +14,8 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import parse_outcome, threshold_colouring
-from oracles import parse_reference
+from conftest import complete_random_coloured, parse_outcome, threshold_colouring
+from oracles import brute_components, lp_report_certified, parse_reference
 from tcr import augment, cli, extremal, hypergraph, lp, matchings
 from tcr.blueprint import BWResult, build_blueprint
 from tcr.cli import (EXIT_CAP, EXIT_CONTRACT, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE,
@@ -315,6 +315,53 @@ def test_cli_components_and_match(tmp_path, capsys):
     result = json.loads(out)["result"]
     assert result["weight"] == "2/1"
     assert sum(map(Fraction, result["weights"].values())) == 2
+
+
+def test_cli_match_lp_dual_is_rechecked_from_the_report(tmp_path, capsys):
+    """Every `match lp` report carries the dual of its solve, and
+    `oracles.lp_report_certified` proves each reported weight optimal from
+    the report and the parsed input alone: on the whole graph, each colour
+    class and each monochromatic component (found by brute-force BFS from
+    a weighted edge, so every component is met once).  A lowered dual
+    entry or a raised weight fails the check."""
+    rng = random.Random(10)
+    inputs = [split_coloring(4, 2)[0], threshold_colouring(10, 2),
+              complete_random_coloured(4, 8, random.Random(8)),
+              complete_random_coloured(4, 9, random.Random(9)),
+              build(4, 10, [(rng.choice("RB"), e) for e in rng.sample(
+                  list(itertools.combinations(range(1, 11), 4)), 40)])]
+    checked = 0
+    for n, ch in enumerate(inputs):
+        text = serialize_coloured_hypergraph(ch)
+        path = tmp_path / f"in{n}.tcg"
+        path.write_text(text, encoding="utf-8")
+        parsed = parse_reference(text)
+        classes = {c: {e for e, col in parsed.colour.items() if col is c} for c in Colour}
+        components = [comp for edges in classes.values() for comp in brute_components(4, edges)]
+        hosts = [("--host", "all", set(parsed.colour))]
+        hosts += [("--host", c.name.lower(), classes[c]) for c in Colour]
+        met = []
+        for cid in range(len(components)):
+            code, out, _ = run_captured(capsys, ["match", "lp", "--in", str(path),
+                                                 "--component", str(cid)])
+            assert code == EXIT_OK
+            e = tuple(map(int, min(json.loads(out)["result"]["weights"]).split()))
+            (host,) = [comp for comp in components if e in comp]
+            met.append(host)
+            hosts.append(("--component", str(cid), host))
+        assert sorted(map(sorted, met)) == sorted(map(sorted, components))
+        for flag, value, host in hosts:
+            code, out, _ = run_captured(capsys, ["match", "lp", "--in", str(path), flag, value])
+            assert code == EXIT_OK
+            result = json.loads(out)["result"]
+            assert lp_report_certified(result, host), (n, flag, value)
+            checked += 1
+            v = min(result["dual"], key=int)
+            lowered = {**result["dual"], v: str(Fraction(result["dual"][v]) - Fraction(1, 7))}
+            assert not lp_report_certified({**result, "dual": lowered}, host)
+            raised = str(Fraction(result["weight"]) + Fraction(1, 7))
+            assert not lp_report_certified({**result, "weight": raised}, host)
+    assert checked >= 30, checked
 
 
 def test_cli_mu(tmp_path, capsys):
