@@ -154,9 +154,9 @@ def matching_lp(edge_list, lower=None, upper=None):
     then gets no column, no bound row and no lower mass.  Returns (value,
     {edge: weight}, dual) including the lower-bounded mass, or (None, None,
     None) when the bounds alone are infeasible.  Each edge's column has a 1
-    in the row of each of its vertices and in its bound row.  dual holds
-    the nonzero entries of the verified optimal y of the program solved:
-    a vertex row's under its vertex, a bound row's under its edge.
+    in the row of each of its vertices and in its bound row.  dual maps
+    each vertex to its entry in the verified optimal y, where that entry
+    is nonzero; bound rows' entries are left out.
     """
     lower = lower or {}
     upper = upper or {}
@@ -173,7 +173,6 @@ def matching_lp(edge_list, lower=None, upper=None):
     if any(b < 0 for b in rhs):
         return None, None, None
     columns = []
-    keys = list(vertices)   # what each row's dual is reported under
     for e in active:
         col = [vindex[v] for v in e]
         if e in upper:
@@ -182,7 +181,6 @@ def matching_lp(edge_list, lower=None, upper=None):
                 return None, None, None
             col.append(len(rhs))
             rhs.append(residual)
-            keys.append(e)
         columns.append(col)
     _, x, y = simplex_max(columns, rhs)
     weights = {}
@@ -192,4 +190,4 @@ def matching_lp(edge_list, lower=None, upper=None):
         if w:
             weights[e] = w
             total += w
-    return total, weights, {key: w for key, w in zip(keys, y) if w}
+    return total, weights, {v: w for v, w in zip(vertices, y) if w}

@@ -3,7 +3,7 @@
 Integral maximum matchings come from a branch-and-bound set-packing search
 that always proves optimality (or raises above its cap).  Fractional optima
 come from the exact simplex, each with a dual that proves it optimal; the
-edges go in in canonical order, so a result is reproducible.
+edges enter the LP in canonical order, so a result is reproducible.
 """
 from __future__ import annotations
 
@@ -179,8 +179,7 @@ def max_fractional_lp(host):
     One `lp.matching_lp` solve on the edges in canonical order, whose
     optimum `check_certificate` has verified with y: y >= 0, every edge
     has dual load at least 1 and sum(y) = phi.weight().  The weights are
-    the vertex that Bland's rule reaches, so the same host always gets the
-    same ones.
+    the vertex that Bland's rule reaches on that order.
     """
     edges = sorted(tuple(sorted(e)) for e in host)
     _, weights, dual = lp.matching_lp(edges)

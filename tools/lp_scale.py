@@ -9,7 +9,7 @@ median CPU time over the repeats, the number of LP solves (calls of
 loop made one more per trial), the optimum and a digest of the exact
 weights, together with the machine it ran on.
 
-    python3 tools/lp_scale.py --ns 14 18 22 26 --out BENCH_lp_scale.json
+    python3 tools/lp_scale.py --ns 14 18 22 26 30 --repeats 5 --out BENCH_lp_scale.json
 
 `--src` points at the `src` directory of another checkout, to time it on
 the same inputs.
