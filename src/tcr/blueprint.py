@@ -439,6 +439,7 @@ def compute_B_W(CH: ColouredKGraph, bp: Blueprint, R_id: int, W) -> BWResult:
     masks = bp.masks
     pair_colour = bp.graph.colour
     edge_set = CH.graph.edges
+    edge_colour = CH.colour
     w_mask = 0
     for w in W:
         w_mask |= 1 << w
@@ -471,7 +472,7 @@ def compute_B_W(CH: ColouredKGraph, bp: Blueprint, R_id: int, W) -> BWResult:
             if edge in attached:
                 continue
             attached.add(edge)
-            if CH.colour[edge] is Colour.RED:
+            if edge_colour[edge] is Colour.RED:
                 raise HypothesisViolated(
                     f"attachment edge {edge} is red (good red edge inside W)")
             candidates.setdefault(decomp.id_of(edge, Colour.BLUE), ("triple", T, w))

@@ -214,9 +214,17 @@ def parse_coloured_hypergraph(source) -> ColouredKGraph:
 
 
 def serialize_coloured_hypergraph(CH: ColouredKGraph) -> str:
+    """The canonical tcg text: the sorted edges, each lettered by a merge
+    with the red class (a subsequence of them), so no colour dict is read."""
     lines = ["tcg 1", f"k={CH.k} n={CH.n}"]
+    reds = iter(CH.edges_of(Colour.RED))
+    red = next(reds, None)
     for e in CH.graph.sorted_edges:
-        lines.append(CH.colour[e].value + " " + " ".join(str(v) for v in e))
+        if e == red:
+            letter, red = "R ", next(reds, None)
+        else:
+            letter = "B "
+        lines.append(letter + " ".join(map(str, e)))
     return "\n".join(lines) + "\n"
 
 

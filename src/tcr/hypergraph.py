@@ -8,14 +8,22 @@ verdict is an exact Fraction; no floating point is used anywhere.
 parser alike, by one fast path and one reference path.  While the input
 comes in canonical order, as serialize writes it, a block that passes
 `_columns`, the one order and range check of a block of edges, and
-continues that order cannot repeat an edge and is added whole.  Any other
-block goes through the per-edge loop, and once the input has left
-canonical order so does every block after it, so input out of canonical
-order is built edge by edge.  Blocks that are already typed reach
-`build` through `_Blocks` and skip the type tests of library pairs: the
-tcg parser checks only what is textual (header, letters, integers, arity)
-and hands over its integers, and `tcr.extremal` hands over the profile
-colourings' edges, which `itertools.combinations` makes from a `range`.
+continues that order cannot repeat an edge and is appended whole to the
+canonical edge list and its colour classes.  Any other block goes through
+the per-edge loop, and once the input has left canonical order so does
+every block after it, so input out of canonical order is built edge by
+edge into a dict.  Blocks that are already typed reach `build` through
+`_Blocks` and skip the type tests of library pairs: the tcg parser checks
+only what is textual (header, letters, integers, arity) and hands over its
+integers, and `tcr.extremal` hands over the profile colourings' edges,
+which `itertools.combinations` makes from a `range`.
+
+A graph built from canonical input keeps its canonical edge tuple and its
+two colour classes only.  Its `KGraph.edges` frozenset and its
+`ColouredKGraph.colour` dict, the two per-edge hash tables, are built the
+first time something reads them and cached, so a run that only counts or
+scans edges hashes none.  A graph built this way compares, hashes, prints
+and pickles as one whose tables were given to its constructor.
 
 Degree thresholds for the density predicate use C(n-i, k-i), the degree a
 complete k-graph attains, so that K_n^(k) is (1, 0)-dense at every level.
@@ -62,6 +70,33 @@ def canon_edge(vertices, k: int, n: int) -> Edge:
     return e
 
 
+def _made(cls, **fields):
+    """An instance of a frozen dataclass with exactly these attributes set,
+    bypassing its constructor: a field left out is made on first read by
+    the class's `__getattr__`."""
+    out = object.__new__(cls)
+    out.__dict__.update(fields)
+    return out
+
+
+def _fields_first(state: dict, names) -> dict:
+    """A graph's pickled state: its instance dict with the fields that are
+    set first, in field order.  A table built on first read sits after the
+    caches in the instance dict; pickled there, it would be loaded last,
+    and its growth would come on top of everything else loaded."""
+    out = {name: state[name] for name in names if name in state}
+    out.update(state)
+    return out
+
+
+def _colour_dict(edges, red) -> dict:
+    """Edge -> Colour over `edges`, in their order: red on `red`, a
+    subsequence of them, and blue elsewhere."""
+    colour = dict.fromkeys(edges, Colour.BLUE)
+    colour.update(zip(red, itertools.repeat(Colour.RED)))
+    return colour
+
+
 @dataclass(frozen=True)
 class KGraph:
     """A k-uniform hypergraph on vertex set [n]."""
@@ -69,6 +104,18 @@ class KGraph:
     k: int
     n: int
     edges: frozenset
+
+    def __getattr__(self, name):
+        """Reached only for an attribute the instance lacks: the edge set of
+        a graph `build` made from canonical input, hashed from its sorted
+        edges on first read."""
+        if name != "edges" or "_sorted" not in self.__dict__:
+            raise AttributeError(f"'KGraph' object has no attribute {name!r}")
+        edges = self.__dict__["edges"] = frozenset(self._sorted)
+        return edges
+
+    def __getstate__(self) -> dict:
+        return _fields_first(self.__dict__, ("k", "n", "edges"))
 
     @property
     def sorted_edges(self) -> tuple:
@@ -81,7 +128,8 @@ class KGraph:
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        out = self.__dict__.get("_sorted")
+        return len(self.edges if out is None else out)
 
 
 def support_of(edges) -> tuple:
@@ -102,6 +150,19 @@ class ColouredKGraph:
 
     graph: KGraph
     colour: dict  # Edge -> Colour; total on graph.edges
+
+    def __getattr__(self, name):
+        """Reached only for an attribute the instance lacks: the colour dict
+        of a graph `build` made from canonical input, in canonical order,
+        made from its sorted edges and red class on first read."""
+        if name != "colour" or "_classes" not in self.__dict__:
+            raise AttributeError(f"'ColouredKGraph' object has no attribute {name!r}")
+        colour = self.__dict__["colour"] = _colour_dict(self.graph.sorted_edges,
+                                                        self._classes[Colour.RED])
+        return colour
+
+    def __getstate__(self) -> dict:
+        return _fields_first(self.__dict__, ("graph", "colour"))
 
     @property
     def k(self) -> int:
@@ -125,12 +186,15 @@ class ColouredKGraph:
     def swapped(self) -> "ColouredKGraph":
         """The same graph with every edge colour flipped.  The colour classes
         and a monochromatic decomposition already cached on this graph are
-        carried across."""
-        out = ColouredKGraph(self.graph, {e: c.opposite for e, c in self.colour.items()})
+        carried across; with the classes the colour dict is left to be made
+        on first read, in canonical order."""
         classes = self.__dict__.get("_classes")
         if classes is not None:
-            object.__setattr__(out, "_classes", {c.opposite: es for c, es in classes.items()})
-        decomp = getattr(self, "_components", None)
+            out = _made(ColouredKGraph, graph=self.graph,
+                        _classes={c.opposite: es for c, es in classes.items()})
+        else:
+            out = ColouredKGraph(self.graph, {e: c.opposite for e, c in self.colour.items()})
+        decomp = self.__dict__.get("_components")
         if decomp is not None:
             object.__setattr__(out, "_components", decomp.swapped())
         return out
@@ -191,46 +255,53 @@ def _flattened(block: list, k: int) -> tuple:
     return cs, es, verts
 
 
-def _add_checked(colour: dict, cs, es, verts: list, k: int, n: int, last: tuple):
-    """Add a flattened block whole and return its last edge, or add nothing
-    and return None.  With `es` None the edges are made from the vertex
-    columns.
+def _add_checked(edges: list, red: list, blue: list, cs, es, verts: list, k: int, n: int):
+    """Append a flattened block whole to the canonical edge list and its
+    colour classes and return True, or append nothing and return False.
+    With `es` None the edges are made from the vertex columns.
 
-    `last` is the last edge added (() before the first block).  A block
-    that passes the one block check (`_columns`), is strictly increasing
-    and starts after `last` cannot repeat an edge, so it is added as it is;
-    an empty block adds nothing and returns `last`."""
+    A block that passes the one block check (`_columns`), is strictly
+    increasing and starts after the last edge in `edges` cannot repeat an
+    edge, so it is appended as it is; an empty block appends nothing."""
     cols = _columns(verts, k, n)
     if cols is None:
-        return None
-    edges = list(zip(*cols)) if es is None else es
-    if not edges:
-        return last
-    if last < edges[0] and all(map(lt, edges, edges[1:])):
-        colour.update(zip(edges, cs))
-        return edges[-1]
-    return None
+        return False
+    block = list(zip(*cols)) if es is None else es
+    if not block:
+        return True
+    if (not edges or edges[-1] < block[0]) and all(map(lt, block, block[1:])):
+        cs = list(cs)
+        red.extend(itertools.compress(block, map(is_, cs, itertools.repeat(Colour.RED))))
+        blue.extend(itertools.compress(block, map(is_, cs, itertools.repeat(Colour.BLUE))))
+        edges.extend(block)
+        return True
+    return False
 
 
-def _add_each(colour: dict, pairs, k: int, n: int, last):
+def _add_each(edges: list, red: list, blue: list, colour, pairs, k: int, n: int):
     """The per-edge loop: sort and check each edge, tolerate a repeat in its
-    own colour, and raise the first fault in input order.  Returns the last
-    edge while the edges stay strictly increasing after `last`, the last
-    edge added before the block (None once the input has left canonical
-    order), and None otherwise.  The pairs are read in full first, so a
-    fault that their reader raises (the tcg parser's line scan) comes
-    before a conflict in the same block."""
+    own colour, and raise the first fault in input order.  While the edges
+    keep canonical order (`colour` None) each is appended to `edges` and its
+    class; the first that does not is where the input leaves it, and from
+    there every edge goes into the dict of all edges so far, which is
+    returned (None while the input keeps canonical order).  The pairs are
+    read in full first, so a fault that their reader raises (the tcg
+    parser's line scan) comes before a conflict in the same block."""
     for c, raw in list(pairs):
-        if isinstance(c, str):
+        if c.__class__ is not Colour:
             c = Colour(c)
         e = canon_edge(raw, k, n)
+        if colour is None:
+            if not edges or edges[-1] < e:
+                edges.append(e)
+                (red if c is Colour.RED else blue).append(e)
+                continue
+            colour = _colour_dict(edges, red)
         old = colour.get(e)
         if old is not None and old is not c:
             raise ConflictingColour(f"edge {e} given as both {old.value} and {c.value}")
         colour[e] = c
-        if last is not None:
-            last = e if last < e else None
-    return last
+    return colour
 
 
 def build(k: int, n: int, coloured_edges) -> ColouredKGraph:
@@ -240,16 +311,19 @@ def build(k: int, n: int, coloured_edges) -> ColouredKGraph:
     A duplicate edge is tolerated when its colour agrees and rejected
     otherwise.  The pairs are read in blocks of BLOCK.  While the input
     keeps canonical order, a block of letters or Colours and tuples of ints
-    that passes `_columns` (order and range) is added whole
-    (`_add_checked`).  Any other block goes edge by edge (`_add_each`),
-    which sorts each edge, raises the first fault in input order and tells
-    whether the block kept canonical order; once the input has left it,
-    every later block goes edge by edge too, and is not flattened.  The
-    tcg parser and the profile colourings hand their blocks over through
+    that passes `_columns` (order and range) is appended whole to the
+    canonical edge list and the two colour classes (`_add_checked`).  Any
+    other block goes edge by edge (`_add_each`), which sorts each edge and
+    raises the first fault in input order; once the input has left
+    canonical order, the edges so far and every later block, which is not
+    flattened, go into a dict that tests each edge for a repeat.  The tcg
+    parser and the profile colourings hand their blocks over through
     `_Blocks`, so their edges get the same one check.
-    The two colour classes are kept for `edges_of`; while the input keeps
-    canonical order they are read in insertion order, else from the sorted
-    edges.
+
+    From canonical input the graph keeps the edge tuple and the two class
+    tuples only, and makes its edge set and colour dict on first read;
+    otherwise it keeps the dict, in input order, and the classes are read
+    from the sorted edges.
     """
     if k < 2:
         raise MalformedEdge(f"uniformity {k} < 2")
@@ -261,21 +335,21 @@ def build(k: int, n: int, coloured_edges) -> ColouredKGraph:
         source = iter(coloured_edges)
         blocks = ((functools.partial(_flattened, block, k), block)
                   for block in iter(lambda: list(itertools.islice(source, BLOCK)), []))
-    colour = {}
-    last = ()
+    edges, red, blue = [], [], []
+    colour = None   # edge -> Colour, once the input has left canonical order
     for flatten, pairs in blocks:
-        added = None
-        if last is not None:
+        if colour is None:
             cs, es, verts = flatten()
-            if verts is not None:
-                added = _add_checked(colour, cs, es, verts, k, n, last)
-        last = _add_each(colour, pairs, k, n, last) if added is None else added
-    if last is not None:
-        edges = tuple(colour)
-        cs = colour.values()
-    else:
-        edges = tuple(sorted(colour))
-        cs = list(map(colour.__getitem__, edges))
+            if verts is not None and _add_checked(edges, red, blue, cs, es, verts, k, n):
+                continue
+        colour = _add_each(edges, red, blue, colour, pairs, k, n)
+    if colour is None:
+        graph = _made(KGraph, k=k, n=n, _sorted=tuple(edges))
+        del edges   # freed before the class lists are copied to tuples
+        return _made(ColouredKGraph, graph=graph,
+                     _classes={Colour.RED: tuple(red), Colour.BLUE: tuple(blue)})
+    edges = tuple(sorted(colour))
+    cs = list(map(colour.__getitem__, edges))
     graph = KGraph(k, n, frozenset(colour))
     object.__setattr__(graph, "_sorted", edges)
     CH = ColouredKGraph(graph, colour)
@@ -298,7 +372,7 @@ def density_check(H: KGraph, mu, alpha) -> bool:
     for i in range(1, H.k):
         threshold = mu * comb(H.n - i, H.k - i)
         degs = {}
-        for e in H.edges:
+        for e in H.sorted_edges:
             for s in itertools.combinations(e, i):
                 degs[s] = degs.get(s, 0) + 1
         if any(d < threshold for d in degs.values()):

@@ -242,7 +242,7 @@ def _decomposition(comps, colour_of=None, buckets=()) -> TightDecomposition:
 
 
 def tight_components(H: KGraph) -> TightDecomposition:
-    comps, buckets = _component_sets(H.edges)
+    comps, buckets = _component_sets(H.sorted_edges)
     return _decomposition(comps, buckets=((0, buckets),))
 
 

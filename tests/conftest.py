@@ -1,6 +1,7 @@
 import functools
 import inspect
 import itertools
+import pickle
 import sys
 import time
 from pathlib import Path
@@ -8,7 +9,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).parent))
 
 import oracles  # noqa: E402
-from tcr.hypergraph import Colour, KGraph, build  # noqa: E402
+from tcr.hypergraph import Colour, ColouredKGraph, KGraph, build  # noqa: E402
 
 # Tier-1 time split: wall seconds inside the outermost calls into oracles.py
 # against the seconds of every test's setup, call and teardown.  The
@@ -56,6 +57,42 @@ def parse_outcome(parse, text):
         return type(exc), getattr(exc, "line", None)
     return (CH.k, CH.n, CH.colour, CH.graph.sorted_edges,
             CH.edges_of(Colour.RED), CH.edges_of(Colour.BLUE))
+
+
+def assert_lazy_as_eager(fresh, reference):
+    """`fresh()` makes a graph that `build` keeps lazily, with neither its
+    edge set nor its colour dict built yet; `reference` is a graph of the
+    same coloured edges made with both.  Each check starts from a new lazy
+    graph, so that the lazy form is what it reads: equality either way
+    round, hash, the colour dict's canonical order, repr, a pickle round
+    trip, with the tables built and without, and `swapped()`.  repr is
+    compared with the graph given `frozenset(sorted_edges)` and its colours
+    in canonical order, as the order a set prints in follows how it was
+    filled."""
+    lazy = fresh()
+    assert "edges" not in vars(lazy.graph) and "colour" not in vars(lazy)
+    assert fresh() == reference and reference == fresh()
+    assert hash(fresh().graph) == hash(reference.graph)
+    edges = reference.graph.sorted_edges
+    eager = ColouredKGraph(KGraph(reference.k, reference.n, frozenset(edges)),
+                           {e: reference.colour[e] for e in edges})
+    assert list(fresh().colour.items()) == list(eager.colour.items())
+    assert repr(fresh()) == repr(eager)
+    back = pickle.loads(pickle.dumps(fresh(), protocol=pickle.HIGHEST_PROTOCOL))
+    assert "edges" not in vars(back.graph) and "colour" not in vars(back)
+    assert back == reference and repr(back) == repr(eager)
+    built = fresh()
+    assert (built.colour, built.graph.edges) == (reference.colour, reference.graph.edges)
+    back = pickle.loads(pickle.dumps(built, protocol=pickle.HIGHEST_PROTOCOL))
+    # the fields come first, as in a graph given its tables
+    assert list(vars(back)) == ["graph", "colour", "_classes"]
+    assert list(vars(back.graph)) == ["k", "n", "edges", "_sorted"]
+    assert back == reference
+    swapped = fresh().swapped()
+    assert "edges" not in vars(swapped.graph) and "colour" not in vars(swapped)
+    assert swapped == reference.swapped() and swapped.swapped() == reference
+    for colour in Colour:
+        assert fresh().swapped().edges_of(colour) == reference.edges_of(colour.opposite)
 
 
 def rand_coloured(k, n, m, rng):

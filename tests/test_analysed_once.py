@@ -9,7 +9,8 @@ order and range check between the tcg text and the graph, and no
 decomposition caches a map over its edges: a consumer reads a few edges'
 ids from the bucket maps or tests membership in one component, and a
 component's frozenset is built only when a consumer tests membership in
-it.
+it.  A graph built from canonical input builds its edge set and colour
+dict only when something reads them.
 """
 import itertools
 import json
@@ -188,3 +189,77 @@ def test_run_driver_builds_only_the_spanning_red_set(decompositions_made):
     assert built_sets(decompositions_made) == [(0, rep.final_component)]
     assert d.colour(rep.final_component) is Colour.RED
     assert len(d.support(rep.final_component)) == 12
+
+
+@pytest.fixture
+def lazy_graphs(monkeypatch):
+    """Every graph and coloured graph made without its per-edge hash tables
+    (by `build` from canonical input, or by a colour swap)."""
+    made = []
+    original = hypergraph._made
+
+    def recording(cls, **fields):
+        made.append(original(cls, **fields))
+        return made[-1]
+
+    monkeypatch.setattr(hypergraph, "_made", recording)
+    return made
+
+
+def hash_tables(graphs) -> list:
+    """The edge sets and colour dicts built on the graphs so far."""
+    return [name for g in graphs for name in ("edges", "colour") if name in vars(g)]
+
+
+@pytest.mark.parametrize("argv", [["extremal", "parity", "--k", "4", "--n", "7", "--i", "2",
+                                   "--verify"],
+                                  ["components", "--in", "split13.tcg"]])
+def test_counting_runs_build_no_hash_table(tmp_path, monkeypatch, capsys, lazy_graphs, argv):
+    """`extremal --verify` counts the edges and reads the colour classes,
+    and `components` decomposes the sorted edges, so neither builds the
+    colour dict or the edge set."""
+    CH = split_coloring(4, 3)[0]
+    (tmp_path / "split13.tcg").write_text(serialize_coloured_hypergraph(CH), encoding="utf-8")
+    components = len(tight.tight_components(CH.graph)._sorted)
+    monkeypatch.chdir(tmp_path)
+    lazy_graphs.clear()
+    assert run(argv) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    if argv[0] == "extremal":
+        assert result["certificate"]["ok"] is True and result["N"] == 40
+    else:
+        assert result["count"] == components
+    assert [type(g).__name__ for g in lazy_graphs] == ["KGraph", "ColouredKGraph"]
+    assert hash_tables(lazy_graphs) == []
+
+
+@pytest.mark.parametrize("name", ["random12.tcg", "swapped24.tcg"])
+def test_driver_reaching_its_target_builds_no_colour_dict(tmp_path, monkeypatch, capsys,
+                                                          lazy_graphs, name):
+    """A driver run that reaches its target at iteration 0, on the input or
+    on its colour swap, reads no edge's colour through the dict: only
+    `validate_fractional`'s host check builds the one edge set."""
+    rng = random.Random(4)
+    make = {"random12.tcg": lambda: build(4, 12, [(rng.choice("RB"), e) for e in
+                                                  itertools.combinations(range(1, 13), 4)]),
+            "swapped24.tcg": lambda: threshold_colouring(24, 3)}
+    (tmp_path / name).write_text(serialize_coloured_hypergraph(make[name]()), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    lazy_graphs.clear()
+    assert run(["driver", "--seed", "7", "--in", name]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert (result["status"], result["iterations"], result["colour_swapped"]) == (
+        "reached", 0, name == "swapped24.tcg")
+    assert len(lazy_graphs) == (3 if result["colour_swapped"] else 2)
+    assert hash_tables(lazy_graphs) == ["edges"]
+
+
+def test_swapped_builds_no_hash_table(lazy_graphs):
+    """A colour swap of a lazily built graph carries its edge tuple and
+    classes across, building neither table on either graph."""
+    CH = split_coloring(4, 3)[0]
+    swapped = CH.swapped()
+    assert swapped.graph is CH.graph
+    assert [type(g).__name__ for g in lazy_graphs] == ["KGraph"] + ["ColouredKGraph"] * 2
+    assert hash_tables(lazy_graphs) == []
+    assert swapped.edges_of(Colour.RED) is CH.edges_of(Colour.BLUE)

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import gc
 import itertools
 import json
@@ -14,8 +15,9 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import complete_random_coloured, parse_outcome, threshold_colouring
-from oracles import brute_components, lp_report_certified, parse_reference
+from conftest import (assert_lazy_as_eager, complete_random_coloured, parse_outcome,
+                      threshold_colouring)
+from oracles import brute_components, build_reference, lp_report_certified, parse_reference
 from tcr import augment, cli, extremal, hypergraph, lp, matchings
 from tcr.blueprint import BWResult, build_blueprint
 from tcr.cli import (EXIT_CAP, EXIT_CONTRACT, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE,
@@ -173,6 +175,10 @@ def test_parse_serialize_round_trip(seed):
     assert serialize_coloured_hypergraph(again) == canonical
     direct = build(ch.k, ch.n, [(c, e) for e, c in ch.colour.items()])
     assert serialize_coloured_hypergraph(direct) == canonical
+    # the canonical text builds the graph lazily, and it acts as the per-edge
+    # reference's graph of the same pairs in the same order
+    eager = build_reference(ch.k, ch.n, [(c, e) for e, c in sorted(ch.colour.items())])
+    assert_lazy_as_eager(functools.partial(parse_coloured_hypergraph, canonical), eager)
 
 
 @pytest.mark.parametrize("plain, token", [("7", "07"), ("7", "+7"), ("10", "1_0"),

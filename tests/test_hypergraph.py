@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -7,8 +8,8 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (complete_kgraph, complete_random_coloured, near_complete_coloured,
-                      parse_outcome, rand_coloured)
+from conftest import (assert_lazy_as_eager, complete_kgraph, complete_random_coloured,
+                      near_complete_coloured, parse_outcome, rand_coloured)
 from oracles import build_reference, degree_brute, edges_within_brute, parse_reference
 from tcr import cli, hypergraph
 from tcr.blueprint import build_blueprint
@@ -127,11 +128,19 @@ def build_outcome(build_fn, k, n, pairs):
 def test_build_agrees_with_per_edge_reference(seed, block):
     """On seeded mixes read in blocks of 1 to 12 pairs, `build` gives the
     per-edge loop's graph and colour classes, or its error class and
-    message; a conflict or fault may sit in any block."""
+    message; a conflict or fault may sit in any block.  The graph's swap is
+    the reference's, and a graph built lazily from canonical input acts as
+    the reference's."""
     k, n, pairs = build_mix(random.Random(seed))
     expected = build_outcome(build_reference, k, n, pairs)
     with mock.patch.object(hypergraph, "BLOCK", block):
         assert build_outcome(build, k, n, pairs) == expected
+        if isinstance(expected[0], hypergraph.KGraph):
+            reference = build_reference(k, n, pairs)
+            assert build(k, n, pairs).swapped() == reference.swapped()
+            fresh = functools.partial(build, k, n, pairs)
+            if "colour" not in vars(fresh()):   # canonical input: built lazily
+                assert_lazy_as_eager(fresh, reference)
 
 
 @pytest.mark.parametrize("offset", [-1, 0, 1])
@@ -246,9 +255,9 @@ def test_a_scanned_block_in_canonical_order_leaves_later_blocks_whole(monkeypatc
     calls = []
     original = hypergraph._add_each
 
-    def counting(colour, pairs, k, n, last):
-        calls.append(last)
-        return original(colour, pairs, k, n, last)
+    def counting(edges, red, blue, colour, pairs, k, n):
+        calls.append(colour is None)   # the input still in canonical order
+        return original(edges, red, blue, colour, pairs, k, n)
 
     monkeypatch.setattr(hypergraph, "_add_each", counting)
     monkeypatch.setattr(hypergraph, "BLOCK", 4)
@@ -257,15 +266,15 @@ def test_a_scanned_block_in_canonical_order_leaves_later_blocks_whole(monkeypatc
     expected = parse_outcome(parse_reference, head + "".join(lines))
     assert parse_outcome(parse_coloured_hypergraph, head + "# a comment\n" + "".join(lines)) \
         == expected
-    assert calls == [()]
+    assert calls == [True]
     calls.clear()
     pairs = [(CANON[0][0], list(CANON[0][1])), *CANON[1:]]
     assert build_outcome(build, 4, 8, pairs) == build_outcome(build_reference, 4, 8, CANON)
-    assert calls == [()]
+    assert calls == [True]
     calls.clear()
     swapped = [lines[1], lines[0], *lines[2:]]
     assert parse_outcome(parse_coloured_hypergraph, head + "".join(swapped)) == expected
-    assert calls == [(), None, None]   # twelve body lines: three blocks of four
+    assert calls == [True, False, False]   # twelve body lines: three blocks of four
 
 
 @settings(max_examples=25, deadline=None)

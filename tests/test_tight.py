@@ -164,7 +164,8 @@ def test_swapped_decomposition_shares_each_set_built_on_either_side():
 
 def test_decomposition_survives_a_pickle_round_trip():
     """A decomposition with some sets built, and its swap, come back equal
-    from one pickle, and still share their cells."""
+    from one pickle, and still share their cells; so does a lazily built
+    graph that carries one."""
     ch = rand_coloured(4, 10, 24, random.Random(11))
     d = monochromatic_components(ch)
     d.edges_of(0)
@@ -175,6 +176,15 @@ def test_decomposition_survives_a_pickle_round_trip():
     reds = sum(c is Colour.RED for c in d.colour_of.values())
     assert d2.edges_of(1) is swapped2.components[len(d._sorted) - reds + 1]
     assert list(d2.components) == list(d.components)
+    # a graph built lazily from the same pairs in canonical order comes back
+    # lazy, equal to the eager graph, with its decomposition and classes
+    lazy = build(4, 10, [(c, e) for e, c in sorted(ch.colour.items())])
+    monochromatic_components(lazy).edges_of(0)
+    back = pickle.loads(pickle.dumps(lazy, protocol=pickle.HIGHEST_PROTOCOL))
+    assert "edges" not in vars(back.graph) and "colour" not in vars(back)
+    assert monochromatic_components(back) == d and built(monochromatic_components(back)) == [0]
+    assert back == ch and back.graph.sorted_edges == ch.graph.sorted_edges
+    assert all(back.edges_of(c) == ch.edges_of(c) for c in Colour)
 
 
 def test_id_of_reads_the_edge_id_from_the_bucket_maps():

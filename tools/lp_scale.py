@@ -3,7 +3,8 @@
 For each N, the input is the largest monochromatic tight component of a
 random complete 2-colouring of K_N^(4) (each 4-set red or blue with equal
 odds, drawn from random.Random(N) in lexicographic order).  The script runs
-`max_fractional_lp` on it -- one certified LP solve -- and reports the
+`max_fractional_lp` on it -- one certified LP solve -- with the cyclic
+garbage collector off, as `tcr.cli.run` runs a command, and reports the
 median CPU time over the repeats, the number of LP solves (calls of
 `lp.matching_lp`: one, where a checkout with the lexicographic-support
 loop made one more per trial), the optimum and a digest of the exact
@@ -17,6 +18,7 @@ the same inputs.
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import itertools
 import json
@@ -55,6 +57,8 @@ def measure(n: int, repeats: int) -> dict:
 
     times = []
     lp.matching_lp = counting
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         for _ in range(repeats):
             solves = 0
@@ -63,6 +67,8 @@ def measure(n: int, repeats: int) -> dict:
             times.append(time.process_time() - start)
     finally:
         lp.matching_lp = solve
+        if collecting:
+            gc.enable()
     # a checkout with the lexicographic-support loop returns the matching alone
     phi = result[0] if isinstance(result, tuple) else result
     weights = sorted(phi.weights.items())
